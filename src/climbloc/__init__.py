@@ -1,7 +1,7 @@
 """Multi-sensor localization stack for wall-climbing robots.
 
 Subpackages:
-    core     shared types, sliding windows, geodetic/ENU conversion
+    core     shared types, geodetic/ENU conversion
     sim      synthetic climbing scenarios with configurable sensor errors
     solvers  classical per-sensor estimators (UWB geometry, barometer, GPS/INS-EKF)
     nnet     minimal dense-network engine (forward, backprop, SGD)

@@ -18,11 +18,12 @@ import os
 import sys
 
 from .. import __version__
-from ..core import SlidingWindow, Vec3Enu
-from ..errors import ConfigError, MissingInputError, NumericalFailureError, OrderingError
+from ..core import Vec3Enu
+from ..errors import ConfigError, MissingInputError, NumericalFailureError
 from ..fusion import (
     amfa_pipeline,
-    collect_fusion_frames,
+    ekf_pass,
+    epoch_times,
     fusion_from_dict,
     fusion_to_dict,
     init_attention_params,
@@ -191,13 +192,11 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
         ]
     if algo == "baro-fcnn":
         model = _load_sensor_model(models_dir, "baro")
-        poses, window = [], SlidingWindow(model.k)
-        for s in scenario.baro:
-            window = window.push(s)
-            if window.is_full:
-                alt, sigma_z = baro_fcnn_infer(model, window)
-                poses.append(_zero_xy_pose(s.t, alt, sigma_z, "baro-fcnn"))
-        return poses
+        altitudes, sigmas = baro_fcnn_infer(model, scenario.baro)
+        return [
+            _zero_xy_pose(s.t, alt, sigma_z, "baro-fcnn")
+            for s, alt, sigma_z in zip(scenario.baro[model.k - 1 :], altitudes, sigmas)
+        ]
     if algo == "uwb-geo":
         sigma_model = UwbSigmaModel(
             range_sigma=doc["sim"]["uwb"]["range_sigma"],
@@ -206,15 +205,13 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
         return [uwb_geometric_solve(m, scenario.anchor, sigma_model) for m in scenario.uwb]
     if algo == "uwb-fcnn":
         model = _load_sensor_model(models_dir, "uwb")
-        poses, window = [], SlidingWindow(model.k)
-        for m in scenario.uwb:
-            window = window.push(m)
-            if window.is_full:
-                poses.append(uwb_fcnn_infer(model, window, scenario.anchor))
-        return poses
+        positions, sigmas = uwb_fcnn_infer(model, scenario.uwb, scenario.anchor)
+        return [
+            PoseEstimate(t=m.t, position=Vec3Enu.from_array(p), sigma=s, source="uwb-fcnn")
+            for m, p, s in zip(scenario.uwb[model.k - 1 :], positions, sigmas)
+        ]
     if algo == "gpsins-ekf":
-        frames = collect_fusion_frames(scenario, None, None, L=doc["fusion"]["window"])
-        return [f.fallback for f in frames]
+        return ekf_pass(scenario, epoch_times(scenario))[0]
     if algo == "amfa":
         bundle_path = os.path.join(models_dir, MODEL_FILES["fusion"])
         if not os.path.exists(bundle_path):
@@ -242,8 +239,8 @@ def cmd_run(data_dir, models_dir, algo, out_path, config_path=None):
 
 def _truth_arrays(truth_path):
     rows = records.read_jsonl(truth_path)
-    t = [float(r["t"]) for r in rows]
-    xyz = [(float(r["x"]), float(r["y"]), float(r["z"])) for r in rows]
+    t = [r.number("t") for r in rows]
+    xyz = [(r.number("x"), r.number("y"), r.number("z")) for r in rows]
     return t, xyz
 
 
@@ -257,9 +254,9 @@ def cmd_report(est_paths, truth_path, out_dir, config_path=None):
     rows, cdf_table, summaries, report_rows = [], {}, [], []
     for path in est_paths:
         recs, algo = records.read_trajectory(path)
-        est_t = [r["t"] for r in recs]
-        est_xyz = [(r["x"], r["y"], r["z"]) for r in recs]
-        est_sigma = [(r["sx"], r["sy"], r["sz"]) for r in recs]
+        est_t = [r.number("t") for r in recs]
+        est_xyz = [(r.number("x"), r.number("y"), r.number("z")) for r in recs]
+        est_sigma = [(r.number("sx"), r.number("sy"), r.number("sz")) for r in recs]
         series = match_series(
             est_t, est_xyz, truth_t, truth_xyz, est_sigma=est_sigma, tolerance=ev["match_tolerance"]
         )
@@ -383,7 +380,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
-    except (OrderingError, ValueError) as err:
+    except ValueError as err:
         print(f"invalid data: {err}", file=sys.stderr)
         return 2
     return 0

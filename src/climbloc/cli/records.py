@@ -58,26 +58,49 @@ def write_jsonl(path, records) -> int:
     return n
 
 
-def read_jsonl(path):
-    """Parse one record per line; errors carry the file and line number."""
+class Record(dict):
+    """One JSONL record. Reading a missing or non-numeric field is a data
+    error (ValueError) that names the file and line."""
+
+    __slots__ = ("path", "lineno")
+
+    def __init__(self, fields: dict, path: str, lineno: int):
+        super().__init__(fields)
+        self.path = path
+        self.lineno = lineno
+
+    def __missing__(self, name):
+        raise ValueError(f"{self.path}:{self.lineno}: record is missing field {name!r}")
+
+    def number(self, name: str) -> float:
+        value = self[name]
+        if type(value) is not float:  # JSON ints count as numbers, bools do not
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{self.path}:{self.lineno}: field {name!r} is not a number: {value!r}")
+            value = float(value)
+        return value
+
+
+def _iter_jsonl(path):
+    """Yield one Record per non-blank line; errors carry the file and line number."""
     if not os.path.exists(path):
         raise MissingInputError(f"stream file not found: {path}")
-    out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(json.loads(line))
+                fields = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}:{lineno}: not a JSON record ({err.msg})") from err
-    return out
+            if not isinstance(fields, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            yield Record(fields, path, lineno)
 
 
-def _field(rec: dict, name: str, where: str):
-    if name not in rec:
-        raise ValueError(f"{where}: record is missing field {name!r}")
-    return rec[name]
+def read_jsonl(path):
+    """Every Record of a JSONL file, in file order."""
+    return list(_iter_jsonl(path))
 
 
 # -- per-stream codecs ------------------------------------------------------
@@ -88,11 +111,11 @@ def imu_record(s: ImuSample) -> dict:
     return {"t": float(s.t), "fx": fx, "fy": fy, "fz": fz, "wx": wx, "wy": wy, "wz": wz}
 
 
-def imu_from_record(rec: dict) -> ImuSample:
+def imu_from_record(rec: Record) -> ImuSample:
     return ImuSample(
-        t=float(rec["t"]),
-        specific_force=(rec["fx"], rec["fy"], rec["fz"]),
-        angular_rate=(rec["wx"], rec["wy"], rec["wz"]),
+        t=rec.number("t"),
+        specific_force=(rec.number("fx"), rec.number("fy"), rec.number("fz")),
+        angular_rate=(rec.number("wx"), rec.number("wy"), rec.number("wz")),
     )
 
 
@@ -107,13 +130,13 @@ def gps_record(fix: GpsFix) -> dict:
     }
 
 
-def gps_from_record(rec: dict) -> GpsFix:
+def gps_from_record(rec: Record) -> GpsFix:
     return GpsFix(
-        t=float(rec["t"]),
-        lat=float(rec["lat"]),
-        lon=float(rec["lon"]),
-        height=float(rec["h"]),
-        hdop=float(rec["hdop"]),
+        t=rec.number("t"),
+        lat=rec.number("lat"),
+        lon=rec.number("lon"),
+        height=rec.number("h"),
+        hdop=rec.number("hdop"),
         valid=bool(rec["valid"]),
     )
 
@@ -128,13 +151,13 @@ def uwb_record(m: UwbMeasurement) -> dict:
     }
 
 
-def uwb_from_record(rec: dict) -> UwbMeasurement:
+def uwb_from_record(rec: Record) -> UwbMeasurement:
     return UwbMeasurement(
-        t=float(rec["t"]),
-        range=float(rec["d"]),
-        alpha=float(rec["alpha"]),
-        beta=float(rec["beta"]),
-        nlos_confidence=float(rec["nlos"]),
+        t=rec.number("t"),
+        range=rec.number("d"),
+        alpha=rec.number("alpha"),
+        beta=rec.number("beta"),
+        nlos_confidence=rec.number("nlos"),
     )
 
 
@@ -142,8 +165,8 @@ def baro_record(s: BaroSample) -> dict:
     return {"t": float(s.t), "p": float(s.pressure), "h_int": float(s.internal_altitude)}
 
 
-def baro_from_record(rec: dict) -> BaroSample:
-    return BaroSample(t=float(rec["t"]), pressure=float(rec["p"]), internal_altitude=float(rec["h_int"]))
+def baro_from_record(rec: Record) -> BaroSample:
+    return BaroSample(t=rec.number("t"), pressure=rec.number("p"), internal_altitude=rec.number("h_int"))
 
 
 def truth_record(p: GroundTruthPoint) -> dict:
@@ -164,12 +187,14 @@ def truth_record(p: GroundTruthPoint) -> dict:
     }
 
 
-def truth_from_record(rec: dict) -> GroundTruthPoint:
+def truth_from_record(rec: Record) -> GroundTruthPoint:
     return GroundTruthPoint(
-        t=float(rec["t"]),
-        position=Vec3Enu(float(rec["x"]), float(rec["y"]), float(rec["z"])),
-        velocity=(rec["vx"], rec["vy"], rec["vz"]),
-        attitude=Rotation.from_quaternion((rec["qw"], rec["qx"], rec["qy"], rec["qz"])),
+        t=rec.number("t"),
+        position=Vec3Enu(rec.number("x"), rec.number("y"), rec.number("z")),
+        velocity=(rec.number("vx"), rec.number("vy"), rec.number("vz")),
+        attitude=Rotation.from_quaternion(
+            (rec.number("qw"), rec.number("qx"), rec.number("qy"), rec.number("qz"))
+        ),
     )
 
 
@@ -196,7 +221,7 @@ def read_trajectory(path):
     records = read_jsonl(path)
     if not records:
         raise ValueError(f"{path}: empty trajectory")
-    algos = {_field(r, "algo", path) for r in records}
+    algos = {r["algo"] for r in records}
     if len(algos) != 1:
         raise ValueError(f"{path}: mixed algo tags {sorted(algos)}")
     return records, algos.pop()
@@ -263,7 +288,8 @@ def read_scenario(directory) -> ScenarioData:
     reference = BaroReference(**{k: float(v) for k, v in doc["baro_reference"].items()})
 
     def load(name, decode_one):
-        return tuple(decode_one(r) for r in read_jsonl(os.path.join(directory, SCENARIO_FILES[name])))
+        # decoded as read, so no stream's raw records are held all at once
+        return tuple(decode_one(r) for r in _iter_jsonl(os.path.join(directory, SCENARIO_FILES[name])))
 
     return ScenarioData(
         truth=load("truth", truth_from_record),

@@ -10,7 +10,6 @@ from .types import (
     Vec3Enu,
     skew,
 )
-from .window import SlidingWindow, window_push
 from .geodesy import GeodeticPoint, ecef_to_geodetic, enu_to_geodetic, geodetic_to_ecef, geodetic_to_enu
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "GroundTruthPoint",
     "ImuSample",
     "Rotation",
-    "SlidingWindow",
     "UwbMeasurement",
     "Vec3Enu",
     "ecef_to_geodetic",
@@ -30,5 +28,4 @@ __all__ = [
     "geodetic_to_ecef",
     "geodetic_to_enu",
     "skew",
-    "window_push",
 ]

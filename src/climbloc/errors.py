@@ -16,6 +16,3 @@ class MissingInputError(ClimblocError):
 class NumericalFailureError(ClimblocError):
     """A filter or training run lost numerical validity (non-PSD covariance, NaN loss)."""
 
-
-class OrderingError(ClimblocError):
-    """A sample violated the monotonic-timestamp requirement of a stream."""

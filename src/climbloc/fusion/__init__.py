@@ -19,6 +19,8 @@ from .pipeline import (
     FusionFrame,
     amfa_pipeline,
     collect_fusion_frames,
+    ekf_pass,
+    epoch_times,
     run_fusion,
 )
 from .serialize import fusion_from_dict, fusion_to_dict
@@ -38,7 +40,9 @@ __all__ = [
     "amfa_pipeline",
     "attention_logits",
     "collect_fusion_frames",
+    "ekf_pass",
     "encode",
+    "epoch_times",
     "fuse",
     "fusion_from_dict",
     "fusion_loss",

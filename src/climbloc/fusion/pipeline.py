@@ -1,11 +1,14 @@
 """Epoch-aligned fusion front-end and the full attention-fusion pipeline.
 
-`collect_fusion_frames` runs the shared per-epoch machinery once: it drives
-the GPS/INS filter at the IMU rate, produces the UWB and barometer estimates
-(model output when their measurement windows are full, geometric solutions
-before that), maintains the per-modality estimate windows, and scores
-reliability. Both training and application consume the resulting frames, so
-the two phases see identical inputs by construction.
+`collect_fusion_frames` builds one frame per fusion epoch from three passes
+over whole streams. The EKF pass is the only sequential loop: it drives the
+GPS/INS filter at the IMU rate, applies each valid GPS fix in time order, and
+records the estimate, HDOP and innovation at every epoch. The UWB and baro
+passes compute one estimate per measurement (the classical solution until
+the FCNN window fills, then one batched FCNN pass) and hold it at each epoch
+up to the next measurement. A modality's estimate window is its last L epoch
+estimates, once L epochs have it. Training and application consume the same
+frames, so the two phases see identical inputs by construction.
 
 `amfa_pipeline` then encodes, attends, fuses, and UKF-updates per epoch.
 Epochs that cannot fuse (an axis with every estimate window still filling)
@@ -18,16 +21,14 @@ from __future__ import annotations
 
 import logging
 import statistics
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.geodesy import GeodeticPoint, geodetic_to_enu
 from ..core.types import Rotation, Vec3Enu
-from ..core.window import SlidingWindow
 from ..errors import MissingInputError
-from ..models import DEFAULT_K, SIGMA_MIN, baro_fcnn_infer, uwb_fcnn_infer
+from ..models import SIGMA_MIN, _truth_lookup, baro_fcnn_infer, uwb_fcnn_infer
 from ..solvers.baro import baro_altitude
 from ..solvers.ins import GpsInsEkf, InsState
 from ..solvers.types import PoseEstimate
@@ -50,6 +51,8 @@ log = logging.getLogger("climbloc.fusion")
 DEFAULT_L = 10
 WARMUP_SIGMA_INFLATION = 3.0
 _EPS = 1e-9
+# runs start at the local origin, at rest, level
+_INITIAL_STATE = InsState(Vec3Enu(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Rotation.identity())
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class FusionFrame:
         return all(any(m in ready for m in AXIS_MODALITIES[s]) for s in AXES)
 
 
-def _epoch_times(scenario) -> list:
+def epoch_times(scenario) -> list:
     """Fusion epochs: timestamps of the slowest measurement stream.
 
     Slowness is judged by the widest minimum inter-sample gap; ties go to
@@ -93,50 +96,20 @@ def _epoch_times(scenario) -> list:
     return times
 
 
-def _truth_lookup(truth):
-    if not truth:
-        return lambda t: None
-    dt = truth[1].t - truth[0].t if len(truth) > 1 else 1.0
+def ekf_pass(scenario, epochs):
+    """GPS/INS filter over the epochs: (estimates, last HDOP, last innovation) per epoch.
 
-    def at(t: float):
-        return truth[min(int(round(t / dt)), len(truth) - 1)].position.as_array()
-
-    return at
-
-
-def _axis_dict(values) -> dict:
-    return {s: float(v) for s, v in zip(AXES, values)}
-
-
-def collect_fusion_frames(
-    scenario,
-    uwb_model=None,
-    baro_model=None,
-    L: int = DEFAULT_L,
-    initial_state: InsState | None = None,
-    ekf_model=None,
-) -> tuple[FusionFrame, ...]:
-    """One FusionFrame per epoch, driving all modality estimators in lockstep."""
+    Each valid GPS fix up to an epoch is applied after propagating the IMU to
+    the fix time; the filter is then propagated to the epoch itself.
+    """
     imu = scenario.imu
     if len(imu) < 2:
         raise MissingInputError("fusion needs an IMU stream with at least two samples")
     imu_gaps = [b.t - a.t for a, b in zip(imu, imu[1:])]
     imu_gaps.append(imu_gaps[-1])
-
-    if initial_state is None:
-        # runs start at the local origin, at rest, level
-        initial_state = InsState(Vec3Enu(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Rotation.identity())
-    ekf = GpsInsEkf(initial_state, ekf_model)
-
-    uwb_k = uwb_model.k if uwb_model is not None else DEFAULT_K
-    baro_k = baro_model.k if baro_model is not None else DEFAULT_K
-    uwb_meas = SlidingWindow(uwb_k)
-    baro_meas = SlidingWindow(baro_k)
-    est_windows = {m: deque(maxlen=L) for m in MODALITIES}
-
-    i_imu = i_gps = i_uwb = i_baro = 0
-    gps, uwb, baro = scenario.gps, scenario.uwb, scenario.baro
-    frames = []
+    ekf = GpsInsEkf(_INITIAL_STATE)
+    gps = scenario.gps
+    i_imu = i_gps = 0
 
     def advance_imu(until: float):
         nonlocal i_imu
@@ -144,7 +117,8 @@ def collect_fusion_frames(
             ekf.propagate(imu[i_imu], imu_gaps[i_imu])
             i_imu += 1
 
-    for t_k in _epoch_times(scenario):
+    estimates, hdop, innovation = [], [], []
+    for t_k in epochs:
         while i_gps < len(gps) and gps[i_gps].t <= t_k + _EPS:
             fix = gps[i_gps]
             i_gps += 1
@@ -154,61 +128,134 @@ def collect_fusion_frames(
             enu = geodetic_to_enu(GeodeticPoint(fix.lat, fix.lon, fix.height), scenario.origin)
             ekf.update(enu, fix.hdop)
         advance_imu(t_k)
-        while i_uwb < len(uwb) and uwb[i_uwb].t <= t_k + _EPS:
-            uwb_meas = uwb_meas.push(uwb[i_uwb])
-            i_uwb += 1
-        while i_baro < len(baro) and baro[i_baro].t <= t_k + _EPS:
-            baro_meas = baro_meas.push(baro[i_baro])
-            i_baro += 1
+        estimates.append(ekf.estimate(t_k))
+        hdop.append(ekf.last_hdop)
+        innovation.append(ekf.last_innovation)
+    return estimates, hdop, innovation
 
-        estimates, sigmas = {}, {}
 
-        gps_est = ekf.estimate(t_k)
-        estimates["gpsins"] = _axis_dict(gps_est.position.as_array())
-        sigmas["gpsins"] = _axis_dict(gps_est.sigma)
-        est_windows["gpsins"].append(gps_est.position.as_array())
-        r_gpsins = (1.0 / (1.0 + ekf.last_hdop), ekf.last_innovation)
+def _latest(stream, epochs: np.ndarray) -> np.ndarray:
+    """Per epoch, the index of the latest sample at or before it; -1 before the first."""
+    times = np.array([s.t for s in stream], dtype=float)
+    return np.searchsorted(times, epochs + _EPS, side="right") - 1
 
-        r_uwb = (0.0, 0.0)
-        if len(uwb_meas):
-            pose = uwb_fcnn_infer(uwb_model, uwb_meas, scenario.anchor) if uwb_model else None
-            if pose is None:
-                pose = uwb_geometric_solve(uwb_meas.items[-1], scenario.anchor)
-            estimates["uwb"] = _axis_dict(pose.position.as_array())
-            sigmas["uwb"] = _axis_dict(pose.sigma)
-            est_windows["uwb"].append(pose.position.as_array())
-            r_uwb = (1.0 - uwb_meas.items[-1].nlos_confidence, float(np.mean(pose.sigma)))
 
-        r_baro = (0.0, 0.0)
-        if len(baro_meas):
-            result = baro_fcnn_infer(baro_model, baro_meas) if baro_model else None
-            if result is None:
-                alt = baro_altitude(baro_meas.items[-1].pressure, scenario.baro_reference)
-                seen = [float(v) for v in est_windows["baro"]] + [alt]
-                sigma_z = max(float(np.std(seen)), SIGMA_MIN)
-            else:
-                alt, sigma_z = result
-            estimates["baro"] = {"z": float(alt)}
-            sigmas["baro"] = {"z": float(sigma_z)}
-            est_windows["baro"].append(float(alt))
-            spread = statistics.pvariance(est_windows["baro"]) if len(est_windows["baro"]) > 1 else 0.0
-            r_baro = (1.0 / (1.0 + spread), sigma_z)
+def _held(values: np.ndarray, latest: np.ndarray) -> np.ndarray:
+    """Per-sample values held at each epoch; NaN before the first sample."""
+    out = np.full((len(latest), *values.shape[1:]), np.nan)
+    on = latest >= 0
+    out[on] = values[latest[on]]
+    return out
 
-        windows = {
-            m: np.asarray(est_windows[m], dtype=float).ravel()
-            if len(est_windows[m]) == L and m in estimates
-            else None
-            for m in MODALITIES
-        }
+
+def _first(present: np.ndarray) -> int:
+    """Index of the first epoch that has the modality (len when none has)."""
+    return int(np.argmax(present)) if present.any() else len(present)
+
+
+def _uwb_pass(scenario, model, latest: np.ndarray):
+    """Per-epoch UWB positions, sigmas and NLOS confidences.
+
+    One estimate per measurement: the geometric fix until the FCNN window
+    fills, then the FCNN's.
+    """
+    uwb = scenario.uwb
+    n_geo = len(uwb) if model is None else min(model.k - 1, len(uwb))
+    fixes = [uwb_geometric_solve(m, scenario.anchor) for m in uwb[:n_geo]]
+    positions = np.array([f.position.as_array() for f in fixes], dtype=float).reshape(-1, 3)
+    sigmas = np.array([f.sigma for f in fixes], dtype=float).reshape(-1, 3)
+    if model is not None:
+        fcnn_pos, fcnn_sigma = uwb_fcnn_infer(model, uwb, scenario.anchor)
+        positions = np.vstack([positions, fcnn_pos])
+        sigmas = np.vstack([sigmas, fcnn_sigma])
+    nlos = np.array([m.nlos_confidence for m in uwb], dtype=float)
+    return _held(positions, latest), _held(sigmas, latest), _held(nlos, latest)
+
+
+def _baro_pass(scenario, model, latest: np.ndarray, L: int):
+    """Per-epoch baro altitudes and sigmas.
+
+    One altitude per sample: the barometric formula's until the FCNN window
+    fills, then the FCNN's. Before the window fills, the sigma is the spread
+    of up to L previous epoch altitudes plus the current one, floored at
+    SIGMA_MIN.
+    """
+    baro = scenario.baro
+    n_pre = len(baro) if model is None else min(model.k - 1, len(baro))
+    altitudes = np.array(
+        [baro_altitude(s.pressure, scenario.baro_reference) for s in baro[:n_pre]], dtype=float
+    )
+    sigmas = np.full(n_pre, np.nan)
+    if model is not None:
+        fcnn_alt, fcnn_sigma = baro_fcnn_infer(model, baro)
+        altitudes = np.concatenate([altitudes, fcnn_alt])
+        sigmas = np.concatenate([sigmas, fcnn_sigma])
+    alt_ep, sigma_ep = _held(altitudes, latest), _held(sigmas, latest)
+    first = _first(latest >= 0)
+    for e in np.flatnonzero((latest >= 0) & (latest < n_pre)):
+        sigma_ep[e] = max(float(np.std(alt_ep[max(first, e - L) : e + 1])), SIGMA_MIN)
+    return alt_ep, sigma_ep
+
+
+def _estimate_windows(values: np.ndarray, present: np.ndarray, L: int) -> list:
+    """Per epoch, a copy of the last L epoch estimates flattened, once L epochs have the modality."""
+    first = _first(present)
+    return [
+        values[e - L + 1 : e + 1].flatten() if e - first + 1 >= L else None
+        for e in range(len(present))
+    ]
+
+
+def _axis_dict(values) -> dict:
+    return {s: float(v) for s, v in zip(AXES, values)}
+
+
+def collect_fusion_frames(
+    scenario, uwb_model=None, baro_model=None, L: int = DEFAULT_L
+) -> tuple[FusionFrame, ...]:
+    """One FusionFrame per epoch, from the EKF, UWB and baro passes."""
+    epochs = epoch_times(scenario)
+    gps_est, hdop, innovation = ekf_pass(scenario, epochs)
+    gps_pos = np.array([est.position.as_array() for est in gps_est], dtype=float)
+    epoch_arr = np.asarray(epochs, dtype=float)
+    uwb_latest = _latest(scenario.uwb, epoch_arr)
+    uwb_pos, uwb_sigma, nlos = _uwb_pass(scenario, uwb_model, uwb_latest)
+    baro_latest = _latest(scenario.baro, epoch_arr)
+    baro_alt, baro_sigma = _baro_pass(scenario, baro_model, baro_latest, L)
+    uwb_on, baro_on = uwb_latest >= 0, baro_latest >= 0
+    baro_first = _first(baro_on)
+    windows = {
+        "gpsins": _estimate_windows(gps_pos, np.ones(len(epochs), dtype=bool), L),
+        "uwb": _estimate_windows(uwb_pos, uwb_on, L),
+        "baro": _estimate_windows(baro_alt, baro_on, L),
+    }
+    truth = _truth_lookup(scenario.truth, epochs)
+
+    frames = []
+    for e, t_k in enumerate(epochs):
+        estimates = {"gpsins": _axis_dict(gps_pos[e])}
+        sigmas = {"gpsins": _axis_dict(gps_est[e].sigma)}
+        r_gpsins = (1.0 / (1.0 + hdop[e]), innovation[e])
+        r_uwb = r_baro = (0.0, 0.0)
+        if uwb_on[e]:
+            estimates["uwb"] = _axis_dict(uwb_pos[e])
+            sigmas["uwb"] = _axis_dict(uwb_sigma[e])
+            r_uwb = (1.0 - float(nlos[e]), float(np.mean(uwb_sigma[e])))
+        if baro_on[e]:
+            estimates["baro"] = {"z": float(baro_alt[e])}
+            sigmas["baro"] = {"z": float(baro_sigma[e])}
+            recent = baro_alt[max(baro_first, e - L + 1) : e + 1].tolist()
+            spread = statistics.pvariance(recent) if len(recent) > 1 else 0.0
+            r_baro = (1.0 / (1.0 + spread), float(baro_sigma[e]))
         frames.append(
             FusionFrame(
                 t=t_k,
-                windows=windows,
+                windows={m: windows[m][e] for m in MODALITIES},
                 reliability=ReliabilityScores(uwb=r_uwb, gpsins=r_gpsins, baro=r_baro),
                 estimates=estimates,
                 sigmas=sigmas,
-                fallback=gps_est,
-                truth_position=_truth_lookup(scenario.truth)(t_k),
+                fallback=gps_est[e],
+                truth_position=None if truth is None else truth[e],
             )
         )
     return tuple(frames)
@@ -220,7 +267,6 @@ def run_fusion(
     params: AttentionParams,
     ukf_state: UkfState | None = None,
     lam: float = 1.0,
-    warmup_inflation: float = WARMUP_SIGMA_INFLATION,
 ):
     """Attend + fuse + UKF over precomputed frames.
 
@@ -243,7 +289,7 @@ def run_fusion(
                 PoseEstimate(
                     t=frame.t,
                     position=fb.position,
-                    sigma=tuple(s * warmup_inflation for s in fb.sigma),
+                    sigma=tuple(s * WARMUP_SIGMA_INFLATION for s in fb.sigma),
                     source="amfa",
                 )
             )

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from ..errors import NumericalFailureError
-from ..nnet import TrainConfig, net_vjp
+from ..nnet import _STD_FLOOR, TrainConfig, net_vjp
 from .attention import (
     AXES,
     AXIS_MODALITIES,
@@ -32,8 +32,6 @@ from .attention import (
     init_encoders,
 )
 from .pipeline import DEFAULT_L, collect_fusion_frames
-
-_STD_FLOOR = 1e-8
 
 
 def _zero_grads(encoders: dict, params: AttentionParams) -> dict:

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core.types import AnchorPose, BaroSample, UwbMeasurement
-from .core.window import SlidingWindow
-from .errors import ConfigError
+from .core.types import AnchorPose
+from .errors import ConfigError, MissingInputError
 from .nnet import Dataset, DenseNetwork, TrainConfig, net_forward, net_from_dict, net_init, net_to_dict, train
-from .solvers.types import PoseEstimate
 from .solvers.uwb import uwb_geometric_solve
 
 SIGMA_MIN = 0.01  # m; keeps downstream fused variances strictly positive
@@ -65,64 +64,58 @@ class BaroFcnnModel:
             raise ConfigError("baro model must emit (altitude, error) outputs")
 
 
-def _window_items(window, k: int):
-    items = tuple(window.items) if isinstance(window, SlidingWindow) else tuple(window)
-    if len(items) < k:
-        return None
-    return items[-k:]
+def _geometric_positions(measurements, anchor: AnchorPose) -> np.ndarray:
+    """(n, 3) closed-form UWB fixes, one per measurement."""
+    fixes = [uwb_geometric_solve(m, anchor).position.as_array() for m in measurements]
+    return np.array(fixes, dtype=float).reshape(-1, 3)
 
 
-def uwb_features(measurements, anchor: AnchorPose, include_geometric: bool) -> np.ndarray:
-    flat = []
-    for m in measurements:
-        flat.extend((m.range, m.alpha, m.beta))
+def uwb_inputs(measurements, anchor: AnchorPose, k: int, include_geometric: bool) -> np.ndarray:
+    """One row per full window: k*(d, alpha, beta) [+ the geometric fix of its last measurement].
+
+    Row i covers measurements i..i+k-1; a stream shorter than k gives 0 rows.
+    """
+    if len(measurements) < k:
+        return np.empty((0, UwbFcnnModel.input_size(k, include_geometric)))
+    raw = np.array([(m.range, m.alpha, m.beta) for m in measurements], dtype=float)
+    rows = sliding_window_view(raw, k, axis=0).transpose(0, 2, 1).reshape(-1, 3 * k)
     if include_geometric:
-        flat.extend(uwb_geometric_solve(measurements[-1], anchor).position.as_array())
-    return np.asarray(flat, dtype=float)
+        rows = np.hstack([rows, _geometric_positions(measurements[k - 1 :], anchor)])
+    return rows
 
 
-def baro_features(samples) -> np.ndarray:
-    return np.asarray([s.pressure for s in samples] + [samples[-1].internal_altitude], dtype=float)
+def baro_inputs(samples, k: int) -> np.ndarray:
+    """One row per full window: k pressures + the internal altitude of its last sample."""
+    if len(samples) < k:
+        return np.empty((0, k + 1))
+    pressure = np.array([s.pressure for s in samples], dtype=float)
+    internal = np.array([s.internal_altitude for s in samples[k - 1 :]], dtype=float)
+    return np.column_stack([sliding_window_view(pressure, k), internal])
 
 
-def uwb_fcnn_infer(model: UwbFcnnModel, window, anchor: AnchorPose):
-    """PoseEstimate from a full window, or None while the window is filling."""
-    items = _window_items(window, model.k)
-    if items is None:
+def uwb_fcnn_infer(model: UwbFcnnModel, measurements, anchor: AnchorPose):
+    """(positions, sigmas), each (n-k+1, 3): one row per full window, in one forward pass.
+
+    Row i is the estimate at measurement i+k-1 (0 rows when n < k); sigmas
+    are floored at SIGMA_MIN.
+    """
+    out = net_forward(model.network, uwb_inputs(measurements, anchor, model.k, model.include_geometric))
+    return out[:, 0:3], np.maximum(np.abs(out[:, 3:6]), SIGMA_MIN)
+
+
+def baro_fcnn_infer(model: BaroFcnnModel, samples):
+    """(altitudes, sigmas), each (n-k+1,): one row per full window, in one forward pass."""
+    out = net_forward(model.network, baro_inputs(samples, model.k))
+    return out[:, 0], np.maximum(np.abs(out[:, 1]), SIGMA_MIN)
+
+
+def _truth_lookup(truth, times):
+    """(n, 3) truth positions at the samples nearest `times`; None without truth."""
+    if not truth:
         return None
-    out = net_forward(model.network, uwb_features(items, anchor, model.include_geometric))
-    sigma = tuple(float(s) for s in np.maximum(np.abs(out[3:6]), SIGMA_MIN))
-    return PoseEstimate(
-        t=items[-1].t,
-        position=_vec3(out[0:3]),
-        sigma=sigma,
-        source="uwb-fcnn",
-    )
-
-
-def baro_fcnn_infer(model: BaroFcnnModel, window):
-    """(altitude, sigma_z) from a full window, or None while it is filling."""
-    items = _window_items(window, model.k)
-    if items is None:
-        return None
-    out = net_forward(model.network, baro_features(items))
-    return float(out[0]), float(max(abs(out[1]), SIGMA_MIN))
-
-
-def _vec3(a):
-    from .core.types import Vec3Enu
-
-    return Vec3Enu(float(a[0]), float(a[1]), float(a[2]))
-
-
-def _truth_lookup(scenario):
-    truth = scenario.truth
-    dt = truth[1].t - truth[0].t
-
-    def at(t: float):
-        return truth[min(int(round(t / dt)), len(truth) - 1)]
-
-    return at
+    dt = truth[1].t - truth[0].t if len(truth) > 1 else 1.0
+    idx = np.minimum(np.rint(np.asarray(times, dtype=float) / dt).astype(int), len(truth) - 1)
+    return np.array([truth[i].position.as_array() for i in idx], dtype=float).reshape(-1, 3)
 
 
 def build_training_set(scenario, which: str, k: int = DEFAULT_K, include_geometric: bool = True) -> Dataset:
@@ -132,30 +125,25 @@ def build_training_set(scenario, which: str, k: int = DEFAULT_K, include_geometr
     (truth position, truth - geometric fix). Baro rows: features = k pressures
     + current internal altitude, targets = (truth up, truth up - internal).
     """
-    truth_at = _truth_lookup(scenario)
-    inputs, targets = [], []
+    if not scenario.truth:
+        raise MissingInputError("training needs a truth stream")
     if which == "uwb":
         stream = scenario.uwb
         if len(stream) < k:
             raise ValueError(f"need at least k={k} UWB measurements, got {len(stream)}")
-        for i in range(k - 1, len(stream)):
-            items = stream[i - k + 1 : i + 1]
-            inputs.append(uwb_features(items, scenario.anchor, include_geometric))
-            p_true = truth_at(items[-1].t).position.as_array()
-            p_geo = uwb_geometric_solve(items[-1], scenario.anchor).position.as_array()
-            targets.append(np.concatenate([p_true, p_true - p_geo]))
+        inputs = uwb_inputs(stream, scenario.anchor, k, include_geometric)
+        p_true = _truth_lookup(scenario.truth, [m.t for m in stream[k - 1 :]])
+        targets = np.hstack([p_true, p_true - _geometric_positions(stream[k - 1 :], scenario.anchor)])
     elif which == "baro":
         stream = scenario.baro
         if len(stream) < k:
             raise ValueError(f"need at least k={k} baro samples, got {len(stream)}")
-        for i in range(k - 1, len(stream)):
-            items = stream[i - k + 1 : i + 1]
-            inputs.append(baro_features(items))
-            up_true = truth_at(items[-1].t).position.up
-            targets.append(np.array([up_true, up_true - items[-1].internal_altitude]))
+        inputs = baro_inputs(stream, k)
+        up_true = _truth_lookup(scenario.truth, [s.t for s in stream[k - 1 :]])[:, 2]
+        targets = np.column_stack([up_true, up_true - inputs[:, -1]])
     else:
         raise ConfigError(f"unknown training-set kind {which!r} (expected 'uwb' or 'baro')")
-    return Dataset(inputs=np.array(inputs), targets=np.array(targets))
+    return Dataset(inputs=inputs, targets=targets)
 
 
 def train_uwb_model(

@@ -4,10 +4,14 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import climbloc
 from climbloc.cli import (
     ALGORITHMS,
     MANIFEST_FILE,
@@ -24,9 +28,20 @@ from climbloc.cli.config import scenario_config
 from climbloc.cli.records import missing_manifest_files, write_jsonl
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import model_from_dict, uwb_fcnn_infer
-from climbloc.core import SlidingWindow
 from climbloc.sim import simulate_scenario
 from climbloc.solvers import uwb_geometric_solve
+
+
+def _without(record: dict, name: str) -> str:
+    return json.dumps({k: v for k, v in record.items() if k != name})
+
+
+def _rewrite_line(path, lineno: int, edit) -> None:
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[lineno - 1] = edit(json.loads(lines[lineno - 1]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def file_sha(path) -> str:
@@ -201,6 +216,37 @@ class TestRecords:
         with pytest.raises(MissingInputError):
             read_jsonl(str(tmp_path / "absent.jsonl"))
 
+    @pytest.mark.parametrize(
+        "filename, edit",
+        [
+            pytest.param("imu.jsonl", lambda r: _without(r, "fx"), id="stream-missing-field"),
+            pytest.param("imu.jsonl", lambda r: json.dumps(list(r.values())), id="stream-json-array"),
+            pytest.param("truth.jsonl", lambda r: _without(r, "x"), id="truth-missing-field"),
+            pytest.param("traj_baro.jsonl", lambda r: _without(r, "sx"), id="trajectory-missing-field"),
+        ],
+    )
+    def test_malformed_record_exits_2_naming_its_line(self, pipeline, tmp_path, filename, edit):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        traj = tmp_path / "traj_baro.jsonl"
+        shutil.copy(pipeline["trajectories"]["baro"], traj)
+        target = traj if filename == "traj_baro.jsonl" else data / filename
+        _rewrite_line(target, 5, edit)
+        if filename == "imu.jsonl":
+            args = ["run", "--data", str(data), "--models", pipeline["models"], "--algo", "baro",
+                    "--out", str(tmp_path / "out.jsonl")]
+        else:
+            args = ["report", "--est", str(traj), "--truth", str(data / "truth.jsonl"),
+                    "--out", str(tmp_path / "report")]
+        src = os.path.dirname(os.path.dirname(climbloc.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "climbloc", *args], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{target}:5" in proc.stderr
+
     def test_trajectory_rejects_mixed_algos(self, tmp_path):
         path = tmp_path / "t.jsonl"
         rows = [
@@ -259,11 +305,10 @@ class TestTrain:
         )
         with open(os.path.join(pipeline["models"], "uwb.json")) as fh:
             reloaded = model_from_dict(json.load(fh))
-        window = SlidingWindow(reloaded.k, scenario.uwb[: reloaded.k])
-        a = uwb_fcnn_infer(in_memory, window, scenario.anchor)
-        b = uwb_fcnn_infer(reloaded, window, scenario.anchor)
-        assert a.position == b.position
-        assert a.sigma == b.sigma
+        a = uwb_fcnn_infer(in_memory, scenario.uwb, scenario.anchor)
+        b = uwb_fcnn_infer(reloaded, scenario.uwb, scenario.anchor)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
     def test_retraining_is_deterministic(self, pipeline, tmp_path):
         out = str(tmp_path / "baro.json")
@@ -309,6 +354,21 @@ class TestRun:
              "--out", str(tmp_path / "t.jsonl"), "--config", pipeline["config"]]
         )
         assert rc == 3
+
+    def test_unordered_uwb_stream_exits_2(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        with open(data / "uwb.jsonl") as fh:
+            lines = fh.readlines()
+        lines[3], lines[4] = lines[4], lines[3]
+        with open(data / "uwb.jsonl", "w") as fh:
+            fh.writelines(lines)
+        rc = main(
+            ["run", "--data", str(data), "--models", pipeline["models"], "--algo", "amfa",
+             "--out", str(tmp_path / "t.jsonl"), "--config", pipeline["config"]]
+        )
+        assert rc == 2
+        assert "uwb stream is not time-ordered" in capsys.readouterr().err
 
     def test_noiseless_uwb_geo_stays_within_the_small_angle_bound(self, tmp_path):
         doc = load_config(None)

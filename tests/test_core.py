@@ -1,4 +1,4 @@
-"""Core types: sliding window, rotations, geodesy."""
+"""Core types: rotations, geodesy."""
 
 import math
 
@@ -11,65 +11,11 @@ from climbloc.core import (
     GeodeticPoint,
     GpsFix,
     Rotation,
-    SlidingWindow,
     UwbMeasurement,
     Vec3Enu,
     enu_to_geodetic,
     geodetic_to_enu,
-    window_push,
 )
-from climbloc.errors import OrderingError
-
-
-class _Stamp:
-    def __init__(self, t):
-        self.t = t
-
-
-class TestSlidingWindow:
-    def test_push_below_capacity(self):
-        w = SlidingWindow(capacity=3)
-        w = window_push(w, _Stamp(0.0))
-        assert len(w) == 1
-        assert not w.is_full
-
-    def test_fifo_eviction(self):
-        w = SlidingWindow(capacity=3)
-        s = [_Stamp(float(i)) for i in range(4)]
-        for x in s[:3]:
-            w = w.push(x)
-        assert w.is_full
-        w = w.push(s[3])
-        assert list(w) == s[1:]
-
-    def test_out_of_order_rejected(self):
-        w = SlidingWindow(capacity=3).push(_Stamp(1.0))
-        with pytest.raises(OrderingError):
-            w.push(_Stamp(0.5))
-
-    def test_equal_timestamps_allowed(self):
-        w = SlidingWindow(capacity=2).push(_Stamp(1.0))
-        w = w.push(_Stamp(1.0))
-        assert len(w) == 2
-
-    def test_push_is_functional(self):
-        w0 = SlidingWindow(capacity=2)
-        w1 = w0.push(_Stamp(0.0))
-        assert len(w0) == 0 and len(w1) == 1
-
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=0, max_size=40),
-           st.integers(min_value=1, max_value=8))
-    def test_contents_equal_tail_of_replay(self, deltas, capacity):
-        # window after n pushes == last min(n, k) samples, in order
-        t = 0.0
-        samples = []
-        for d in deltas:
-            t += d * 0.1
-            samples.append(_Stamp(t))
-        w = SlidingWindow(capacity=capacity)
-        for s in samples:
-            w = w.push(s)
-        assert list(w) == samples[-min(len(samples), capacity):]
 
 
 class TestRotation:

@@ -1,25 +1,30 @@
 """Sensor FCNN model tests: feature layout, inference contract, dataset oracle."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from climbloc.core import SlidingWindow
-from climbloc.errors import ConfigError
+from climbloc.core import BaroSample, UwbMeasurement
+from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import (
     SIGMA_MIN,
     BaroFcnnModel,
     UwbFcnnModel,
     baro_fcnn_infer,
+    baro_inputs,
     build_training_set,
     model_from_dict,
     model_to_dict,
     train_baro_model,
     train_uwb_model,
     uwb_fcnn_infer,
+    uwb_inputs,
 )
-from climbloc.nnet import TrainConfig, net_init
+from climbloc.nnet import TrainConfig, net_forward, net_init
 from climbloc.sim import (
     BaroNoise,
     GpsNoise,
@@ -58,41 +63,70 @@ def zeroed_uwb_model(k=K):
 class TestInference:
     def test_zeroed_output_layer_hits_sigma_floor(self):
         data = vertical_quiet_scenario()
-        est = uwb_fcnn_infer(zeroed_uwb_model(), data.uwb[:K], data.anchor)
-        np.testing.assert_array_equal(est.position.as_array(), [0.0, 0.0, 0.0])
-        assert est.sigma == (SIGMA_MIN, SIGMA_MIN, SIGMA_MIN)
-        assert est.source == "uwb-fcnn"
-        assert est.t == data.uwb[K - 1].t
+        positions, sigmas = uwb_fcnn_infer(zeroed_uwb_model(), data.uwb[:K], data.anchor)
+        np.testing.assert_array_equal(positions, [[0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(sigmas, [[SIGMA_MIN, SIGMA_MIN, SIGMA_MIN]])
 
     def test_partial_window_not_ready(self):
+        # fewer than k samples: no full window, so 0 rows of the right width
         data = vertical_quiet_scenario()
-        assert uwb_fcnn_infer(zeroed_uwb_model(), data.uwb[: K - 1], data.anchor) is None
-        net = net_init([K + 1, 4, 2], seed=0)
-        assert baro_fcnn_infer(BaroFcnnModel(network=net, k=K), data.baro[: K - 1]) is None
+        for n in (0, K - 1):
+            positions, sigmas = uwb_fcnn_infer(zeroed_uwb_model(), data.uwb[:n], data.anchor)
+            assert positions.shape == sigmas.shape == (0, 3)
+            assert uwb_inputs(data.uwb[:n], data.anchor, K, True).shape == (0, 3 * K + 3)
+            net = net_init([K + 1, 4, 2], seed=0)
+            altitudes, sigma_z = baro_fcnn_infer(BaroFcnnModel(network=net, k=K), data.baro[:n])
+            assert altitudes.shape == sigma_z.shape == (0,)
 
     def test_baro_zeroed_output(self):
         net = net_init([K + 1, 4, 2], seed=0)
         net.weights[-1] = np.zeros_like(net.weights[-1])
         net.biases[-1] = np.zeros_like(net.biases[-1])
         data = vertical_quiet_scenario()
-        alt, sigma = baro_fcnn_infer(BaroFcnnModel(network=net, k=K), data.baro[:K])
-        assert alt == 0.0
-        assert sigma == SIGMA_MIN
+        altitudes, sigmas = baro_fcnn_infer(BaroFcnnModel(network=net, k=K), data.baro[:K])
+        np.testing.assert_array_equal(altitudes, [0.0])
+        np.testing.assert_array_equal(sigmas, [SIGMA_MIN])
 
-    def test_accepts_sliding_window_objects(self):
+    def test_batched_rows_match_single_window_forward(self):
+        # one pass over the stream == one forward per window, row for row
         data = vertical_quiet_scenario()
-        w = SlidingWindow(capacity=K)
-        for m in data.uwb[:K]:
-            w = w.push(m)
-        est_window = uwb_fcnn_infer(zeroed_uwb_model(), w, data.anchor)
-        est_tuple = uwb_fcnn_infer(zeroed_uwb_model(), data.uwb[:K], data.anchor)
-        assert est_window.t == est_tuple.t
+        uwb_model = UwbFcnnModel(network=net_init([3 * K + 3, 8, 6], seed=4), k=K)
+        baro_model = BaroFcnnModel(network=net_init([K + 1, 8, 2], seed=4), k=K)
+        positions, sigmas = uwb_fcnn_infer(uwb_model, data.uwb[:30], data.anchor)
+        altitudes, sigma_z = baro_fcnn_infer(baro_model, data.baro[:30])
+        assert len(positions) == len(altitudes) == 30 - K + 1
+        for i in range(30 - K + 1):
+            window = data.uwb[i : i + K]
+            out = net_forward(uwb_model.network, uwb_inputs(window, data.anchor, K, True)[0])
+            np.testing.assert_allclose(positions[i], out[0:3], rtol=1e-13)
+            np.testing.assert_allclose(sigmas[i], np.maximum(np.abs(out[3:6]), SIGMA_MIN), rtol=1e-13)
+            out = net_forward(baro_model.network, baro_inputs(data.baro[i : i + K], K)[0])
+            assert altitudes[i] == pytest.approx(out[0], rel=1e-13)
+            assert sigma_z[i] == pytest.approx(max(abs(out[1]), SIGMA_MIN), rel=1e-13)
 
     def test_model_shape_validation(self):
         with pytest.raises(ConfigError):
             UwbFcnnModel(network=net_init([5, 6], seed=0), k=K)
         with pytest.raises(ConfigError):
             BaroFcnnModel(network=net_init([K + 2, 2], seed=0), k=K)
+
+
+class TestInputs:
+    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_tail_of_replay(self, n, k):
+        # row i == the window a replay holds after sample i+k-1 arrives
+        baro = [BaroSample(t=0.1 * i, pressure=1e5 + i, internal_altitude=-0.5 * i) for i in range(n)]
+        uwb = [UwbMeasurement(t=0.1 * i, range=1.0 + i, alpha=0.01 * i, beta=-0.01 * i, nlos_confidence=0.0)
+               for i in range(n)]
+        b = baro_inputs(baro, k)
+        u = uwb_inputs(uwb, None, k, include_geometric=False)
+        assert b.shape == (max(n - k + 1, 0), k + 1)
+        assert u.shape == (max(n - k + 1, 0), 3 * k)
+        for i in range(n - k + 1):
+            tail = baro[i : i + k]
+            assert b[i].tolist() == [s.pressure for s in tail] + [tail[-1].internal_altitude]
+            assert u[i].tolist() == [v for m in uwb[i : i + k] for v in (m.range, m.alpha, m.beta)]
 
 
 class TestTrainingSet:
@@ -134,17 +168,20 @@ class TestTrainingSet:
         assert baro.targets[0, 1] == pytest.approx(up - baro_altitude(s.pressure, data.baro_reference), abs=1e-12)
 
     def test_chunking_invariance(self):
-        # rebuilding features through an explicit sliding window matches rows
+        # rebuilding each window's features sample by sample matches the rows
         data = vertical_quiet_scenario()
         ds = build_training_set(data, "baro", k=K)
-        w = SlidingWindow(capacity=K)
-        rows = []
-        from climbloc.models import baro_features
-
-        for s in data.baro:
-            w = w.push(s)
-            if w.is_full:
-                rows.append(baro_features(w.items))
+        rows = [
+            [s.pressure for s in data.baro[i - K + 1 : i + 1]] + [data.baro[i].internal_altitude]
+            for i in range(K - 1, len(data.baro))
+        ]
+        np.testing.assert_array_equal(np.array(rows), ds.inputs)
+        ds = build_training_set(data, "uwb", k=K)
+        rows = [
+            [v for m in data.uwb[i - K + 1 : i + 1] for v in (m.range, m.alpha, m.beta)]
+            + list(uwb_geometric_solve(data.uwb[i], data.anchor).position.as_array())
+            for i in range(K - 1, len(data.uwb))
+        ]
         np.testing.assert_array_equal(np.array(rows), ds.inputs)
 
     def test_too_few_samples(self):
@@ -158,6 +195,8 @@ class TestTrainingSet:
             build_training_set(clipped, "uwb", k=K)
         with pytest.raises(ConfigError):
             build_training_set(data, "magnetometer", k=K)
+        with pytest.raises(MissingInputError):
+            build_training_set(dataclasses.replace(data, truth=()), "baro", k=K)
 
 
 class TestTrainedModels:
@@ -169,13 +208,11 @@ class TestTrainedModels:
             data, TrainConfig(learning_rate=1e-2, epochs=300, seed=1), k=K, hidden=(32, 32)
         )
         n = len(data.baro)
-        held_out = range(int(0.75 * n), n)
+        altitudes, sigmas = baro_fcnn_infer(model, data.baro)  # row i ends at sample i+K-1
         hits = total = 0
         truth_dt = data.truth[1].t - data.truth[0].t
-        for i in held_out:
-            if i < K - 1:
-                continue
-            alt, sigma = baro_fcnn_infer(model, data.baro[i - K + 1 : i + 1])
+        for i in range(max(int(0.75 * n), K - 1), n):
+            alt, sigma = altitudes[i - K + 1], sigmas[i - K + 1]
             up = data.truth[int(round(data.baro[i].t / truth_dt))].position.up
             total += 1
             hits += abs(alt - up) <= 3.0 * sigma
@@ -200,16 +237,15 @@ class TestModelSerialization:
         back = model_from_dict(doc)
         assert isinstance(back, UwbFcnnModel)
         assert back.k == model.k and back.include_geometric == model.include_geometric
-        a = uwb_fcnn_infer(model, data.uwb[:K], data.anchor)
-        b = uwb_fcnn_infer(back, data.uwb[:K], data.anchor)
-        np.testing.assert_array_equal(a.position.as_array(), b.position.as_array())
-        assert a.sigma == b.sigma
+        for a, b in zip(uwb_fcnn_infer(model, data.uwb, data.anchor), uwb_fcnn_infer(back, data.uwb, data.anchor)):
+            np.testing.assert_array_equal(a, b)
 
     def test_round_trip_baro_and_kind_check(self):
         data = vertical_quiet_scenario()
         model, _ = train_baro_model(data, TrainConfig(epochs=2, seed=3), k=K, hidden=(8,))
         back = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
         assert isinstance(back, BaroFcnnModel)
-        assert baro_fcnn_infer(back, data.baro[:K]) == baro_fcnn_infer(model, data.baro[:K])
+        for a, b in zip(baro_fcnn_infer(back, data.baro), baro_fcnn_infer(model, data.baro)):
+            np.testing.assert_array_equal(a, b)
         with pytest.raises(ConfigError):
             model_from_dict({"kind": "mystery"})

@@ -1,5 +1,6 @@
 """Scenario generator tests: truth profile, sensor streams, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -269,6 +270,11 @@ class TestScenarioAssembly:
                 baro=backwards, anchor=data.anchor,
                 baro_reference=data.baro_reference, origin=data.origin,
             )
+
+    def test_accepts_tied_timestamps(self):
+        data = simulate_scenario(quiet_cfg(duration=2.0))
+        tied = (data.baro[0], dataclasses.replace(data.baro[1], t=data.baro[0].t), *data.baro[2:])
+        assert dataclasses.replace(data, baro=tied).baro == tied
 
     def test_nlos_bias_must_be_nonnegative(self):
         with pytest.raises(ConfigError):
