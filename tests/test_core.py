@@ -1,5 +1,6 @@
-"""Core types: rotations, geodesy."""
+"""Core types: windows, rotations, geodesy."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from climbloc.core import (
+    BaroSample,
     GeodeticPoint,
     GpsFix,
     Rotation,
@@ -16,6 +18,55 @@ from climbloc.core import (
     enu_to_geodetic,
     geodetic_to_enu,
 )
+from climbloc.models import baro_inputs, uwb_inputs
+from climbloc.sim import ScenarioConfig, TrajectoryProfile, simulate_scenario
+
+
+def _streams(n):
+    baro = [BaroSample(t=0.1 * i, pressure=1e5 + i, internal_altitude=-0.5 * i) for i in range(n)]
+    uwb = [UwbMeasurement(t=0.1 * i, range=1.0 + i, alpha=0.01 * i, beta=-0.01 * i, nlos_confidence=0.0)
+           for i in range(n)]
+    return baro, uwb
+
+
+class TestSlidingWindow:
+    # A sensor window is a row of the whole-stream window builders: row i
+    # holds samples i..i+k-1, the window a replay holds after sample i+k-1.
+
+    def test_push_below_capacity(self):
+        baro, uwb = _streams(1)
+        assert baro_inputs(baro, 3).shape == (0, 4)
+        assert uwb_inputs(uwb, None, 3, include_geometric=False).shape == (0, 9)
+        baro, uwb = _streams(3)
+        assert baro_inputs(baro, 3).shape == (1, 4)
+        assert uwb_inputs(uwb, None, 3, include_geometric=False).shape == (1, 9)
+
+    def test_fifo_eviction(self):
+        baro, uwb = _streams(4)
+        b = baro_inputs(baro, 3)
+        u = uwb_inputs(uwb, None, 3, include_geometric=False)
+        assert b[-1].tolist() == [s.pressure for s in baro[1:]] + [baro[3].internal_altitude]
+        assert u[-1].tolist() == [v for m in uwb[1:] for v in (m.range, m.alpha, m.beta)]
+
+    def test_out_of_order_rejected(self):
+        # the windows assume ordered streams; the scenario is where that is checked
+        data = simulate_scenario(ScenarioConfig(duration=2.0, profile=TrajectoryProfile(pauses=())))
+        swapped = (data.uwb[1], data.uwb[0], *data.uwb[2:])
+        with pytest.raises(ValueError):
+            dataclasses.replace(data, uwb=swapped)
+
+    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=40, deadline=None)
+    def test_contents_equal_tail_of_replay(self, n, k):
+        baro, uwb = _streams(n)
+        b = baro_inputs(baro, k)
+        u = uwb_inputs(uwb, None, k, include_geometric=False)
+        assert b.shape == (max(n - k + 1, 0), k + 1)
+        assert u.shape == (max(n - k + 1, 0), 3 * k)
+        for i in range(n - k + 1):
+            tail = baro[i : i + k]
+            assert b[i].tolist() == [s.pressure for s in tail] + [tail[-1].internal_altitude]
+            assert u[i].tolist() == [v for m in uwb[i : i + k] for v in (m.range, m.alpha, m.beta)]
 
 
 class TestRotation:

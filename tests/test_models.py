@@ -5,10 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from climbloc.core import BaroSample, UwbMeasurement
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import (
     SIGMA_MIN,
@@ -109,24 +106,6 @@ class TestInference:
             UwbFcnnModel(network=net_init([5, 6], seed=0), k=K)
         with pytest.raises(ConfigError):
             BaroFcnnModel(network=net_init([K + 2, 2], seed=0), k=K)
-
-
-class TestInputs:
-    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=8))
-    @settings(max_examples=40, deadline=None)
-    def test_rows_equal_tail_of_replay(self, n, k):
-        # row i == the window a replay holds after sample i+k-1 arrives
-        baro = [BaroSample(t=0.1 * i, pressure=1e5 + i, internal_altitude=-0.5 * i) for i in range(n)]
-        uwb = [UwbMeasurement(t=0.1 * i, range=1.0 + i, alpha=0.01 * i, beta=-0.01 * i, nlos_confidence=0.0)
-               for i in range(n)]
-        b = baro_inputs(baro, k)
-        u = uwb_inputs(uwb, None, k, include_geometric=False)
-        assert b.shape == (max(n - k + 1, 0), k + 1)
-        assert u.shape == (max(n - k + 1, 0), 3 * k)
-        for i in range(n - k + 1):
-            tail = baro[i : i + k]
-            assert b[i].tolist() == [s.pressure for s in tail] + [tail[-1].internal_altitude]
-            assert u[i].tolist() == [v for m in uwb[i : i + k] for v in (m.range, m.alpha, m.beta)]
 
 
 class TestTrainingSet:
