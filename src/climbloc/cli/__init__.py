@@ -16,9 +16,9 @@ from .records import (
     ANCHOR_FILE,
     MANIFEST_FILE,
     SCENARIO_FILES,
-    read_jsonl,
     read_manifest,
     read_scenario,
+    read_table,
     read_trajectory,
     write_jsonl,
     write_manifest,
@@ -41,9 +41,9 @@ __all__ = [
     "config_digest",
     "load_config",
     "main",
-    "read_jsonl",
     "read_manifest",
     "read_scenario",
+    "read_table",
     "read_trajectory",
     "run_algorithm",
     "write_jsonl",

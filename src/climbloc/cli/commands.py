@@ -55,7 +55,7 @@ from ..models import (
     uwb_fcnn_infer,
 )
 from ..sim import simulate_scenario
-from ..solvers import PoseEstimate, UwbSigmaModel, baro_altitude, uwb_geometric_solve
+from ..solvers import PoseEstimate, UwbSigmaModel, baro_altitude, uwb_geometric_fixes
 from . import config as cfgmod
 from . import records
 
@@ -187,28 +187,32 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
     if algo == "baro":
         ref = scenario.baro_reference
         return [
-            _zero_xy_pose(s.t, baro_altitude(s.pressure, ref), 0.0, "baro")
-            for s in scenario.baro
+            _zero_xy_pose(t, baro_altitude(p, ref), 0.0, "baro")
+            for t, p in zip(scenario.baro.t.tolist(), scenario.baro.pressure.tolist())
         ]
     if algo == "baro-fcnn":
         model = _load_sensor_model(models_dir, "baro")
         altitudes, sigmas = baro_fcnn_infer(model, scenario.baro)
         return [
-            _zero_xy_pose(s.t, alt, sigma_z, "baro-fcnn")
-            for s, alt, sigma_z in zip(scenario.baro[model.k - 1 :], altitudes, sigmas)
+            _zero_xy_pose(t, alt, sigma_z, "baro-fcnn")
+            for t, alt, sigma_z in zip(scenario.baro.t[model.k - 1 :].tolist(), altitudes, sigmas)
         ]
     if algo == "uwb-geo":
         sigma_model = UwbSigmaModel(
             range_sigma=doc["sim"]["uwb"]["range_sigma"],
             angle_sigma=doc["sim"]["uwb"]["angle_sigma"],
         )
-        return [uwb_geometric_solve(m, scenario.anchor, sigma_model) for m in scenario.uwb]
+        positions, sigmas = uwb_geometric_fixes(scenario.uwb, scenario.anchor, sigma_model)
+        return [
+            PoseEstimate(t=t, position=Vec3Enu.from_array(p), sigma=s, source="uwb-geo")
+            for t, p, s in zip(scenario.uwb.t.tolist(), positions, sigmas)
+        ]
     if algo == "uwb-fcnn":
         model = _load_sensor_model(models_dir, "uwb")
         positions, sigmas = uwb_fcnn_infer(model, scenario.uwb, scenario.anchor)
         return [
-            PoseEstimate(t=m.t, position=Vec3Enu.from_array(p), sigma=s, source="uwb-fcnn")
-            for m, p, s in zip(scenario.uwb[model.k - 1 :], positions, sigmas)
+            PoseEstimate(t=t, position=Vec3Enu.from_array(p), sigma=s, source="uwb-fcnn")
+            for t, p, s in zip(scenario.uwb.t[model.k - 1 :].tolist(), positions, sigmas)
         ]
     if algo == "gpsins-ekf":
         return ekf_pass(scenario, epoch_times(scenario))[0]
@@ -237,28 +241,19 @@ def cmd_run(data_dir, models_dir, algo, out_path, config_path=None):
     return out_path
 
 
-def _truth_arrays(truth_path):
-    rows = records.read_jsonl(truth_path)
-    t = [r.number("t") for r in rows]
-    xyz = [(r.number("x"), r.number("y"), r.number("z")) for r in rows]
-    return t, xyz
-
-
 def cmd_report(est_paths, truth_path, out_dir, config_path=None):
     """Metric/CDF/boxplot CSVs plus a comparison table on stdout."""
     doc = cfgmod.load_config(config_path)
     ev = cfgmod.eval_options(doc)
-    truth_t, truth_xyz = _truth_arrays(truth_path)
+    truth, _ = records.read_table(truth_path, ("t", "x", "y", "z"))
     os.makedirs(out_dir, exist_ok=True)
 
     rows, cdf_table, summaries, report_rows = [], {}, [], []
     for path in est_paths:
-        recs, algo = records.read_trajectory(path)
-        est_t = [r.number("t") for r in recs]
-        est_xyz = [(r.number("x"), r.number("y"), r.number("z")) for r in recs]
-        est_sigma = [(r.number("sx"), r.number("sy"), r.number("sz")) for r in recs]
+        est, algo = records.read_trajectory(path)
         series = match_series(
-            est_t, est_xyz, truth_t, truth_xyz, est_sigma=est_sigma, tolerance=ev["match_tolerance"]
+            est[:, 0], est[:, 1:4], truth[:, 0], truth[:, 1:4],
+            est_sigma=est[:, 4:7], tolerance=ev["match_tolerance"],
         )
         if series.matched == 0:
             raise NumericalFailureError(f"{path}: no epochs matched the truth timeline")

@@ -1,12 +1,10 @@
 """File formats of the pipeline: JSONL streams, anchor/manifest documents.
 
-Every JSONL line is one self-contained record; streams can be processed
-with O(1) memory. All units are SI (seconds, meters, radians, pascals);
-attitudes are unit quaternions (w, x, y, z). Floats are written with
-Python's shortest round-trip repr, so reads are bit-exact and rewriting a
-parsed stream is byte-stable; the exception is truth.jsonl, whose
-quaternions are regenerated from the parsed rotation matrix on rewrite
-(value-stable within an ulp, not byte-stable).
+Every JSONL line is one self-contained record. All units are SI (seconds,
+meters, radians, pascals); attitudes are unit quaternions (w, x, y, z).
+Floats are written with Python's shortest round-trip repr and read into
+float64 columns, so reads are bit-exact and rewriting a parsed scenario is
+byte-stable, truth.jsonl included (its quaternions are kept as read).
 
 Record schemas:
     imu.jsonl        {t, fx, fy, fz, wx, wy, wz}
@@ -20,17 +18,23 @@ Record schemas:
 from __future__ import annotations
 
 import json
+import math
 import os
+from array import array
+from itertools import islice
+
+import numpy as np
 
 from ..core import (
     AnchorPose,
-    BaroSample,
+    BaroStream,
     GeodeticPoint,
-    GpsFix,
-    GroundTruthPoint,
-    ImuSample,
+    GpsStream,
+    ImuStream,
     Rotation,
-    UwbMeasurement,
+    StreamValueError,
+    TruthStream,
+    UwbStream,
     Vec3Enu,
 )
 from ..errors import MissingInputError
@@ -47,6 +51,23 @@ SCENARIO_FILES = {
 ANCHOR_FILE = "anchor.json"
 MANIFEST_FILE = "manifest.json"
 
+# stream name -> (stream type, {numeric column: its JSON keys}, the flag
+# column or None); keys in file order, the flag last
+_STREAMS = {
+    "truth": (
+        TruthStream,
+        {"t": "t", "position": "x y z", "velocity": "vx vy vz", "quaternion": "qw qx qy qz"},
+        None,
+    ),
+    "imu": (ImuStream, {"t": "t", "specific_force": "fx fy fz", "angular_rate": "wx wy wz"}, None),
+    "gps": (GpsStream, {"t": "t", "lat": "lat", "lon": "lon", "height": "h", "hdop": "hdop"}, "valid"),
+    "uwb": (UwbStream, {"t": "t", "range": "d", "alpha": "alpha", "beta": "beta", "nlos": "nlos"}, None),
+    "baro": (BaroStream, {"t": "t", "pressure": "p", "internal_altitude": "h_int"}, None),
+}
+TRAJECTORY_KEYS = ("t", "x", "y", "z", "sx", "sy", "sz")
+_BARO_REFERENCE_KEYS = ("p0", "t0", "lapse_rate", "gravity", "molar_mass", "gas_constant")
+_NUMBER = {float, int}  # JSON numbers; bools are not numbers here
+
 
 def write_jsonl(path, records) -> int:
     n = 0
@@ -58,31 +79,8 @@ def write_jsonl(path, records) -> int:
     return n
 
 
-class Record(dict):
-    """One JSONL record. Reading a missing or non-numeric field is a data
-    error (ValueError) that names the file and line."""
-
-    __slots__ = ("path", "lineno")
-
-    def __init__(self, fields: dict, path: str, lineno: int):
-        super().__init__(fields)
-        self.path = path
-        self.lineno = lineno
-
-    def __missing__(self, name):
-        raise ValueError(f"{self.path}:{self.lineno}: record is missing field {name!r}")
-
-    def number(self, name: str) -> float:
-        value = self[name]
-        if type(value) is not float:  # JSON ints count as numbers, bools do not
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{self.path}:{self.lineno}: field {name!r} is not a number: {value!r}")
-            value = float(value)
-        return value
-
-
-def _iter_jsonl(path):
-    """Yield one Record per non-blank line; errors carry the file and line number."""
+def _records(path):
+    """Yield (line number, fields) per non-blank line; errors carry the file and line."""
     if not os.path.exists(path):
         raise MissingInputError(f"stream file not found: {path}")
     with open(path) as fh:
@@ -95,107 +93,73 @@ def _iter_jsonl(path):
                 raise ValueError(f"{path}:{lineno}: not a JSON record ({err.msg})") from err
             if not isinstance(fields, dict):
                 raise ValueError(f"{path}:{lineno}: not a JSON object")
-            yield Record(fields, path, lineno)
+            yield lineno, fields
 
 
-def read_jsonl(path):
-    """Every Record of a JSONL file, in file order."""
-    return list(_iter_jsonl(path))
+def _line_of(path, row: int) -> int:
+    """Line number of the row-th (0-based) record of a JSONL file."""
+    with open(path) as fh:
+        lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
+        return next(islice(lines, row, None))
 
 
-# -- per-stream codecs ------------------------------------------------------
+def read_table(path, keys, tag=None):
+    """(values, tags): the numeric fields `keys` of every record as an
+    (n, len(keys)) float64 array, and each record's `tag` field (an empty
+    list without a tag).
 
-def imu_record(s: ImuSample) -> dict:
-    fx, fy, fz = s.specific_force
-    wx, wy, wz = s.angular_rate
-    return {"t": float(s.t), "fx": fx, "fy": fy, "fz": fz, "wx": wx, "wy": wy, "wz": wz}
-
-
-def imu_from_record(rec: Record) -> ImuSample:
-    return ImuSample(
-        t=rec.number("t"),
-        specific_force=(rec.number("fx"), rec.number("fy"), rec.number("fz")),
-        angular_rate=(rec.number("wx"), rec.number("wy"), rec.number("wz")),
-    )
-
-
-def gps_record(fix: GpsFix) -> dict:
-    return {
-        "t": float(fix.t),
-        "lat": float(fix.lat),
-        "lon": float(fix.lon),
-        "h": float(fix.height),
-        "hdop": float(fix.hdop),
-        "valid": bool(fix.valid),
-    }
-
-
-def gps_from_record(rec: Record) -> GpsFix:
-    return GpsFix(
-        t=rec.number("t"),
-        lat=rec.number("lat"),
-        lon=rec.number("lon"),
-        height=rec.number("h"),
-        hdop=rec.number("hdop"),
-        valid=bool(rec["valid"]),
-    )
+    A missing field, or a numeric field holding anything but a JSON number,
+    is a ValueError naming the file and line.
+    """
+    names = (*keys, tag) if tag else tuple(keys)
+    flat, tags = array("d"), []
+    for lineno, fields in _records(path):
+        try:
+            row = [fields[name] for name in names]
+        except KeyError as err:
+            raise ValueError(f"{path}:{lineno}: record is missing field {err.args[0]!r}") from None
+        if tag:
+            tags.append(row.pop())
+        if not _NUMBER.issuperset(map(type, row)):
+            key, value = next((k, v) for k, v in zip(keys, row) if type(v) not in _NUMBER)
+            raise ValueError(f"{path}:{lineno}: field {key!r}: must be a number, got {value!r}")
+        try:
+            flat.extend(row)
+        except OverflowError:
+            raise ValueError(f"{path}:{lineno}: a numeric field is out of float range") from None
+    return np.array(flat, dtype=float).reshape(-1, len(keys)), tags
 
 
-def uwb_record(m: UwbMeasurement) -> dict:
-    return {
-        "t": float(m.t),
-        "d": float(m.range),
-        "alpha": float(m.alpha),
-        "beta": float(m.beta),
-        "nlos": float(m.nlos_confidence),
-    }
+def _stream_rows(stream, columns, flag):
+    """One JSON-ready dict per sample, keys in file order."""
+    keys, values = [], []
+    for column, column_keys in columns.items():
+        a = getattr(stream, column)
+        keys.extend(column_keys.split())
+        values.extend([a.tolist()] if a.ndim == 1 else a.T.tolist())
+    if flag:
+        keys.append(flag)
+        values.append(getattr(stream, flag).tolist())
+    return (dict(zip(keys, row)) for row in zip(*values))
 
 
-def uwb_from_record(rec: Record) -> UwbMeasurement:
-    return UwbMeasurement(
-        t=rec.number("t"),
-        range=rec.number("d"),
-        alpha=rec.number("alpha"),
-        beta=rec.number("beta"),
-        nlos_confidence=rec.number("nlos"),
-    )
-
-
-def baro_record(s: BaroSample) -> dict:
-    return {"t": float(s.t), "p": float(s.pressure), "h_int": float(s.internal_altitude)}
-
-
-def baro_from_record(rec: Record) -> BaroSample:
-    return BaroSample(t=rec.number("t"), pressure=rec.number("p"), internal_altitude=rec.number("h_int"))
-
-
-def truth_record(p: GroundTruthPoint) -> dict:
-    qw, qx, qy, qz = (float(v) for v in p.attitude.as_quaternion())
-    vx, vy, vz = p.velocity
-    return {
-        "t": float(p.t),
-        "x": float(p.position.east),
-        "y": float(p.position.north),
-        "z": float(p.position.up),
-        "vx": vx,
-        "vy": vy,
-        "vz": vz,
-        "qw": qw,
-        "qx": qx,
-        "qy": qy,
-        "qz": qz,
-    }
-
-
-def truth_from_record(rec: Record) -> GroundTruthPoint:
-    return GroundTruthPoint(
-        t=rec.number("t"),
-        position=Vec3Enu(rec.number("x"), rec.number("y"), rec.number("z")),
-        velocity=(rec.number("vx"), rec.number("vy"), rec.number("vz")),
-        attitude=Rotation.from_quaternion(
-            (rec.number("qw"), rec.number("qx"), rec.number("qy"), rec.number("qz"))
-        ),
-    )
+def _read_stream(directory, name):
+    cls, columns, flag = _STREAMS[name]
+    path = os.path.join(directory, SCENARIO_FILES[name])
+    table, flags = read_table(path, " ".join(columns.values()).split(), tag=flag)
+    fields, j = {}, 0
+    for column, keys in columns.items():
+        width = len(keys.split())
+        fields[column] = table[:, j] if width == 1 else table[:, j : j + width]
+        j += width
+    if flag:
+        fields[flag] = [bool(v) for v in flags]
+    try:
+        return cls(**fields)
+    except StreamValueError as err:
+        keys = columns[err.column].split()
+        key = "/".join(keys) if err.component is None else keys[err.component]
+        raise ValueError(f"{path}:{_line_of(path, err.row)}: field {key!r}: {err.detail}") from None
 
 
 def trajectory_record(pose: PoseEstimate, algo: str) -> dict:
@@ -217,14 +181,18 @@ def write_trajectory(path, poses, algo: str) -> int:
 
 
 def read_trajectory(path):
-    """-> (records, algo). Requires every row to carry the same algo tag."""
-    records = read_jsonl(path)
-    if not records:
+    """-> (values, algo): an (n, 7) array of TRAJECTORY_KEYS columns and the
+    one algo tag every row must carry."""
+    values, algos = read_table(path, TRAJECTORY_KEYS, tag="algo")
+    if not algos:
         raise ValueError(f"{path}: empty trajectory")
-    algos = {r["algo"] for r in records}
-    if len(algos) != 1:
-        raise ValueError(f"{path}: mixed algo tags {sorted(algos)}")
-    return records, algos.pop()
+    bad = next((i for i, algo in enumerate(algos) if type(algo) is not str), None)
+    if bad is not None:
+        raise ValueError(f"{path}:{_line_of(path, bad)}: field 'algo': must be a string, got {algos[bad]!r}")
+    distinct = set(algos)
+    if len(distinct) != 1:
+        raise ValueError(f"{path}: mixed algo tags {sorted(distinct)}")
+    return values, algos[0]
 
 
 # -- scenario directory -----------------------------------------------------
@@ -255,17 +223,10 @@ def anchor_document(scenario: ScenarioData) -> dict:
 def write_scenario(directory, scenario: ScenarioData) -> dict:
     """Write the five stream files plus anchor.json; returns {name: filename}."""
     os.makedirs(directory, exist_ok=True)
-    codecs = {
-        "truth": truth_record,
-        "imu": imu_record,
-        "gps": gps_record,
-        "uwb": uwb_record,
-        "baro": baro_record,
-    }
     files = {}
     for name, filename in SCENARIO_FILES.items():
-        encode_one = codecs[name]
-        write_jsonl(os.path.join(directory, filename), (encode_one(s) for s in getattr(scenario, name)))
+        _, columns, flag = _STREAMS[name]
+        write_jsonl(os.path.join(directory, filename), _stream_rows(getattr(scenario, name), columns, flag))
         files[name] = filename
     with open(os.path.join(directory, ANCHOR_FILE), "w") as fh:
         json.dump(anchor_document(scenario), fh, indent=2)
@@ -274,33 +235,68 @@ def write_scenario(directory, scenario: ScenarioData) -> dict:
     return files
 
 
-def read_scenario(directory) -> ScenarioData:
-    anchor_path = os.path.join(directory, ANCHOR_FILE)
-    if not os.path.exists(anchor_path):
-        raise MissingInputError(f"anchor file not found: {anchor_path}")
-    with open(anchor_path) as fh:
-        doc = json.load(fh)
+def _has_shape(value, shape) -> bool:
+    """True when `value` is a finite JSON number, or nested lists of them of this shape."""
+    if not shape:
+        return type(value) in _NUMBER and math.isfinite(value)
+    return isinstance(value, list) and len(value) == shape[0] and all(_has_shape(v, shape[1:]) for v in value)
+
+
+def _anchor_field(doc, path, dotted: str, shape=()):
+    value, parents = doc, []
+    for key in dotted.split("."):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: field {'.'.join(parents)!r} must be an object, got {value!r}")
+        if key not in value:
+            raise ValueError(f"{path}: missing field {dotted!r}")
+        value = value[key]
+        parents.append(key)
+    if not _has_shape(value, shape):
+        expected = "a finite number" if not shape else "x".join(map(str, shape)) + " finite numbers"
+        raise ValueError(f"{path}: field {dotted!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _read_anchor(directory):
+    """(anchor pose, origin, baro reference) from anchor.json; a missing or
+    malformed field is a ValueError naming the file and its dotted key."""
+    path = os.path.join(directory, ANCHOR_FILE)
+    if not os.path.exists(path):
+        raise MissingInputError(f"anchor file not found: {path}")
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not a JSON document ({err})") from err
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+
+    def build(dotted, make):
+        try:
+            return make()
+        except ValueError as err:
+            raise ValueError(f"{path}: field {dotted!r}: {err}") from None
+
+    position = _anchor_field(doc, path, "anchor.position", (3,))
+    orientation = _anchor_field(doc, path, "anchor.orientation", (3, 3))
+    origin = [_anchor_field(doc, path, f"origin.{k}") for k in ("lat", "lon", "height")]
+    reference = {k: float(_anchor_field(doc, path, f"baro_reference.{k}")) for k in _BARO_REFERENCE_KEYS}
     anchor = AnchorPose(
-        position=Vec3Enu.from_array(doc["anchor"]["position"]),
-        orientation=Rotation(doc["anchor"]["orientation"]),
+        position=Vec3Enu.from_array(position),
+        orientation=build("anchor.orientation", lambda: Rotation(orientation)),
     )
-    origin = GeodeticPoint(**{k: float(v) for k, v in doc["origin"].items()})
-    reference = BaroReference(**{k: float(v) for k, v in doc["baro_reference"].items()})
-
-    def load(name, decode_one):
-        # decoded as read, so no stream's raw records are held all at once
-        return tuple(decode_one(r) for r in _iter_jsonl(os.path.join(directory, SCENARIO_FILES[name])))
-
-    return ScenarioData(
-        truth=load("truth", truth_from_record),
-        imu=load("imu", imu_from_record),
-        gps=load("gps", gps_from_record),
-        uwb=load("uwb", uwb_from_record),
-        baro=load("baro", baro_from_record),
-        anchor=anchor,
-        baro_reference=reference,
-        origin=origin,
+    return (
+        anchor,
+        build("origin.lat", lambda: GeodeticPoint(*(float(v) for v in origin))),
+        build("baro_reference", lambda: BaroReference(**reference)),
     )
+
+
+def read_scenario(directory) -> ScenarioData:
+    anchor, origin, reference = _read_anchor(directory)
+    # each stream is parsed into columns as it is read; no record list is kept
+    streams = {name: _read_stream(directory, name) for name in SCENARIO_FILES}
+    return ScenarioData(**streams, anchor=anchor, baro_reference=reference, origin=origin)
 
 
 # -- run manifest ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared domain types: ENU vectors, rotations, and raw sensor samples.
+"""Shared domain types: ENU vectors, rotations, sensor samples and sensor streams.
 
 Conventions used throughout the package:
     - navigation frame: local East-North-Up (ENU), meters
@@ -6,13 +6,16 @@ Conventions used throughout the package:
     - angles: radians; pressures: pascals; rates: rad/s
     - gravity vector in ENU: (0, 0, -GRAVITY)
 
+A sensor stream holds its samples as columns: a `t` array plus one float64
+array per field ((n,) or (n, width)), validated once at construction.
 All values are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,6 +62,16 @@ class Vec3Enu:
         return Vec3Enu(self.east - other.east, self.north - other.north, self.up - other.up)
 
 
+def nearest_rotation(matrix) -> np.ndarray:
+    """The proper rotation matrix nearest (Frobenius sense) to a 3x3 matrix, by SVD."""
+    u, _, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
+    r = u @ vt
+    if np.linalg.det(r) < 0:
+        u[:, -1] = -u[:, -1]
+        r = u @ vt
+    return r
+
+
 class Rotation:
     """3x3 proper rotation matrix (orthonormal, det +1).
 
@@ -94,12 +107,7 @@ class Rotation:
     @staticmethod
     def orthonormalized(matrix) -> "Rotation":
         """Nearest rotation (Frobenius sense) to an approximately-orthonormal matrix."""
-        u, _, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
-        r = u @ vt
-        if np.linalg.det(r) < 0:
-            u[:, -1] = -u[:, -1]
-            r = u @ vt
-        return Rotation(r)
+        return Rotation(nearest_rotation(matrix))
 
     @staticmethod
     def from_rotvec(rotvec) -> "Rotation":
@@ -175,20 +183,6 @@ class Rotation:
         q = np.array([w, x, y, z])
         return q / np.linalg.norm(q)
 
-    @staticmethod
-    def from_quaternion(q) -> "Rotation":
-        w, x, y, z = (float(v) for v in q)
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        w, x, y, z = w / n, x / n, y / n, z / n
-        m = np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-        return Rotation.orthonormalized(m)
-
     def __repr__(self):
         return f"Rotation({self._m.tolist()})"
 
@@ -213,24 +207,6 @@ class ImuSample:
     def __post_init__(self):
         object.__setattr__(self, "specific_force", _as_triple(self.specific_force))
         object.__setattr__(self, "angular_rate", _as_triple(self.angular_rate))
-
-
-@dataclass(frozen=True)
-class GpsFix:
-    """Geodetic GPS fix: latitude/longitude in radians, ellipsoidal height in meters."""
-
-    t: float
-    lat: float
-    lon: float
-    height: float
-    hdop: float = 1.0
-    valid: bool = True
-
-    def __post_init__(self):
-        if not abs(self.lat) <= math.pi / 2:
-            raise ValueError(f"latitude must satisfy |lat| <= pi/2, got {self.lat}")
-        if self.hdop < 0:
-            raise ValueError(f"hdop must be >= 0, got {self.hdop}")
 
 
 @dataclass(frozen=True)
@@ -259,21 +235,6 @@ class UwbMeasurement:
 
 
 @dataclass(frozen=True)
-class BaroSample:
-    """Raw pressure (Pa) plus the sensor's own altitude solution (m)."""
-
-    t: float
-    pressure: float
-    internal_altitude: float
-
-    def __post_init__(self):
-        if not self.pressure > 0:
-            raise ValueError(f"pressure must be > 0, got {self.pressure}")
-        if not math.isfinite(self.internal_altitude):
-            raise ValueError("internal_altitude must be finite")
-
-
-@dataclass(frozen=True)
 class AnchorPose:
     """Mean antenna position and local-to-navigation rotation of the UWB anchor."""
 
@@ -281,14 +242,146 @@ class AnchorPose:
     orientation: Rotation
 
 
-@dataclass(frozen=True)
-class GroundTruthPoint:
-    """Reference-grade state at time t: position, velocity, body-to-ENU attitude."""
+# -- columnar sensor streams ------------------------------------------------
 
-    t: float
-    position: Vec3Enu
-    velocity: Triple
-    attitude: Rotation
+class StreamValueError(ValueError):
+    """A stream value that breaks a rule, located by row and column.
+
+    `component` indexes the second axis of a multi-column field, and is None
+    for a one-column field or a rule on whole rows; `detail` states the rule
+    and the value without the location.
+    """
+
+    def __init__(self, kind: str, row: int, column: str, component, detail: str):
+        label = column if component is None else f"{column}[{component}]"
+        super().__init__(f"{kind} stream row {row}, {label}: {detail}")
+        self.row = row
+        self.column = column
+        self.component = component
+        self.detail = detail
+
+
+def _column(width: int = 1, dtype=float):
+    return field(metadata={"width": width, "dtype": dtype})
+
+
+@dataclass(frozen=True, eq=False)
+class _Stream:
+    """Time-ordered samples as read-only columns of equal length."""
+
+    kind: ClassVar[str] = "sensor"
+    t: np.ndarray = _column()
 
     def __post_init__(self):
-        object.__setattr__(self, "velocity", _as_triple(self.velocity))
+        lengths = set()
+        for f in fields(self):
+            width, dtype = f.metadata["width"], f.metadata["dtype"]
+            a = np.array(getattr(self, f.name), dtype=dtype)
+            a = a.reshape(-1) if width == 1 else a.reshape(-1, width)
+            a.flags.writeable = False
+            object.__setattr__(self, f.name, a)
+            lengths.add(len(a))
+            if dtype is float:
+                self._require(f.name, np.isfinite(a), "must be finite")
+        if len(lengths) > 1:
+            raise ValueError(f"{self.kind} stream columns differ in length: {sorted(lengths)}")
+        if len(self.t):
+            ordered = np.diff(self.t, prepend=self.t[0]) >= 0
+            self._require("t", ordered, f"{self.kind} stream is not time-ordered")
+        self._check()
+
+    def _check(self) -> None:
+        """Rules of one stream kind, on top of finite values and time order."""
+
+    def _require(self, column: str, ok: np.ndarray, rule: str) -> None:
+        """Raise StreamValueError at the first row (then component) where `ok` is False."""
+        if ok.all():
+            return
+        where = tuple(int(i) for i in np.argwhere(~ok)[0])
+        value = np.asarray(getattr(self, column)[where]).tolist()
+        component = where[1] if len(where) > 1 else None
+        raise StreamValueError(self.kind, where[0], column, component, f"{rule}, got {value!r}")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows: slice):
+        """The stream restricted to a slice of its rows."""
+        if not isinstance(rows, slice):
+            raise TypeError(f"{self.kind} streams take a slice of rows; index the columns for values")
+        return type(self)(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class ImuStream(_Stream):
+    """Body-frame specific force (m/s^2) and angular rate (rad/s); row i covers [t_i, t_i+1)."""
+
+    kind: ClassVar[str] = "imu"
+    specific_force: np.ndarray = _column(3)
+    angular_rate: np.ndarray = _column(3)
+
+
+@dataclass(frozen=True, eq=False)
+class GpsStream(_Stream):
+    """Geodetic fixes: latitude/longitude in radians, ellipsoidal height in meters."""
+
+    kind: ClassVar[str] = "gps"
+    lat: np.ndarray = _column()
+    lon: np.ndarray = _column()
+    height: np.ndarray = _column()
+    hdop: np.ndarray = _column()
+    valid: np.ndarray = _column(dtype=bool)
+
+    def _check(self):
+        self._require("lat", np.abs(self.lat) <= math.pi / 2, "must satisfy |lat| <= pi/2")
+        self._require("hdop", self.hdop >= 0, "must be >= 0")
+
+
+@dataclass(frozen=True, eq=False)
+class UwbStream(_Stream):
+    """Planar-array UWB outputs: range, the two boresight angles, NLOS confidence in [0, 1]."""
+
+    kind: ClassVar[str] = "uwb"
+    range: np.ndarray = _column()
+    alpha: np.ndarray = _column()
+    beta: np.ndarray = _column()
+    nlos: np.ndarray = _column()
+
+    def _check(self):
+        self._require("range", self.range >= 0, "must be >= 0")
+        self._require("alpha", np.abs(self.alpha) < math.pi / 2, "must satisfy |alpha| < pi/2")
+        self._require("beta", np.abs(self.beta) < math.pi / 2, "must satisfy |beta| < pi/2")
+        self._require("nlos", (self.nlos >= 0) & (self.nlos <= 1), "must be in [0, 1]")
+
+
+@dataclass(frozen=True, eq=False)
+class BaroStream(_Stream):
+    """Raw pressure (Pa) plus the sensor's own altitude solution (m)."""
+
+    kind: ClassVar[str] = "baro"
+    pressure: np.ndarray = _column()
+    internal_altitude: np.ndarray = _column()
+
+    def _check(self):
+        self._require("pressure", self.pressure > 0, "must be > 0")
+
+
+@dataclass(frozen=True, eq=False)
+class TruthStream(_Stream):
+    """Reference-grade states: ENU position, ENU velocity, body-to-ENU attitude
+    as a (w, x, y, z) quaternion, kept as given (not renormalized)."""
+
+    kind: ClassVar[str] = "truth"
+    position: np.ndarray = _column(3)
+    velocity: np.ndarray = _column(3)
+    quaternion: np.ndarray = _column(4)
+
+    def _check(self):
+        self._require("quaternion", np.any(self.quaternion != 0, axis=1), "must be non-zero")

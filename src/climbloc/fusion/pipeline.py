@@ -30,9 +30,9 @@ from ..core.types import Rotation, Vec3Enu
 from ..errors import MissingInputError
 from ..models import SIGMA_MIN, _truth_lookup, baro_fcnn_infer, uwb_fcnn_infer
 from ..solvers.baro import baro_altitude
-from ..solvers.ins import GpsInsEkf, InsState
+from ..solvers.ins import GpsInsEkf, InsState, rotation_increments
 from ..solvers.types import PoseEstimate
-from ..solvers.uwb import uwb_geometric_solve
+from ..solvers.uwb import uwb_geometric_fixes
 from .attention import (
     AXES,
     AXIS_MODALITIES,
@@ -83,14 +83,11 @@ def epoch_times(scenario) -> list:
     Slowness is judged by the widest minimum inter-sample gap; ties go to
     the densest stream. Faster streams are latest-sample-held at each epoch.
     """
-    streams = [s for s in (scenario.uwb, scenario.baro, scenario.gps) if len(s) >= 2]
+    streams = [s.t for s in (scenario.uwb, scenario.baro, scenario.gps) if len(s) >= 2]
     if streams:
-        def min_gap(stream):
-            return min(b.t - a.t for a, b in zip(stream, stream[1:]))
-
-        slowest = max(streams, key=lambda s: (min_gap(s), len(s)))
-        return [m.t for m in slowest]
-    times = sorted({m.t for s in (scenario.uwb, scenario.baro, scenario.gps) for m in s})
+        slowest = max(streams, key=lambda t: (float(np.min(np.diff(t))), len(t)))
+        return slowest.tolist()
+    times = sorted({t for s in (scenario.uwb, scenario.baro, scenario.gps) for t in s.t.tolist()})
     if not times:
         raise MissingInputError("no measurement stream to define fusion epochs")
     return times
@@ -105,28 +102,34 @@ def ekf_pass(scenario, epochs):
     imu = scenario.imu
     if len(imu) < 2:
         raise MissingInputError("fusion needs an IMU stream with at least two samples")
-    imu_gaps = [b.t - a.t for a, b in zip(imu, imu[1:])]
-    imu_gaps.append(imu_gaps[-1])
+    gaps = np.diff(imu.t)
+    gaps = np.append(gaps, gaps[-1])
+    step_ends = (imu.t + gaps).tolist()
+    increments = rotation_increments(imu.angular_rate, gaps)
     ekf = GpsInsEkf(_INITIAL_STATE)
     gps = scenario.gps
+    fixes = list(zip(gps.t.tolist(), gps.valid.tolist(), gps.lat.tolist(), gps.lon.tolist(),
+                     gps.height.tolist(), gps.hdop.tolist()))
     i_imu = i_gps = 0
 
     def advance_imu(until: float):
         nonlocal i_imu
-        while i_imu < len(imu) and imu[i_imu].t + imu_gaps[i_imu] <= until + _EPS:
-            ekf.propagate(imu[i_imu], imu_gaps[i_imu])
-            i_imu += 1
+        end = i_imu
+        while end < len(step_ends) and step_ends[end] <= until + _EPS:
+            end += 1
+        if end > i_imu:
+            ekf.propagate_run(imu.specific_force[i_imu:end], increments[i_imu:end], gaps[i_imu:end])
+            i_imu = end
 
     estimates, hdop, innovation = [], [], []
     for t_k in epochs:
-        while i_gps < len(gps) and gps[i_gps].t <= t_k + _EPS:
-            fix = gps[i_gps]
+        while i_gps < len(fixes) and fixes[i_gps][0] <= t_k + _EPS:
+            t_fix, valid, lat, lon, height, fix_hdop = fixes[i_gps]
             i_gps += 1
-            if not fix.valid:
+            if not valid:
                 continue
-            advance_imu(fix.t)
-            enu = geodetic_to_enu(GeodeticPoint(fix.lat, fix.lon, fix.height), scenario.origin)
-            ekf.update(enu, fix.hdop)
+            advance_imu(t_fix)
+            ekf.update(geodetic_to_enu(GeodeticPoint(lat, lon, height), scenario.origin), fix_hdop)
         advance_imu(t_k)
         estimates.append(ekf.estimate(t_k))
         hdop.append(ekf.last_hdop)
@@ -136,8 +139,7 @@ def ekf_pass(scenario, epochs):
 
 def _latest(stream, epochs: np.ndarray) -> np.ndarray:
     """Per epoch, the index of the latest sample at or before it; -1 before the first."""
-    times = np.array([s.t for s in stream], dtype=float)
-    return np.searchsorted(times, epochs + _EPS, side="right") - 1
+    return np.searchsorted(stream.t, epochs + _EPS, side="right") - 1
 
 
 def _held(values: np.ndarray, latest: np.ndarray) -> np.ndarray:
@@ -161,15 +163,12 @@ def _uwb_pass(scenario, model, latest: np.ndarray):
     """
     uwb = scenario.uwb
     n_geo = len(uwb) if model is None else min(model.k - 1, len(uwb))
-    fixes = [uwb_geometric_solve(m, scenario.anchor) for m in uwb[:n_geo]]
-    positions = np.array([f.position.as_array() for f in fixes], dtype=float).reshape(-1, 3)
-    sigmas = np.array([f.sigma for f in fixes], dtype=float).reshape(-1, 3)
+    positions, sigmas = uwb_geometric_fixes(uwb[:n_geo], scenario.anchor)
     if model is not None:
         fcnn_pos, fcnn_sigma = uwb_fcnn_infer(model, uwb, scenario.anchor)
         positions = np.vstack([positions, fcnn_pos])
         sigmas = np.vstack([sigmas, fcnn_sigma])
-    nlos = np.array([m.nlos_confidence for m in uwb], dtype=float)
-    return _held(positions, latest), _held(sigmas, latest), _held(nlos, latest)
+    return _held(positions, latest), _held(sigmas, latest), _held(uwb.nlos, latest)
 
 
 def _baro_pass(scenario, model, latest: np.ndarray, L: int):
@@ -183,7 +182,7 @@ def _baro_pass(scenario, model, latest: np.ndarray, L: int):
     baro = scenario.baro
     n_pre = len(baro) if model is None else min(model.k - 1, len(baro))
     altitudes = np.array(
-        [baro_altitude(s.pressure, scenario.baro_reference) for s in baro[:n_pre]], dtype=float
+        [baro_altitude(p, scenario.baro_reference) for p in baro.pressure[:n_pre].tolist()], dtype=float
     )
     sigmas = np.full(n_pre, np.nan)
     if model is not None:

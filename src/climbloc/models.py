@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core.types import AnchorPose
 from .errors import ConfigError, MissingInputError
 from .nnet import Dataset, DenseNetwork, TrainConfig, net_forward, net_from_dict, net_init, net_to_dict, train
-from .solvers.uwb import uwb_geometric_solve
+from .solvers.uwb import uwb_geometric_fixes
 
 SIGMA_MIN = 0.01  # m; keeps downstream fused variances strictly positive
 DEFAULT_K = 10
@@ -64,58 +64,50 @@ class BaroFcnnModel:
             raise ConfigError("baro model must emit (altitude, error) outputs")
 
 
-def _geometric_positions(measurements, anchor: AnchorPose) -> np.ndarray:
-    """(n, 3) closed-form UWB fixes, one per measurement."""
-    fixes = [uwb_geometric_solve(m, anchor).position.as_array() for m in measurements]
-    return np.array(fixes, dtype=float).reshape(-1, 3)
-
-
-def uwb_inputs(measurements, anchor: AnchorPose, k: int, include_geometric: bool) -> np.ndarray:
+def uwb_inputs(stream, anchor: AnchorPose, k: int, include_geometric: bool) -> np.ndarray:
     """One row per full window: k*(d, alpha, beta) [+ the geometric fix of its last measurement].
 
     Row i covers measurements i..i+k-1; a stream shorter than k gives 0 rows.
     """
-    if len(measurements) < k:
+    if len(stream) < k:
         return np.empty((0, UwbFcnnModel.input_size(k, include_geometric)))
-    raw = np.array([(m.range, m.alpha, m.beta) for m in measurements], dtype=float)
+    raw = np.column_stack([stream.range, stream.alpha, stream.beta])
     rows = sliding_window_view(raw, k, axis=0).transpose(0, 2, 1).reshape(-1, 3 * k)
     if include_geometric:
-        rows = np.hstack([rows, _geometric_positions(measurements[k - 1 :], anchor)])
+        rows = np.hstack([rows, uwb_geometric_fixes(stream[k - 1 :], anchor)[0]])
     return rows
 
 
-def baro_inputs(samples, k: int) -> np.ndarray:
+def baro_inputs(stream, k: int) -> np.ndarray:
     """One row per full window: k pressures + the internal altitude of its last sample."""
-    if len(samples) < k:
+    if len(stream) < k:
         return np.empty((0, k + 1))
-    pressure = np.array([s.pressure for s in samples], dtype=float)
-    internal = np.array([s.internal_altitude for s in samples[k - 1 :]], dtype=float)
-    return np.column_stack([sliding_window_view(pressure, k), internal])
+    return np.column_stack([sliding_window_view(stream.pressure, k), stream.internal_altitude[k - 1 :]])
 
 
-def uwb_fcnn_infer(model: UwbFcnnModel, measurements, anchor: AnchorPose):
+def uwb_fcnn_infer(model: UwbFcnnModel, stream, anchor: AnchorPose):
     """(positions, sigmas), each (n-k+1, 3): one row per full window, in one forward pass.
 
     Row i is the estimate at measurement i+k-1 (0 rows when n < k); sigmas
     are floored at SIGMA_MIN.
     """
-    out = net_forward(model.network, uwb_inputs(measurements, anchor, model.k, model.include_geometric))
+    out = net_forward(model.network, uwb_inputs(stream, anchor, model.k, model.include_geometric))
     return out[:, 0:3], np.maximum(np.abs(out[:, 3:6]), SIGMA_MIN)
 
 
-def baro_fcnn_infer(model: BaroFcnnModel, samples):
+def baro_fcnn_infer(model: BaroFcnnModel, stream):
     """(altitudes, sigmas), each (n-k+1,): one row per full window, in one forward pass."""
-    out = net_forward(model.network, baro_inputs(samples, model.k))
+    out = net_forward(model.network, baro_inputs(stream, model.k))
     return out[:, 0], np.maximum(np.abs(out[:, 1]), SIGMA_MIN)
 
 
 def _truth_lookup(truth, times):
     """(n, 3) truth positions at the samples nearest `times`; None without truth."""
-    if not truth:
+    if not len(truth):
         return None
-    dt = truth[1].t - truth[0].t if len(truth) > 1 else 1.0
+    dt = truth.t[1] - truth.t[0] if len(truth) > 1 else 1.0
     idx = np.minimum(np.rint(np.asarray(times, dtype=float) / dt).astype(int), len(truth) - 1)
-    return np.array([truth[i].position.as_array() for i in idx], dtype=float).reshape(-1, 3)
+    return truth.position[idx]
 
 
 def build_training_set(scenario, which: str, k: int = DEFAULT_K, include_geometric: bool = True) -> Dataset:
@@ -125,21 +117,21 @@ def build_training_set(scenario, which: str, k: int = DEFAULT_K, include_geometr
     (truth position, truth - geometric fix). Baro rows: features = k pressures
     + current internal altitude, targets = (truth up, truth up - internal).
     """
-    if not scenario.truth:
+    if not len(scenario.truth):
         raise MissingInputError("training needs a truth stream")
     if which == "uwb":
         stream = scenario.uwb
         if len(stream) < k:
             raise ValueError(f"need at least k={k} UWB measurements, got {len(stream)}")
         inputs = uwb_inputs(stream, scenario.anchor, k, include_geometric)
-        p_true = _truth_lookup(scenario.truth, [m.t for m in stream[k - 1 :]])
-        targets = np.hstack([p_true, p_true - _geometric_positions(stream[k - 1 :], scenario.anchor)])
+        p_true = _truth_lookup(scenario.truth, stream.t[k - 1 :])
+        targets = np.hstack([p_true, p_true - uwb_geometric_fixes(stream[k - 1 :], scenario.anchor)[0]])
     elif which == "baro":
         stream = scenario.baro
         if len(stream) < k:
             raise ValueError(f"need at least k={k} baro samples, got {len(stream)}")
         inputs = baro_inputs(stream, k)
-        up_true = _truth_lookup(scenario.truth, [s.t for s in stream[k - 1 :]])[:, 2]
+        up_true = _truth_lookup(scenario.truth, stream.t[k - 1 :])[:, 2]
         targets = np.column_stack([up_true, up_true - inputs[:, -1]])
     else:
         raise ConfigError(f"unknown training-set kind {which!r} (expected 'uwb' or 'baro')")

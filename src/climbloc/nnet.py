@@ -137,26 +137,32 @@ def net_init(layer_sizes, seed: int) -> DenseNetwork:
     return DenseNetwork(sizes, weights, biases, metadata={"seed": int(seed)})
 
 
-def _forward_trace(net: DenseNetwork, x: np.ndarray):
-    """Activations per layer for a batch (rows = examples)."""
+def _activations(net: DenseNetwork, x: np.ndarray):
+    """Yield the standardized input, then each layer's activation, for a batch (rows = examples)."""
     a = (x - net.input_mean) / net.input_std
-    trace = [a]
+    yield a
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w.T + b
         a = z if i == last else np.maximum(z, 0.0)
-        trace.append(a)
-    return trace
+        yield a
+
+
+def _forward_trace(net: DenseNetwork, x: np.ndarray):
+    """Activations per layer for a batch, all kept for backprop."""
+    return list(_activations(net, x))
 
 
 def net_forward(net: DenseNetwork, x) -> np.ndarray:
+    """Network output for one input or a batch; holds one layer's activations at a time."""
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
     if x.shape[1] != net.layer_sizes[0]:
         raise ValueError(f"input width {x.shape[1]} != network input size {net.layer_sizes[0]}")
-    out = _forward_trace(net, x)[-1]
+    for out in _activations(net, x):
+        pass
     return out[0] if squeeze else out
 
 

@@ -17,13 +17,13 @@ import numpy as np
 from ..core.geodesy import GeodeticPoint
 from ..core.types import (
     AnchorPose,
-    BaroSample,
-    GpsFix,
-    GroundTruthPoint,
-    ImuSample,
+    BaroStream,
+    GpsStream,
+    ImuStream,
     Rotation,
     Triple,
-    UwbMeasurement,
+    TruthStream,
+    UwbStream,
     Vec3Enu,
     _as_triple,
 )
@@ -227,22 +227,14 @@ class ScenarioConfig:
 class ScenarioData:
     """One generated scenario: ground truth plus all four raw sensor streams."""
 
-    truth: tuple[GroundTruthPoint, ...]
-    imu: tuple[ImuSample, ...]
-    gps: tuple[GpsFix, ...]
-    uwb: tuple[UwbMeasurement, ...]
-    baro: tuple[BaroSample, ...]
+    truth: TruthStream
+    imu: ImuStream
+    gps: GpsStream
+    uwb: UwbStream
+    baro: BaroStream
     anchor: AnchorPose
     baro_reference: BaroReference
     origin: GeodeticPoint
-
-    def __post_init__(self):
-        for name in ("truth", "imu", "gps", "uwb", "baro"):
-            stream = getattr(self, name)
-            object.__setattr__(self, name, tuple(stream))
-            times = [s.t for s in stream]
-            if any(b < a for a, b in zip(times, times[1:])):
-                raise ValueError(f"{name} stream is not time-ordered")
 
 
 def sensor_times(duration: float, rate_hz: float) -> list[float]:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..core.geodesy import GeodeticPoint, enu_to_geodetic
-from ..core.types import GRAVITY, BaroSample, GpsFix, ImuSample, UwbMeasurement, Vec3Enu
+from ..core.types import GRAVITY, BaroStream, GpsStream, ImuStream, TruthStream, UwbStream, Vec3Enu
 from ..errors import NumericalFailureError
 from ..solvers.baro import baro_altitude, baro_inverse
 from ..solvers.uwb import uwb_inverse
@@ -32,11 +32,12 @@ _G_ENU = np.array([0.0, 0.0, -GRAVITY])
 _MAX_ANGLE = math.pi / 2 - 1e-9
 
 
-def simulate_imu(truth, cfg: ScenarioConfig) -> tuple[ImuSample, ...]:
+def simulate_imu(truth: TruthStream, attitudes, cfg: ScenarioConfig) -> ImuStream:
     """Body-frame IMU stream by differencing consecutive truth states.
 
     Sample i covers [t_i, t_{i+1}): acceleration from the velocity increment,
-    angular rate from the relative rotation vector, both plus configured bias
+    angular rate from the relative rotation vector of the body-to-ENU
+    `attitudes` (one Rotation per truth point), both plus configured bias
     and white noise. Differencing (rather than analytic derivatives) makes a
     noiseless stream integrate back to the truth velocities exactly.
     """
@@ -45,16 +46,17 @@ def simulate_imu(truth, cfg: ScenarioConfig) -> tuple[ImuSample, ...]:
     rng = sensor_rng(cfg.seed, IMU_STREAM)
     accel_bias = np.asarray(cfg.imu.accel_bias)
     gyro_bias = np.asarray(cfg.imu.gyro_bias)
-    out = []
-    for a, b in zip(truth, truth[1:]):
-        dt = b.t - a.t
-        accel = (np.asarray(b.velocity) - np.asarray(a.velocity)) / dt
-        f_body = a.attitude.matrix.T @ (accel - _G_ENU)
-        w_body = a.attitude.transpose().compose(b.attitude).as_rotvec() / dt
-        f = f_body + accel_bias + rng.normal(0.0, 1.0, 3) * cfg.imu.accel_sigma
-        w = w_body + gyro_bias + rng.normal(0.0, 1.0, 3) * cfg.imu.gyro_sigma
-        out.append(ImuSample(t=a.t, specific_force=tuple(f), angular_rate=tuple(w)))
-    return tuple(out)
+    t, velocity = truth.t, truth.velocity
+    forces, rates = [], []
+    for i in range(len(truth) - 1):
+        a, b = attitudes[i], attitudes[i + 1]
+        dt = t[i + 1] - t[i]
+        accel = (velocity[i + 1] - velocity[i]) / dt
+        f_body = a.matrix.T @ (accel - _G_ENU)
+        w_body = a.transpose().compose(b).as_rotvec() / dt
+        forces.append(f_body + accel_bias + rng.normal(0.0, 1.0, 3) * cfg.imu.accel_sigma)
+        rates.append(w_body + gyro_bias + rng.normal(0.0, 1.0, 3) * cfg.imu.gyro_sigma)
+    return ImuStream(t=t[:-1], specific_force=forces, angular_rate=rates)
 
 
 def _truth_index(t: float, dt: float, n: int) -> int:
@@ -62,7 +64,7 @@ def _truth_index(t: float, dt: float, n: int) -> int:
     return min(i, n - 1)
 
 
-def simulate_gps(truth, cfg: ScenarioConfig, origin: GeodeticPoint) -> tuple[GpsFix, ...]:
+def simulate_gps(truth: TruthStream, cfg: ScenarioConfig, origin: GeodeticPoint) -> GpsStream:
     rng = sensor_rng(cfg.seed, GPS_STREAM)
     g = cfg.gps
     sigma = np.array([g.sigma_xy, g.sigma_xy, g.sigma_z])
@@ -70,7 +72,7 @@ def simulate_gps(truth, cfg: ScenarioConfig, origin: GeodeticPoint) -> tuple[Gps
     for t in sensor_times(cfg.duration, g.rate_hz):
         noise = rng.normal(0.0, 1.0, 3) * sigma
         u_drop = rng.uniform()
-        p = truth[_truth_index(t, cfg.dt, len(truth))].position.as_array() + noise
+        p = truth.position[_truth_index(t, cfg.dt, len(truth))] + noise
         hdop = g.base_hdop
         dropped = False
         for w in g.occlusions:
@@ -82,18 +84,20 @@ def simulate_gps(truth, cfg: ScenarioConfig, origin: GeodeticPoint) -> tuple[Gps
         if dropped:
             continue
         geo = enu_to_geodetic(Vec3Enu.from_array(p), origin)
-        fixes.append(GpsFix(t=t, lat=geo.lat, lon=geo.lon, height=geo.height, hdop=hdop))
-    return tuple(fixes)
+        fixes.append((t, geo.lat, geo.lon, geo.height, hdop))
+    t, lat, lon, height, hdop = np.array(fixes, dtype=float).reshape(-1, 5).T
+    return GpsStream(t=t, lat=lat, lon=lon, height=height, hdop=hdop, valid=np.ones(len(t), dtype=bool))
 
 
-def simulate_uwb(truth, anchor, cfg: ScenarioConfig) -> tuple[UwbMeasurement, ...]:
+def simulate_uwb(truth: TruthStream, anchor, cfg: ScenarioConfig) -> UwbStream:
     rng = sensor_rng(cfg.seed, UWB_STREAM)
     u = cfg.uwb
-    out = []
-    for t in sensor_times(cfg.duration, u.rate_hz):
+    times = sensor_times(cfg.duration, u.rate_hz)
+    ranges, alphas, betas, nlos = [], [], [], []
+    for t in times:
         n_range, n_alpha, n_beta = rng.normal(0.0, 1.0, 3)
         n_conf = rng.normal(0.0, 1.0)
-        target = truth[_truth_index(t, cfg.dt, len(truth))].position
+        target = Vec3Enu.from_array(truth.position[_truth_index(t, cfg.dt, len(truth))])
         d, alpha, beta = uwb_inverse(target, anchor)
         d += n_range * u.range_sigma
         alpha += n_alpha * u.angle_sigma
@@ -104,44 +108,38 @@ def simulate_uwb(truth, anchor, cfg: ScenarioConfig) -> tuple[UwbMeasurement, ..
                 d += w.range_bias
                 conf = u.nlos_confidence
                 break
-        conf = min(1.0, max(0.0, conf + n_conf * u.confidence_sigma))
-        out.append(
-            UwbMeasurement(
-                t=t,
-                range=max(d, 1e-9),
-                alpha=max(-_MAX_ANGLE, min(_MAX_ANGLE, alpha)),
-                beta=max(-_MAX_ANGLE, min(_MAX_ANGLE, beta)),
-                nlos_confidence=conf,
-            )
-        )
-    return tuple(out)
+        ranges.append(max(d, 1e-9))
+        alphas.append(max(-_MAX_ANGLE, min(_MAX_ANGLE, alpha)))
+        betas.append(max(-_MAX_ANGLE, min(_MAX_ANGLE, beta)))
+        nlos.append(min(1.0, max(0.0, conf + n_conf * u.confidence_sigma)))
+    return UwbStream(t=times, range=ranges, alpha=alphas, beta=betas, nlos=nlos)
 
 
-def simulate_baro(truth, cfg: ScenarioConfig) -> tuple[BaroSample, ...]:
+def simulate_baro(truth: TruthStream, cfg: ScenarioConfig) -> BaroStream:
     """Pressure stream: inverse model of true altitude plus linear drift and noise."""
     rng = sensor_rng(cfg.seed, BARO_STREAM)
     b = cfg.baro
-    out = []
-    for t in sensor_times(cfg.duration, b.rate_hz):
+    times = sensor_times(cfg.duration, b.rate_hz)
+    up = truth.position[:, 2].tolist()
+    pressures, altitudes = [], []
+    for t in times:
         noise = rng.normal(0.0, 1.0) * b.pressure_sigma
-        up = truth[_truth_index(t, cfg.dt, len(truth))].position.up
-        pressure = baro_inverse(up, b.reference) + b.drift_rate * t + noise
+        pressure = baro_inverse(up[_truth_index(t, cfg.dt, len(up))], b.reference) + b.drift_rate * t + noise
         if pressure <= 0.0:
             raise NumericalFailureError(
                 f"simulated pressure {pressure:.3f} Pa <= 0 at t={t:.3f}"
             )
-        out.append(
-            BaroSample(t=t, pressure=pressure, internal_altitude=baro_altitude(pressure, b.reference))
-        )
-    return tuple(out)
+        pressures.append(pressure)
+        altitudes.append(baro_altitude(pressure, b.reference))
+    return BaroStream(t=times, pressure=pressures, internal_altitude=altitudes)
 
 
 def simulate_scenario(cfg: ScenarioConfig) -> ScenarioData:
     """Generate truth and all four sensor streams for one configuration."""
-    truth = generate_truth(cfg)
+    truth, attitudes = generate_truth(cfg)
     return ScenarioData(
         truth=truth,
-        imu=simulate_imu(truth, cfg),
+        imu=simulate_imu(truth, attitudes, cfg),
         gps=simulate_gps(truth, cfg, cfg.origin),
         uwb=simulate_uwb(truth, cfg.anchor, cfg),
         baro=simulate_baro(truth, cfg),

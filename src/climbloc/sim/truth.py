@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ..core.types import GroundTruthPoint, Rotation, Vec3Enu
+from ..core.types import Rotation, TruthStream
 from .scenario import PauseSegment, ScenarioConfig, TrajectoryProfile
 
 
@@ -74,21 +74,28 @@ def _profile_state(tau: float, prof: TrajectoryProfile):
     return pos, dpos, yaw
 
 
-def generate_truth(cfg: ScenarioConfig) -> tuple[GroundTruthPoint, ...]:
-    """Sample the analytic profile on the IMU grid: n_steps + 1 points."""
+def generate_truth(cfg: ScenarioConfig) -> tuple[TruthStream, tuple[Rotation, ...]]:
+    """Sample the analytic profile on the IMU grid: n_steps + 1 points.
+
+    Returns the truth stream and the body-to-ENU rotation of each point. The
+    stream stores each rotation as a quaternion; the IMU simulator
+    differences the rotations themselves.
+    """
     prof = cfg.profile
-    points = []
+    t, position, velocity, attitudes = [], [], [], []
     for i in range(cfg.n_steps + 1):
-        t = i * cfg.dt
-        tau = warped_time(t, prof.pauses)
-        s = pause_speed(t, prof.pauses)
+        t_i = i * cfg.dt
+        tau = warped_time(t_i, prof.pauses)
+        s = pause_speed(t_i, prof.pauses)
         pos, dpos, yaw = _profile_state(tau, prof)
-        points.append(
-            GroundTruthPoint(
-                t=t,
-                position=Vec3Enu(*pos),
-                velocity=tuple(v * s for v in dpos),
-                attitude=Rotation.from_rotvec([0.0, 0.0, yaw]),
-            )
-        )
-    return tuple(points)
+        t.append(t_i)
+        position.append(pos)
+        velocity.append([v * s for v in dpos])
+        attitudes.append(Rotation.from_rotvec([0.0, 0.0, yaw]))
+    truth = TruthStream(
+        t=t,
+        position=position,
+        velocity=velocity,
+        quaternion=[r.as_quaternion() for r in attitudes],
+    )
+    return truth, tuple(attitudes)

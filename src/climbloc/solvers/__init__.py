@@ -1,9 +1,9 @@
 """Classical per-sensor position solvers and the GPS/INS error-state filter."""
 
 from .baro import BaroReference, baro_altitude, baro_inverse
-from .ins import GRAVITY_ENU, GpsInsEkf, InsErrorModel, InsState, ins_mechanize
+from .ins import GRAVITY_ENU, GpsInsEkf, InsErrorModel, InsState
 from .types import PoseEstimate
-from .uwb import UwbSigmaModel, uwb_geometric_solve, uwb_inverse, uwb_local_direction
+from .uwb import UwbSigmaModel, uwb_geometric_fixes, uwb_geometric_solve, uwb_inverse, uwb_local_direction
 
 __all__ = [
     "BaroReference",
@@ -13,9 +13,9 @@ __all__ = [
     "GpsInsEkf",
     "InsErrorModel",
     "InsState",
-    "ins_mechanize",
     "PoseEstimate",
     "UwbSigmaModel",
+    "uwb_geometric_fixes",
     "uwb_geometric_solve",
     "uwb_inverse",
     "uwb_local_direction",

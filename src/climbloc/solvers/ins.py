@@ -8,11 +8,17 @@ estimates the 9-dimensional error state
 
 where `eps` is the small-angle attitude error, with the convention
 estimate = true + error (attitude: C_hat = (I - skew(eps)) C_true). The
-error dynamics use configurable coefficient blocks; the defaults are the
-local-frame small-area simplification (F_rr = 0, F_rv = I, F_er = F_ev = 0,
-zero earth rates), adequate for trajectories spanning well under 100 m.
-Position fixes fold the estimated error back into the nominal state and
-reset the error to zero.
+error dynamics are the local-frame small-area simplification (dr' = dv,
+dv' = skew(f_n) eps, eps' = 0, zero earth rates), adequate for trajectories
+spanning well under 100 m. Position fixes fold the estimated error back into
+the nominal state and reset the error to zero.
+
+The state lives in raw arrays: a 3x3 attitude matrix, position and velocity
+3-vectors, and the 9x9 covariance. Each IMU step multiplies the attitude by
+the Rodrigues rotation of that step, which is orthonormal to rounding, and
+the attitude is projected back onto SO(3) (by SVD) only at the resets that
+fold a fix in (Sola 2017, arXiv:1711.02508). Orthonormality is
+checked once per reported estimate.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.types import GRAVITY, ImuSample, Rotation, Vec3Enu, skew
+from ..core.types import _ORTHO_TOL, GRAVITY, ImuSample, Rotation, Vec3Enu, nearest_rotation, skew
 from ..errors import NumericalFailureError
 from .types import PoseEstimate
 
@@ -37,47 +43,32 @@ class InsState:
     attitude: Rotation
 
 
-def ins_mechanize(state: InsState, imu: ImuSample, dt: float) -> InsState:
-    """One Euler step of strapdown integration.
+def rotation_increments(angular_rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) Rodrigues rotations exp(skew(angular_rate[i] * dt[i])).
 
-    Attitude advances by the small-angle exponential of (angular_rate * dt)
-    and is re-orthonormalized; velocity integrates the navigation-frame
-    specific force plus gravity; position integrates the updated velocity.
+    Uses sin(a)/a and (1 - cos a)/a^2 = 2 sin^2(a/2)/a^2, so angles near zero
+    stay accurate; a zero angle gives the identity exactly.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    rot = state.attitude
-    f_n = rot.apply(imu.specific_force)
-    omega = np.asarray(imu.angular_rate, dtype=float)
-    rot_new = Rotation.orthonormalized(rot.matrix @ Rotation.from_rotvec(omega * dt).matrix)
-    v_new = np.asarray(state.velocity) + (f_n + GRAVITY_ENU) * dt
-    p_new = state.position.as_array() + v_new * dt
-    return InsState(
-        position=Vec3Enu.from_array(p_new),
-        velocity=tuple(float(v) for v in v_new),
-        attitude=rot_new,
-    )
+    v = np.asarray(angular_rate, dtype=float) * np.asarray(dt, dtype=float)[:, None]
+    angle = np.linalg.norm(v, axis=1)
+    small = angle < 1e-12
+    safe = np.where(small, 1.0, angle)
+    a = np.where(small, 1.0, np.sin(safe) / safe)
+    half = np.where(small, 1.0, np.sin(0.5 * safe) / (0.5 * safe))
+    b = 0.5 * half * half
+    k = np.zeros((len(v), 3, 3))
+    k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -v[:, 2], v[:, 1], -v[:, 0]
+    k[:, 1, 0], k[:, 2, 0], k[:, 2, 1] = v[:, 2], -v[:, 1], v[:, 0]
+    return np.eye(3) + a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
 def _default_p0() -> np.ndarray:
     return np.diag([4.0, 4.0, 4.0, 0.25, 0.25, 0.25, 0.01, 0.01, 0.01])
 
 
-def _zeros3() -> np.ndarray:
-    return np.zeros((3, 3))
-
-
-def _eye3() -> np.ndarray:
-    return np.eye(3)
-
-
-def _zerovec() -> np.ndarray:
-    return np.zeros(3)
-
-
 @dataclass
 class InsErrorModel:
-    """Error-state covariance plus the configurable dynamics coefficients.
+    """Error-state covariance plus the noise model.
 
     `q_*` are continuous-time white-noise intensities feeding the position,
     velocity, and attitude error blocks. `gps_sigma` is the 1-sigma ENU
@@ -86,12 +77,6 @@ class InsErrorModel:
     """
 
     P: np.ndarray = field(default_factory=_default_p0)
-    F_rr: np.ndarray = field(default_factory=_zeros3)
-    F_rv: np.ndarray = field(default_factory=_eye3)
-    F_er: np.ndarray = field(default_factory=_zeros3)
-    F_ev: np.ndarray = field(default_factory=_zeros3)
-    omega_ie: np.ndarray = field(default_factory=_zerovec)
-    omega_en: np.ndarray = field(default_factory=_zerovec)
     q_pos: float = 0.0          # m^2/s^3 equivalent on the dr block
     q_vel: float = 4e-4         # (m/s^2)^2/Hz, accelerometer noise
     q_att: float = 4e-6         # (rad/s)^2/Hz, gyro noise
@@ -107,25 +92,6 @@ class InsErrorModel:
         if np.min(np.linalg.eigvalsh((self.P + self.P.T) / 2)) < -1e-12:
             raise ValueError("P must be positive semidefinite")
 
-    def transition(self, f_n: np.ndarray, dt: float) -> np.ndarray:
-        """First-order discrete transition I + F dt for the current specific force."""
-        f_mat = np.zeros((9, 9))
-        f_mat[0:3, 0:3] = self.F_rr
-        f_mat[0:3, 3:6] = self.F_rv
-        f_mat[3:6, 3:6] = -skew(2.0 * self.omega_ie + self.omega_en)
-        f_mat[3:6, 6:9] = skew(f_n)
-        f_mat[6:9, 0:3] = self.F_er
-        f_mat[6:9, 3:6] = self.F_ev
-        f_mat[6:9, 6:9] = skew(self.omega_ie + self.omega_en)
-        return np.eye(9) + f_mat * dt
-
-    def process_noise(self, dt: float) -> np.ndarray:
-        q = np.zeros((9, 9))
-        q[0:3, 0:3] = self.q_pos * np.eye(3)
-        q[3:6, 3:6] = self.q_vel * np.eye(3)
-        q[6:9, 6:9] = self.q_att * np.eye(3)
-        return q * dt
-
 
 class GpsInsEkf:
     """Single-owner GPS/INS filter: propagate at the IMU rate, update on fixes.
@@ -139,17 +105,50 @@ class GpsInsEkf:
     _H = np.hstack([-np.eye(3), np.zeros((3, 6))])
 
     def __init__(self, state: InsState, model: InsErrorModel | None = None):
-        self.state = state
+        self.position = state.position.as_array()
+        self.velocity = np.array(state.velocity, dtype=float)
+        self.attitude = np.array(state.attitude.matrix)
         self.model = model if model is not None else InsErrorModel()
         self.last_innovation = 0.0
         self.last_hdop = 1.0
 
+    @property
+    def state(self) -> InsState:
+        """The nominal state as domain types (validates the attitude)."""
+        return InsState(
+            Vec3Enu.from_array(self.position), tuple(self.velocity.tolist()), Rotation(self.attitude)
+        )
+
     def propagate(self, imu: ImuSample, dt: float) -> None:
-        f_n = self.state.attitude.apply(imu.specific_force)
-        self.state = ins_mechanize(self.state, imu, dt)
-        phi = self.model.transition(f_n, dt)
-        p = phi @ self.model.P @ phi.T + self.model.process_noise(dt)
-        self.model.P = (p + p.T) / 2.0
+        """Propagate one IMU interval of length dt."""
+        dt = np.array([dt], dtype=float)
+        self.propagate_run([imu.specific_force], rotation_increments([imu.angular_rate], dt), dt)
+
+    def propagate_run(self, specific_force, increments, dt) -> None:
+        """Propagate through consecutive IMU intervals.
+
+        Row i holds the interval's body-frame specific force (n, 3), its
+        attitude increment (n, 3, 3) from `rotation_increments`, and its
+        length (n,).
+        """
+        dt = np.asarray(dt, dtype=float)
+        if not np.all(dt > 0):
+            raise ValueError(f"dt must be > 0, got {dt[~(dt > 0)][0]}")
+        q = np.diag(np.repeat([self.model.q_pos, self.model.q_vel, self.model.q_att], 3))
+        # phi = I + F dt with F[dr, dv] = I and F[dv, eps] = skew(f_n)
+        phi = np.eye(9)
+        r, v, p, cov = self.attitude, self.velocity, self.position, self.model.P
+        for f_b, d_r, step in zip(np.asarray(specific_force, dtype=float), increments, dt.tolist()):
+            f_n = r @ f_b
+            r = r @ d_r
+            v = v + (f_n + GRAVITY_ENU) * step
+            p = p + v * step
+            x, y, z = (f_n * step).tolist()
+            phi[0, 3] = phi[1, 4] = phi[2, 5] = step
+            phi[3, 7], phi[3, 8], phi[4, 6], phi[4, 8], phi[5, 6], phi[5, 7] = -z, y, z, -x, -y, x
+            cov = phi @ cov @ phi.T + q * step
+            cov = (cov + cov.T) / 2.0
+        self.attitude, self.velocity, self.position, self.model.P = r, v, p, cov
 
     def update(self, position: Vec3Enu, hdop: float = 1.0) -> np.ndarray:
         """Apply one ENU position fix; returns the 3-vector innovation."""
@@ -158,7 +157,7 @@ class GpsInsEkf:
         r = np.diag(np.asarray(self.model.gps_sigma, dtype=float) ** 2)
         if self.model.scale_r_by_hdop:
             r = r * max(hdop, 1e-6) ** 2
-        nu = position.as_array() - self.state.position.as_array()
+        nu = position.as_array() - self.position
         s = h @ p @ h.T + r
         k = p @ h.T @ np.linalg.inv(s)
         delta = k @ nu
@@ -171,27 +170,21 @@ class GpsInsEkf:
         self.model.P = p_new
 
         # fold the error estimate back into the nominal state, then reset it
-        pos = self.state.position.as_array() - delta[0:3]
-        vel = np.asarray(self.state.velocity) - delta[3:6]
-        att = Rotation.orthonormalized((np.eye(3) + skew(delta[6:9])) @ self.state.attitude.matrix)
-        self.state = InsState(Vec3Enu.from_array(pos), tuple(float(v) for v in vel), att)
+        self.position = self.position - delta[0:3]
+        self.velocity = self.velocity - delta[3:6]
+        self.attitude = nearest_rotation((np.eye(3) + skew(delta[6:9])) @ self.attitude)
         self.last_innovation = float(np.linalg.norm(nu))
         self.last_hdop = float(hdop)
         return nu
 
-    def step(
-        self,
-        imu: ImuSample,
-        dt: float,
-        position: Vec3Enu | None = None,
-        hdop: float = 1.0,
-    ) -> PoseEstimate:
-        """Propagate one IMU interval and, when given, apply a position fix."""
-        self.propagate(imu, dt)
-        if position is not None:
-            self.update(position, hdop)
-        return self.estimate(imu.t + dt)
-
     def estimate(self, t: float) -> PoseEstimate:
+        """Position estimate at t; fails if the attitude has left SO(3) by more than 1e-9."""
+        r = self.attitude
+        if (
+            not np.all(np.isfinite(r))
+            or np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL
+            or abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL
+        ):
+            raise NumericalFailureError(f"INS attitude is no longer a rotation at t={t}")
         sigma = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(self.model.P)[0:3], 0.0)))
-        return PoseEstimate(t=t, position=self.state.position, sigma=sigma, source="gpsins-ekf")
+        return PoseEstimate(t=t, position=Vec3Enu.from_array(self.position), sigma=sigma, source="gpsins-ekf")

@@ -45,6 +45,28 @@ def uwb_local_direction(d: float, alpha: float, beta: float) -> np.ndarray:
     )
 
 
+def _geometric_fix(d: float, alpha: float, beta: float, anchor: AnchorPose, sigma_model: UwbSigmaModel):
+    """(ENU position, per-axis sigma) of one (d, alpha, beta) measurement."""
+    local = uwb_local_direction(d, alpha, beta)
+    position = anchor.position.as_array() + anchor.orientation.apply(local)
+
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    jac = np.array(
+        [
+            [sa, d * ca, 0.0],
+            [sb, 0.0, d * cb],
+            [ca * cb, -d * sa * cb, -d * ca * sb],
+        ]
+    )
+    meas_cov = np.diag(
+        [sigma_model.range_sigma**2, sigma_model.angle_sigma**2, sigma_model.angle_sigma**2]
+    )
+    rot = anchor.orientation.matrix
+    nav_cov = rot @ jac @ meas_cov @ jac.T @ rot.T
+    return position, np.sqrt(np.maximum(np.diag(nav_cov), 0.0))
+
+
 def uwb_geometric_solve(
     m: UwbMeasurement,
     anchor: AnchorPose,
@@ -55,25 +77,19 @@ def uwb_geometric_solve(
     Per-axis sigma comes from propagating the (range, angle) noise of
     `sigma_model` through the geometry to first order.
     """
-    local = uwb_local_direction(m.range, m.alpha, m.beta)
-    position = Vec3Enu.from_array(anchor.position.as_array() + anchor.orientation.apply(local))
+    position, sigma = _geometric_fix(m.range, m.alpha, m.beta, anchor, sigma_model)
+    return PoseEstimate(t=m.t, position=Vec3Enu.from_array(position), sigma=sigma, source="uwb-geo")
 
-    sa, ca = math.sin(m.alpha), math.cos(m.alpha)
-    sb, cb = math.sin(m.beta), math.cos(m.beta)
-    jac = np.array(
-        [
-            [sa, m.range * ca, 0.0],
-            [sb, 0.0, m.range * cb],
-            [ca * cb, -m.range * sa * cb, -m.range * ca * sb],
-        ]
-    )
-    meas_cov = np.diag(
-        [sigma_model.range_sigma**2, sigma_model.angle_sigma**2, sigma_model.angle_sigma**2]
-    )
-    rot = anchor.orientation.matrix
-    nav_cov = rot @ jac @ meas_cov @ jac.T @ rot.T
-    sigma = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(nav_cov), 0.0)))
-    return PoseEstimate(t=m.t, position=position, sigma=sigma, source="uwb-geo")
+
+def uwb_geometric_fixes(stream, anchor: AnchorPose, sigma_model: UwbSigmaModel = UwbSigmaModel()):
+    """(positions, sigmas), each (n, 3): the closed-form fix of every row of a UWB stream."""
+    fixes = [
+        _geometric_fix(d, a, b, anchor, sigma_model)
+        for d, a, b in zip(stream.range.tolist(), stream.alpha.tolist(), stream.beta.tolist())
+    ]
+    positions = np.array([p for p, _ in fixes], dtype=float).reshape(-1, 3)
+    sigmas = np.array([s for _, s in fixes], dtype=float).reshape(-1, 3)
+    return positions, sigmas
 
 
 def uwb_inverse(target: Vec3Enu, anchor: AnchorPose) -> tuple[float, float, float]:

@@ -19,9 +19,9 @@ from climbloc.cli import (
     config_digest,
     load_config,
     main,
-    read_jsonl,
     read_manifest,
     read_scenario,
+    read_table,
     read_trajectory,
 )
 from climbloc.cli.config import scenario_config
@@ -29,7 +29,7 @@ from climbloc.cli.records import missing_manifest_files, write_jsonl
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import model_from_dict, uwb_fcnn_infer
 from climbloc.sim import simulate_scenario
-from climbloc.solvers import uwb_geometric_solve
+from climbloc.solvers import uwb_geometric_fixes
 
 
 def _without(record: dict, name: str) -> str:
@@ -47,6 +47,13 @@ def _rewrite_line(path, lineno: int, edit) -> None:
 def file_sha(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run_cli(args) -> subprocess.CompletedProcess:
+    """`python -m climbloc ARGS` in a fresh interpreter, output captured."""
+    src = os.path.dirname(os.path.dirname(climbloc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "climbloc", *args], capture_output=True, text=True, env=env)
 
 
 SHORT_CONFIG = {
@@ -180,11 +187,7 @@ class TestRecords:
         write_scenario(str(tmp_path), tiny_scenario)
         back = read_scenario(str(tmp_path))
         assert len(back.truth) == len(tiny_scenario.truth)
-        assert back.truth[5].t == tiny_scenario.truth[5].t
-        assert back.truth[5].position == tiny_scenario.truth[5].position
-        assert np.allclose(
-            back.truth[5].attitude.matrix, tiny_scenario.truth[5].attitude.matrix, atol=1e-12
-        )
+        assert back.truth == tiny_scenario.truth
         assert back.imu == tiny_scenario.imu
         assert back.gps == tiny_scenario.gps
         assert back.uwb == tiny_scenario.uwb
@@ -193,59 +196,85 @@ class TestRecords:
         assert back.baro_reference == tiny_scenario.baro_reference
 
     def test_write_read_write_is_byte_stable(self, tiny_scenario, tmp_path):
-        # truth.jsonl is exempt: its quaternions are regenerated from the
-        # parsed rotation on rewrite, stable in value but not in bytes
         from climbloc.cli import write_scenario
 
         first = tmp_path / "a"
         second = tmp_path / "b"
         write_scenario(str(first), tiny_scenario)
         write_scenario(str(second), read_scenario(str(first)))
-        for name, filename in SCENARIO_FILES.items():
-            if name == "truth":
-                continue
+        for filename in [*SCENARIO_FILES.values(), "anchor.json"]:
             assert file_sha(first / filename) == file_sha(second / filename), filename
 
     def test_jsonl_error_carries_line_number(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"t": 1.0}\nnot json\n')
         with pytest.raises(ValueError, match=r"x\.jsonl:2"):
-            read_jsonl(str(path))
+            read_table(str(path), ("t",))
 
     def test_missing_stream_raises_missing_input(self, tmp_path):
         with pytest.raises(MissingInputError):
-            read_jsonl(str(tmp_path / "absent.jsonl"))
+            read_table(str(tmp_path / "absent.jsonl"), ("t",))
 
     @pytest.mark.parametrize(
-        "filename, edit",
+        "filename, edit, field",
         [
-            pytest.param("imu.jsonl", lambda r: _without(r, "fx"), id="stream-missing-field"),
-            pytest.param("imu.jsonl", lambda r: json.dumps(list(r.values())), id="stream-json-array"),
-            pytest.param("truth.jsonl", lambda r: _without(r, "x"), id="truth-missing-field"),
-            pytest.param("traj_baro.jsonl", lambda r: _without(r, "sx"), id="trajectory-missing-field"),
+            pytest.param("imu.jsonl", lambda r: _without(r, "fx"), "fx", id="stream-missing-field"),
+            pytest.param("imu.jsonl", lambda r: json.dumps(list(r.values())), None, id="stream-json-array"),
+            pytest.param("truth.jsonl", lambda r: _without(r, "x"), "x", id="truth-missing-field"),
+            pytest.param("traj_baro.jsonl", lambda r: _without(r, "sx"), "sx", id="trajectory-missing-field"),
+            pytest.param("imu.jsonl", lambda r: json.dumps({**r, "fx": math.nan}), "fx", id="stream-nan"),
+            pytest.param("uwb.jsonl", lambda r: json.dumps({**r, "nlos": 1.5}), "nlos", id="stream-nlos-above-1"),
+            pytest.param("baro.jsonl", lambda r: json.dumps({**r, "p": 0.0}), "p", id="stream-pressure-not-positive"),
+            pytest.param("imu.jsonl", lambda r: json.dumps({**r, "wy": True}), "wy", id="stream-json-true"),
+            pytest.param("traj_baro.jsonl", lambda r: json.dumps({**r, "algo": ["baro"]}), "algo",
+                         id="trajectory-algo-not-a-string"),
         ],
     )
-    def test_malformed_record_exits_2_naming_its_line(self, pipeline, tmp_path, filename, edit):
+    def test_malformed_record_exits_2_naming_its_line(self, pipeline, tmp_path, filename, edit, field):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
         traj = tmp_path / "traj_baro.jsonl"
         shutil.copy(pipeline["trajectories"]["baro"], traj)
         target = traj if filename == "traj_baro.jsonl" else data / filename
         _rewrite_line(target, 5, edit)
-        if filename == "imu.jsonl":
-            args = ["run", "--data", str(data), "--models", pipeline["models"], "--algo", "baro",
-                    "--out", str(tmp_path / "out.jsonl")]
-        else:
+        if filename in ("truth.jsonl", "traj_baro.jsonl"):
             args = ["report", "--est", str(traj), "--truth", str(data / "truth.jsonl"),
                     "--out", str(tmp_path / "report")]
-        src = os.path.dirname(os.path.dirname(climbloc.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "climbloc", *args], capture_output=True, text=True, env=env
-        )
+        else:
+            args = ["run", "--data", str(data), "--models", pipeline["models"], "--algo", "baro",
+                    "--out", str(tmp_path / "out.jsonl")]
+        proc = run_cli(args)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"{target}:5" in proc.stderr
+        if field is not None:
+            assert repr(field) in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize(
+        "dotted, edit",
+        [
+            pytest.param("anchor.position", lambda d: d["anchor"].pop("position"), id="missing-position"),
+            pytest.param("anchor.orientation", lambda d: d["anchor"].update(orientation=[[1.0, 0.0]] * 2),
+                         id="orientation-not-3x3"),
+            pytest.param("anchor.orientation", lambda d: d["anchor"].update(orientation=[[1.0, 0.0, 0.0]] * 3),
+                         id="orientation-not-a-rotation"),
+            pytest.param("origin.lat", lambda d: d["origin"].update(lat="north"), id="latitude-not-a-number"),
+            pytest.param("origin.lat", lambda d: d["origin"].update(lat=2.0), id="latitude-out-of-range"),
+            pytest.param("origin", lambda d: d.update(origin=[0.48, 0.3, 50.0]), id="origin-not-an-object"),
+            pytest.param("baro_reference.t0", lambda d: d["baro_reference"].pop("t0"), id="missing-t0"),
+        ],
+    )
+    def test_bad_anchor_field_exits_2_naming_it(self, pipeline, tmp_path, dotted, edit):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        doc = json.loads((data / "anchor.json").read_text())
+        edit(doc)
+        (data / "anchor.json").write_text(json.dumps(doc))
+        proc = run_cli(["run", "--data", str(data), "--models", pipeline["models"], "--algo", "baro",
+                        "--out", str(tmp_path / "out.jsonl")])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "anchor.json" in proc.stderr and repr(dotted) in proc.stderr, proc.stderr
 
     def test_trajectory_rejects_mixed_algos(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -267,6 +296,27 @@ class TestSimulate:
         manifest = read_manifest(data)
         assert manifest["config_digest"] == config_digest(load_config(pipeline["config"]))
         assert missing_manifest_files(data, manifest) == []
+
+    # SHA-256 of each file `simulate` writes for SHORT_CONFIG at seed 7, as
+    # written by the per-sample simulator this columnar one replaced (x86-64,
+    # numpy 2.4): a change to any simulated or written value shows here
+    GOLDEN = {
+        "truth.jsonl": "354090e507a3d012a1a1b7390a763476d11a2a3366a76480e71c478c9c233e94",
+        "imu.jsonl": "7b1dfe7b11062158685f51766072bece435995019e46717806f481def9f17604",
+        "gps.jsonl": "fa813ac0c643c47c1f240ff6a5505d6bb8b737273346aec01e257b1a9767bc5d",
+        "uwb.jsonl": "e3097cff667af929a543d33fe899c7018deaf5202f74ba4872ca1a086f6e5117",
+        "baro.jsonl": "00fcf99d5f414a305f7433738e521f7d8bd0754e066d64da97ad0a9fbafdb302",
+        "anchor.json": "63e8adb82382f73160ff48dd5222c8a604bb872eed0a629fbdecdb9300e208d7",
+    }
+
+    def test_outputs_match_golden_digests(self, tmp_path):
+        doc = json.loads(json.dumps(SHORT_CONFIG))
+        doc["sim"]["seed"] = 7
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 0
+        digests = {name: file_sha(tmp_path / "data" / name) for name in self.GOLDEN}
+        assert digests == self.GOLDEN
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         again = str(tmp_path / "again")
@@ -336,17 +386,16 @@ class TestRun:
         for algo, path in pipeline["trajectories"].items():
             rows, tag = read_trajectory(path)
             assert tag == algo
-            counts[algo] = len([r for r in rows if r["t"] >= warmup_end - 1e-9])
+            counts[algo] = int(np.sum(rows[:, 0] >= warmup_end - 1e-9))
         assert len(set(counts.values())) == 1, counts
 
     def test_amfa_sigmas_strictly_positive(self, pipeline):
         rows, _ = read_trajectory(pipeline["trajectories"]["amfa"])
-        for r in rows:
-            assert r["sx"] > 0 and r["sy"] > 0 and r["sz"] > 0
+        assert np.all(rows[:, 4:7] > 0)
 
     def test_altitude_only_rows_pin_horizontal_to_zero(self, pipeline):
         rows, _ = read_trajectory(pipeline["trajectories"]["baro"])
-        assert all(r["x"] == 0.0 and r["y"] == 0.0 for r in rows)
+        assert np.all(rows[:, 1:3] == 0.0)
 
     def test_missing_model_is_a_missing_input(self, pipeline, tmp_path):
         rc = main(
@@ -377,11 +426,12 @@ class TestRun:
         doc["sim"]["gps"]["occlusions"] = []
         doc["sim"]["uwb"].update({"range_sigma": 0.0, "angle_sigma": 0.0, "nlos_windows": []})
         scenario = simulate_scenario(scenario_config(doc))
-        truth_at = {round(p.t, 6): p.position.as_array() for p in scenario.truth}
-        for m in scenario.uwb:
-            pose = uwb_geometric_solve(m, scenario.anchor)
-            bound = m.range * abs(math.sin(m.alpha) * math.sin(m.beta)) + 1e-9
-            err = np.linalg.norm(pose.position.as_array() - truth_at[round(m.t, 6)])
+        truth_at = {round(t, 6): p for t, p in zip(scenario.truth.t.tolist(), scenario.truth.position)}
+        uwb = scenario.uwb
+        positions, _ = uwb_geometric_fixes(uwb, scenario.anchor)
+        for i, t in enumerate(uwb.t.tolist()):
+            bound = uwb.range[i] * abs(math.sin(uwb.alpha[i]) * math.sin(uwb.beta[i])) + 1e-9
+            err = np.linalg.norm(positions[i] - truth_at[round(t, 6)])
             assert err <= bound
 
 
@@ -401,11 +451,10 @@ class TestReport:
 
     def test_estimate_equal_to_truth_scores_zero(self, pipeline, tmp_path):
         truth_path = os.path.join(pipeline["data"], "truth.jsonl")
-        rows = read_jsonl(truth_path)
+        rows, _ = read_table(truth_path, ("t", "x", "y", "z"))
         est = [
-            {"t": r["t"], "x": r["x"], "y": r["y"], "z": r["z"],
-             "sx": 0.0, "sy": 0.0, "sz": 0.0, "algo": "oracle"}
-            for r in rows
+            {"t": t, "x": x, "y": y, "z": z, "sx": 0.0, "sy": 0.0, "sz": 0.0, "algo": "oracle"}
+            for t, x, y, z in rows.tolist()
         ]
         est_path = tmp_path / "oracle.jsonl"
         write_jsonl(str(est_path), est)

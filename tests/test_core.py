@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from climbloc.core import (
-    BaroSample,
+    BaroStream,
     GeodeticPoint,
-    GpsFix,
+    GpsStream,
     Rotation,
+    StreamValueError,
     UwbMeasurement,
+    UwbStream,
     Vec3Enu,
     enu_to_geodetic,
     geodetic_to_enu,
@@ -23,9 +25,9 @@ from climbloc.sim import ScenarioConfig, TrajectoryProfile, simulate_scenario
 
 
 def _streams(n):
-    baro = [BaroSample(t=0.1 * i, pressure=1e5 + i, internal_altitude=-0.5 * i) for i in range(n)]
-    uwb = [UwbMeasurement(t=0.1 * i, range=1.0 + i, alpha=0.01 * i, beta=-0.01 * i, nlos_confidence=0.0)
-           for i in range(n)]
+    i = np.arange(n, dtype=float)
+    baro = BaroStream(t=0.1 * i, pressure=1e5 + i, internal_altitude=-0.5 * i)
+    uwb = UwbStream(t=0.1 * i, range=1.0 + i, alpha=0.01 * i, beta=-0.01 * i, nlos=np.zeros(n))
     return baro, uwb
 
 
@@ -45,15 +47,16 @@ class TestSlidingWindow:
         baro, uwb = _streams(4)
         b = baro_inputs(baro, 3)
         u = uwb_inputs(uwb, None, 3, include_geometric=False)
-        assert b[-1].tolist() == [s.pressure for s in baro[1:]] + [baro[3].internal_altitude]
-        assert u[-1].tolist() == [v for m in uwb[1:] for v in (m.range, m.alpha, m.beta)]
+        assert b[-1].tolist() == baro.pressure[1:].tolist() + [baro.internal_altitude[3]]
+        assert u[-1].tolist() == np.column_stack([uwb.range, uwb.alpha, uwb.beta])[1:].ravel().tolist()
 
     def test_out_of_order_rejected(self):
         # the windows assume ordered streams; the scenario is where that is checked
         data = simulate_scenario(ScenarioConfig(duration=2.0, profile=TrajectoryProfile(pauses=())))
-        swapped = (data.uwb[1], data.uwb[0], *data.uwb[2:])
+        t = data.uwb.t.copy()
+        t[[0, 1]] = t[[1, 0]]
         with pytest.raises(ValueError):
-            dataclasses.replace(data, uwb=swapped)
+            dataclasses.replace(data, uwb=dataclasses.replace(data.uwb, t=t))
 
     @given(st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=8))
     @settings(max_examples=40, deadline=None)
@@ -64,9 +67,10 @@ class TestSlidingWindow:
         assert b.shape == (max(n - k + 1, 0), k + 1)
         assert u.shape == (max(n - k + 1, 0), 3 * k)
         for i in range(n - k + 1):
-            tail = baro[i : i + k]
-            assert b[i].tolist() == [s.pressure for s in tail] + [tail[-1].internal_altitude]
-            assert u[i].tolist() == [v for m in uwb[i : i + k] for v in (m.range, m.alpha, m.beta)]
+            assert b[i].tolist() == baro.pressure[i : i + k].tolist() + [baro.internal_altitude[i + k - 1]]
+            assert u[i].tolist() == [
+                v for j in range(i, i + k) for v in (uwb.range[j], uwb.alpha[j], uwb.beta[j])
+            ]
 
 
 class TestRotation:
@@ -96,8 +100,16 @@ class TestRotation:
     @given(st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3)))
     def test_quaternion_round_trip(self, rotvec):
         r = Rotation.from_rotvec(rotvec)
-        r2 = Rotation.from_quaternion(r.as_quaternion())
-        assert np.max(np.abs(r.matrix - r2.matrix)) < 1e-9
+        w, x, y, z = r.as_quaternion()
+        # the rotation matrix of the unit quaternion (w, x, y, z) gives r back
+        back = np.array(
+            [
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            ]
+        )
+        assert np.max(np.abs(r.matrix - back)) < 1e-9
 
     def test_compose_matches_matrix_product(self):
         a = Rotation.from_rotvec([0.1, -0.2, 0.3])
@@ -136,8 +148,8 @@ class TestGeodesy:
     def test_invalid_latitude_rejected(self):
         with pytest.raises(ValueError):
             GeodeticPoint(lat=2.0, lon=0.0, height=0.0)
-        with pytest.raises(ValueError):
-            GpsFix(t=0.0, lat=1.8, lon=0.0, height=0.0)
+        with pytest.raises(ValueError, match="lat"):
+            GpsStream(t=[0.0], lat=[1.8], lon=[0.0], height=[0.0], hdop=[1.0], valid=[True])
 
     @settings(max_examples=60)
     @given(
@@ -178,3 +190,51 @@ class TestValidation:
     def test_vec3_finite(self):
         with pytest.raises(ValueError):
             Vec3Enu(float("nan"), 0.0, 0.0)
+
+
+def _with_value(stream, column, index, value):
+    """A copy of the stream's columns with one value replaced, rebuilt (and so validated)."""
+    columns = {f.name: np.array(getattr(stream, f.name)) for f in dataclasses.fields(stream)}
+    columns[column][index] = value
+    return type(stream)(**columns)
+
+
+class TestStreamValidation:
+    SCENARIO = simulate_scenario(ScenarioConfig(duration=2.0, profile=TrajectoryProfile(pauses=())))
+
+    @pytest.mark.parametrize(
+        "stream, column, index, value, component",
+        [
+            ("imu", "specific_force", (2, 1), math.nan, 1),
+            ("imu", "t", 2, math.inf, None),
+            ("gps", "lat", 2, 1.6, None),
+            ("gps", "hdop", 2, -0.5, None),
+            ("uwb", "range", 2, -0.1, None),
+            ("uwb", "alpha", 2, math.pi / 2, None),
+            ("uwb", "beta", 2, -math.pi / 2, None),
+            ("uwb", "nlos", 2, 1.5, None),
+            ("uwb", "nlos", 2, -0.1, None),
+            ("baro", "pressure", 2, 0.0, None),
+            ("truth", "quaternion", 2, 0.0, None),
+            ("baro", "t", 2, 0.0, None),
+        ],
+    )
+    def test_rule_breach_names_row_and_column(self, stream, column, index, value, component):
+        with pytest.raises(StreamValueError) as info:
+            _with_value(getattr(self.SCENARIO, stream), column, index, value)
+        assert (info.value.row, info.value.column, info.value.component) == (2, column, component)
+
+    def test_valid_streams_are_read_only_columns(self):
+        uwb = self.SCENARIO.uwb
+        assert uwb.range.dtype == np.float64 and uwb.range.shape == (len(uwb),)
+        assert self.SCENARIO.truth.quaternion.shape == (len(self.SCENARIO.truth), 4)
+        with pytest.raises(ValueError):
+            uwb.range[0] = 1.0
+        assert self.SCENARIO.gps.valid.dtype == bool
+
+    def test_rows_are_sliced_not_indexed(self):
+        baro = self.SCENARIO.baro
+        assert len(baro[3:7]) == 4 and baro[3:7].t[0] == baro.t[3]
+        with pytest.raises(TypeError):
+            baro[3]
+

@@ -569,7 +569,7 @@ class TestPipeline:
 
     def test_degrades_gracefully_without_uwb(self):
         scenario = quiet_scenario(duration=8.0)
-        scenario = dataclasses.replace(scenario, uwb=())
+        scenario = dataclasses.replace(scenario, uwb=scenario.uwb[:0])
         frames = collect_fusion_frames(scenario, None, None, L=10)
         assert len(frames) == 80
         poses, observations = run_fusion(

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from climbloc.core import UwbMeasurement
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import (
     SIGMA_MIN,
@@ -134,32 +135,38 @@ class TestTrainingSet:
         cfg = ScenarioConfig(duration=15.0, profile=TrajectoryProfile(pauses=()))
         data = simulate_scenario(cfg)
         ds = build_training_set(data, "uwb", k=K)
+        uwb = data.uwb
         for row in (0, 7, len(ds) - 1):
-            m = data.uwb[row + K - 1]
-            truth_i = int(round(m.t / cfg.dt))
-            p_true = data.truth[truth_i].position.as_array()
+            i = row + K - 1
+            m = UwbMeasurement(t=uwb.t[i], range=uwb.range[i], alpha=uwb.alpha[i], beta=uwb.beta[i])
+            p_true = data.truth.position[int(round(m.t / cfg.dt))]
             p_geo = uwb_geometric_solve(m, data.anchor).position.as_array()
             np.testing.assert_allclose(ds.targets[row, 0:3], p_true, atol=1e-12)
             np.testing.assert_allclose(ds.targets[row, 3:6], p_true - p_geo, atol=1e-12)
         baro = build_training_set(data, "baro", k=K)
-        s = data.baro[K - 1]
-        up = data.truth[int(round(s.t / cfg.dt))].position.up
-        assert baro.targets[0, 1] == pytest.approx(up - baro_altitude(s.pressure, data.baro_reference), abs=1e-12)
+        t, pressure = data.baro.t[K - 1], data.baro.pressure[K - 1]
+        up = data.truth.position[int(round(t / cfg.dt)), 2]
+        assert baro.targets[0, 1] == pytest.approx(up - baro_altitude(pressure, data.baro_reference), abs=1e-12)
 
     def test_chunking_invariance(self):
         # rebuilding each window's features sample by sample matches the rows
         data = vertical_quiet_scenario()
         ds = build_training_set(data, "baro", k=K)
+        baro, uwb = data.baro, data.uwb
         rows = [
-            [s.pressure for s in data.baro[i - K + 1 : i + 1]] + [data.baro[i].internal_altitude]
-            for i in range(K - 1, len(data.baro))
+            [baro.pressure[j] for j in range(i - K + 1, i + 1)] + [baro.internal_altitude[i]]
+            for i in range(K - 1, len(baro))
         ]
         np.testing.assert_array_equal(np.array(rows), ds.inputs)
         ds = build_training_set(data, "uwb", k=K)
+        measurements = [
+            UwbMeasurement(t=uwb.t[j], range=uwb.range[j], alpha=uwb.alpha[j], beta=uwb.beta[j])
+            for j in range(len(uwb))
+        ]
         rows = [
-            [v for m in data.uwb[i - K + 1 : i + 1] for v in (m.range, m.alpha, m.beta)]
-            + list(uwb_geometric_solve(data.uwb[i], data.anchor).position.as_array())
-            for i in range(K - 1, len(data.uwb))
+            [v for m in measurements[i - K + 1 : i + 1] for v in (m.range, m.alpha, m.beta)]
+            + list(uwb_geometric_solve(measurements[i], data.anchor).position.as_array())
+            for i in range(K - 1, len(uwb))
         ]
         np.testing.assert_array_equal(np.array(rows), ds.inputs)
 
@@ -175,7 +182,7 @@ class TestTrainingSet:
         with pytest.raises(ConfigError):
             build_training_set(data, "magnetometer", k=K)
         with pytest.raises(MissingInputError):
-            build_training_set(dataclasses.replace(data, truth=()), "baro", k=K)
+            build_training_set(dataclasses.replace(data, truth=data.truth[:0]), "baro", k=K)
 
 
 class TestTrainedModels:
@@ -189,10 +196,10 @@ class TestTrainedModels:
         n = len(data.baro)
         altitudes, sigmas = baro_fcnn_infer(model, data.baro)  # row i ends at sample i+K-1
         hits = total = 0
-        truth_dt = data.truth[1].t - data.truth[0].t
+        truth_dt = data.truth.t[1] - data.truth.t[0]
         for i in range(max(int(0.75 * n), K - 1), n):
             alt, sigma = altitudes[i - K + 1], sigmas[i - K + 1]
-            up = data.truth[int(round(data.baro[i].t / truth_dt))].position.up
+            up = data.truth.position[int(round(data.baro.t[i] / truth_dt)), 2]
             total += 1
             hits += abs(alt - up) <= 3.0 * sigma
         assert total > 0

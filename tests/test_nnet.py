@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from climbloc.errors import ConfigError, NumericalFailureError
 from climbloc.nnet import (
+    _forward_trace,
     Dataset,
     DenseNetwork,
     TrainConfig,
@@ -105,6 +106,14 @@ class TestForward:
         net.input_mean = np.array([10.0, -1.0])
         net.input_std = np.array([2.0, 0.5])
         np.testing.assert_allclose(net_forward(net, [12.0, 0.0]), [1.0, 2.0])
+
+    def test_matches_the_training_trace_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        net = net_init([6, 32, 16, 3], seed=2)
+        net.input_mean = rng.normal(size=6)
+        net.input_std = rng.uniform(0.5, 2.0, 6)
+        x = rng.normal(0.0, 3.0, (257, 6))
+        np.testing.assert_array_equal(net_forward(net, x), _forward_trace(net, x)[-1])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -1,12 +1,11 @@
 """Scenario generator tests: truth profile, sensor streams, determinism."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from climbloc.core import GroundTruthPoint, Rotation, Vec3Enu, geodetic_to_enu
+from climbloc.core import GeodeticPoint, Rotation, TruthStream, Vec3Enu, geodetic_to_enu
 from climbloc.errors import ConfigError
 from climbloc.sim import (
     NlosWindow,
@@ -28,7 +27,7 @@ from climbloc.sim import (
     simulate_uwb,
     warped_time,
 )
-from climbloc.solvers import baro_inverse, uwb_geometric_solve, uwb_inverse
+from climbloc.solvers import baro_inverse, uwb_geometric_fixes, uwb_inverse
 
 QUIET_IMU = ImuNoise(accel_sigma=0.0, gyro_sigma=0.0, accel_bias=(0, 0, 0), gyro_bias=(0, 0, 0))
 QUIET_GPS = GpsNoise(sigma_xy=0.0, sigma_z=0.0, occlusions=())
@@ -50,21 +49,36 @@ def quiet_cfg(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def level_truth(n, velocity=(0.0, 0.0, 0.0), start=(0.0, 0.0, 0.0)):
+    """(stream, attitudes): n level points 0.01 s apart at constant velocity."""
+    truth = TruthStream(
+        t=[i * 0.01 for i in range(n)],
+        position=[[s + v * i * 0.01 for s, v in zip(start, velocity)] for i in range(n)],
+        velocity=[velocity] * n,
+        quaternion=[(1.0, 0.0, 0.0, 0.0)] * n,
+    )
+    return truth, (Rotation.identity(),) * n
+
+
+def truth_rows(truth, times, dt):
+    """Indices of the truth points at `times` on a grid of spacing dt."""
+    return np.rint(np.asarray(times) / dt).astype(int)
+
+
 class TestTruth:
     def test_point_count(self):
         cfg = quiet_cfg(duration=100.0, dt=0.1)
-        assert len(generate_truth(cfg)) == 1001
+        truth, attitudes = generate_truth(cfg)
+        assert len(truth) == len(attitudes) == 1001
 
     def test_zero_amplitudes_hold_still(self):
         prof = TrajectoryProfile(vertical_amplitude=0.0, horizontal_amplitude=0.0, pauses=())
-        truth = generate_truth(quiet_cfg(duration=5.0, profile=prof))
-        for p in truth:
-            np.testing.assert_allclose(p.position.as_array(), [0.0, 0.0, 0.0], atol=0)
-            np.testing.assert_allclose(p.velocity, [0.0, 0.0, 0.0], atol=0)
+        truth, _ = generate_truth(quiet_cfg(duration=5.0, profile=prof))
+        np.testing.assert_allclose(truth.position, 0.0, atol=0)
+        np.testing.assert_allclose(truth.velocity, 0.0, atol=0)
 
     def test_vertical_dominates_horizontal(self):
-        truth = generate_truth(ScenarioConfig())
-        pos = np.array([p.position.as_array() for p in truth])
+        pos = generate_truth(ScenarioConfig())[0].position
         vertical = pos[:, 2].max() - pos[:, 2].min()
         horizontal = max(pos[:, 0].max() - pos[:, 0].min(), pos[:, 1].max() - pos[:, 1].min())
         assert vertical / horizontal >= 5.0
@@ -75,19 +89,17 @@ class TestTruth:
 
     def test_pause_freezes_motion(self):
         prof = TrajectoryProfile(pauses=(PauseSegment(5.0, 8.0, ramp=1.0),))
-        truth = generate_truth(quiet_cfg(duration=12.0, profile=prof))
-        inside = [p for p in truth if 5.0 < p.t < 8.0]
-        assert inside
-        first = inside[0].position.as_array()
-        for p in inside:
-            np.testing.assert_allclose(p.velocity, [0.0, 0.0, 0.0], atol=1e-15)
-            np.testing.assert_allclose(p.position.as_array(), first, atol=1e-12)
+        truth, _ = generate_truth(quiet_cfg(duration=12.0, profile=prof))
+        inside = (truth.t > 5.0) & (truth.t < 8.0)
+        assert inside.any()
+        np.testing.assert_allclose(truth.velocity[inside], 0.0, atol=1e-15)
+        held = truth.position[inside]
+        np.testing.assert_allclose(held, np.broadcast_to(held[0], held.shape), atol=1e-12)
 
     def test_trajectory_stays_smooth_through_pause(self):
         # numerical acceleration must stay bounded across ramp boundaries
         prof = TrajectoryProfile(pauses=(PauseSegment(5.0, 8.0, ramp=1.0),))
-        truth = generate_truth(quiet_cfg(duration=12.0, profile=prof))
-        pos = np.array([p.position.as_array() for p in truth])
+        pos = generate_truth(quiet_cfg(duration=12.0, profile=prof))[0].position
         acc = np.diff(pos, n=2, axis=0) / 0.01**2
         jerk = np.diff(acc, axis=0) / 0.01
         assert np.max(np.abs(acc)) < 5.0
@@ -107,79 +119,63 @@ class TestTruth:
 
 class TestImuSim:
     def test_static_truth_measures_gravity_reaction(self):
-        truth = tuple(
-            GroundTruthPoint(t=i * 0.01, position=Vec3Enu(0, 0, 2), velocity=(0, 0, 0),
-                             attitude=Rotation.identity())
-            for i in range(5)
-        )
-        stream = simulate_imu(truth, quiet_cfg())
+        stream = simulate_imu(*level_truth(5, start=(0.0, 0.0, 2.0)), quiet_cfg())
         assert len(stream) == 4
-        for s in stream:
-            np.testing.assert_allclose(s.specific_force, [0.0, 0.0, 9.80665], atol=1e-12)
-            np.testing.assert_allclose(s.angular_rate, [0.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(stream.specific_force, [[0.0, 0.0, 9.80665]] * 4, atol=1e-12)
+        np.testing.assert_allclose(stream.angular_rate, 0.0, atol=1e-12)
 
     def test_constant_velocity_measures_gravity_reaction(self):
-        truth = tuple(
-            GroundTruthPoint(t=i * 0.01, position=Vec3Enu(0.3 * i * 0.01, 0, 0),
-                             velocity=(0.3, 0, 0), attitude=Rotation.identity())
-            for i in range(5)
-        )
-        for s in simulate_imu(truth, quiet_cfg()):
-            np.testing.assert_allclose(s.specific_force, [0.0, 0.0, 9.80665], atol=1e-12)
+        stream = simulate_imu(*level_truth(5, velocity=(0.3, 0.0, 0.0)), quiet_cfg())
+        np.testing.assert_allclose(stream.specific_force, [[0.0, 0.0, 9.80665]] * 4, atol=1e-12)
 
     def test_bias_recovered_by_stream_mean(self):
         imu_cfg = ImuNoise(accel_sigma=0.0, gyro_sigma=0.0,
                            accel_bias=(0.05, -0.03, 0.08), gyro_bias=(0.001, 0.0, -0.002))
         cfg = quiet_cfg(imu=imu_cfg)
-        truth = tuple(
-            GroundTruthPoint(t=i * 0.01, position=Vec3Enu(0, 0, 0), velocity=(0, 0, 0),
-                             attitude=Rotation.identity())
-            for i in range(50)
-        )
-        stream = simulate_imu(truth, cfg)
-        mean_f = np.mean([s.specific_force for s in stream], axis=0)
-        mean_w = np.mean([s.angular_rate for s in stream], axis=0)
+        stream = simulate_imu(*level_truth(50), cfg)
+        mean_f = np.mean(stream.specific_force, axis=0)
+        mean_w = np.mean(stream.angular_rate, axis=0)
         np.testing.assert_allclose(mean_f - np.array([0, 0, 9.80665]), imu_cfg.accel_bias, atol=1e-12)
         np.testing.assert_allclose(mean_w, imu_cfg.gyro_bias, atol=1e-12)
 
     def test_needs_two_points(self):
-        lone = (GroundTruthPoint(t=0, position=Vec3Enu(0, 0, 0), velocity=(0, 0, 0),
-                                 attitude=Rotation.identity()),)
         with pytest.raises(ValueError):
-            simulate_imu(lone, quiet_cfg())
+            simulate_imu(*level_truth(1), quiet_cfg())
 
 
 class TestGpsSim:
     def test_noiseless_fix_round_trips_to_truth(self):
         cfg = quiet_cfg()
-        truth = generate_truth(cfg)
+        truth, _ = generate_truth(cfg)
         fixes = simulate_gps(truth, cfg, cfg.origin)
         assert len(fixes) == 200
-        for fix in fixes[::17]:
-            enu = geodetic_to_enu(fix, cfg.origin)
-            i = int(round(fix.t / cfg.dt))
-            err = enu.as_array() - truth[i].position.as_array()
+        rows = truth_rows(truth, fixes.t, cfg.dt)
+        for i in range(0, len(fixes), 17):
+            fix = GeodeticPoint(fixes.lat[i], fixes.lon[i], fixes.height[i])
+            err = geodetic_to_enu(fix, cfg.origin).as_array() - truth.position[rows[i]]
             assert np.linalg.norm(err) < 1e-9
 
     def test_occlusion_bias_is_exact_at_zero_sigma(self):
         occ = OcclusionWindow(5.0, 10.0, bias=(2.0, 0.0, 0.0), hdop_inflation=3.0)
         cfg = quiet_cfg(gps=GpsNoise(sigma_xy=0.0, sigma_z=0.0, occlusions=(occ,)))
-        truth = generate_truth(cfg)
-        for fix in simulate_gps(truth, cfg, cfg.origin):
-            enu = geodetic_to_enu(fix, cfg.origin)
-            err = enu.as_array() - truth[int(round(fix.t / cfg.dt))].position.as_array()
-            if 5.0 <= fix.t <= 10.0:
+        truth, _ = generate_truth(cfg)
+        fixes = simulate_gps(truth, cfg, cfg.origin)
+        rows = truth_rows(truth, fixes.t, cfg.dt)
+        for i, t in enumerate(fixes.t):
+            enu = geodetic_to_enu(GeodeticPoint(fixes.lat[i], fixes.lon[i], fixes.height[i]), cfg.origin)
+            err = enu.as_array() - truth.position[rows[i]]
+            if 5.0 <= t <= 10.0:
                 np.testing.assert_allclose(err, [2.0, 0.0, 0.0], atol=1e-9)
-                assert fix.hdop == pytest.approx(3.0)
+                assert fixes.hdop[i] == pytest.approx(3.0)
             else:
                 np.testing.assert_allclose(err, [0.0, 0.0, 0.0], atol=1e-9)
-                assert fix.hdop == pytest.approx(1.0)
+                assert fixes.hdop[i] == pytest.approx(1.0)
 
     def test_full_dropout_silences_window(self):
         occ = OcclusionWindow(5.0, 10.0, dropout=1.0)
         cfg = quiet_cfg(gps=GpsNoise(sigma_xy=0.0, sigma_z=0.0, occlusions=(occ,)))
-        truth = generate_truth(cfg)
-        times = [f.t for f in simulate_gps(truth, cfg, cfg.origin)]
+        truth, _ = generate_truth(cfg)
+        times = simulate_gps(truth, cfg, cfg.origin).t.tolist()
         assert times
         assert not [t for t in times if 5.0 <= t <= 10.0]
         assert [t for t in times if t < 5.0] and [t for t in times if t > 10.0]
@@ -188,51 +184,51 @@ class TestGpsSim:
 class TestUwbSim:
     def test_noiseless_round_trip_within_parameterization_bound(self):
         cfg = quiet_cfg()
-        truth = generate_truth(cfg)
-        for m in simulate_uwb(truth, cfg.anchor, cfg)[::13]:
-            est = uwb_geometric_solve(m, cfg.anchor)
-            p_true = truth[int(round(m.t / cfg.dt))].position.as_array()
-            err = np.linalg.norm(est.position.as_array() - p_true)
-            bound = math.sin(abs(m.alpha)) * math.sin(abs(m.beta)) * m.range
-            assert err <= bound + 1e-9
+        truth, _ = generate_truth(cfg)
+        uwb = simulate_uwb(truth, cfg.anchor, cfg)[::13]
+        positions, _ = uwb_geometric_fixes(uwb, cfg.anchor)
+        err = np.linalg.norm(positions - truth.position[truth_rows(truth, uwb.t, cfg.dt)], axis=1)
+        bound = np.sin(np.abs(uwb.alpha)) * np.sin(np.abs(uwb.beta)) * uwb.range
+        assert np.all(err <= bound + 1e-9)
 
     def test_nlos_range_gap_is_the_configured_bias(self):
         uwb_cfg = UwbNoise(range_sigma=0.0, angle_sigma=0.0,
                            nlos_windows=(NlosWindow(5.0, 10.0, 1.5),))
         cfg = quiet_cfg(uwb=uwb_cfg)
-        truth = generate_truth(cfg)
-        for m in simulate_uwb(truth, cfg.anchor, cfg):
-            d_los, _, _ = uwb_inverse(truth[int(round(m.t / cfg.dt))].position, cfg.anchor)
-            gap = m.range - d_los
-            if 5.0 <= m.t <= 10.0:
+        truth, _ = generate_truth(cfg)
+        uwb = simulate_uwb(truth, cfg.anchor, cfg)
+        for i, row in enumerate(truth_rows(truth, uwb.t, cfg.dt)):
+            d_los, _, _ = uwb_inverse(Vec3Enu.from_array(truth.position[row]), cfg.anchor)
+            gap = uwb.range[i] - d_los
+            if 5.0 <= uwb.t[i] <= 10.0:
                 assert gap == pytest.approx(1.5, abs=1e-12)
-                assert m.nlos_confidence == pytest.approx(0.9)
+                assert uwb.nlos[i] == pytest.approx(0.9)
             else:
                 assert gap == pytest.approx(0.0, abs=1e-12)
-                assert m.nlos_confidence == pytest.approx(0.05)
+                assert uwb.nlos[i] == pytest.approx(0.05)
 
 
 class TestBaroSim:
     def test_reference_pressure_at_ground(self):
         prof = TrajectoryProfile(vertical_amplitude=0.0, horizontal_amplitude=0.0, pauses=())
         cfg = quiet_cfg(profile=prof)
-        for s in simulate_baro(generate_truth(cfg), cfg):
-            assert s.pressure == pytest.approx(cfg.baro.reference.p0, abs=1e-9)
+        stream = simulate_baro(generate_truth(cfg)[0], cfg)
+        np.testing.assert_allclose(stream.pressure, cfg.baro.reference.p0, rtol=0, atol=1e-9)
 
     def test_internal_altitude_matches_truth_when_quiet(self):
         cfg = quiet_cfg()
-        truth = generate_truth(cfg)
-        for s in simulate_baro(truth, cfg):
-            up = truth[int(round(s.t / cfg.dt))].position.up
-            assert s.internal_altitude == pytest.approx(up, abs=1e-9)
+        truth, _ = generate_truth(cfg)
+        stream = simulate_baro(truth, cfg)
+        up = truth.position[truth_rows(truth, stream.t, cfg.dt), 2]
+        np.testing.assert_allclose(stream.internal_altitude, up, rtol=0, atol=1e-9)
 
     def test_linear_drift_offset_at_end(self):
         prof = TrajectoryProfile(vertical_amplitude=0.0, horizontal_amplitude=0.0, pauses=())
         cfg = quiet_cfg(duration=100.0, profile=prof,
                         baro=BaroNoise(pressure_sigma=0.0, drift_rate=0.1))
-        samples = simulate_baro(generate_truth(cfg), cfg)
-        assert samples[-1].t == pytest.approx(100.0)
-        assert samples[-1].pressure - cfg.baro.reference.p0 == pytest.approx(10.0, abs=1e-9)
+        samples = simulate_baro(generate_truth(cfg)[0], cfg)
+        assert samples.t[-1] == pytest.approx(100.0)
+        assert samples.pressure[-1] - cfg.baro.reference.p0 == pytest.approx(10.0, abs=1e-9)
 
 
 class TestScenarioAssembly:
@@ -242,11 +238,7 @@ class TestScenarioAssembly:
         cfg = ScenarioConfig(duration=30.0, profile=self.SHORT_PROFILE)
         a = simulate_scenario(cfg)
         b = simulate_scenario(cfg)
-        assert [p.position for p in a.truth] == [p.position for p in b.truth]
-        assert all(
-            np.array_equal(p.attitude.matrix, q.attitude.matrix)
-            for p, q in zip(a.truth, b.truth)
-        )
+        assert a.truth == b.truth
         assert a.imu == b.imu
         assert a.gps == b.gps
         assert a.uwb == b.uwb
@@ -263,17 +255,18 @@ class TestScenarioAssembly:
     def test_rejects_unordered_stream(self):
         cfg = quiet_cfg(duration=2.0)
         data = simulate_scenario(cfg)
-        backwards = tuple(reversed(data.baro))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="baro stream is not time-ordered"):
             ScenarioData(
                 truth=data.truth, imu=data.imu, gps=data.gps, uwb=data.uwb,
-                baro=backwards, anchor=data.anchor,
+                baro=data.baro[::-1], anchor=data.anchor,
                 baro_reference=data.baro_reference, origin=data.origin,
             )
 
     def test_accepts_tied_timestamps(self):
         data = simulate_scenario(quiet_cfg(duration=2.0))
-        tied = (data.baro[0], dataclasses.replace(data.baro[1], t=data.baro[0].t), *data.baro[2:])
+        t = data.baro.t.copy()
+        t[1] = t[0]
+        tied = dataclasses.replace(data.baro, t=t)
         assert dataclasses.replace(data, baro=tied).baro == tied
 
     def test_nlos_bias_must_be_nonnegative(self):

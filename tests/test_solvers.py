@@ -1,5 +1,6 @@
 """Tests for the classical sensor solvers and the GPS/INS error-state filter."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from climbloc.core import AnchorPose, ImuSample, Rotation, UwbMeasurement, Vec3Enu
+from climbloc.core import (
+    AnchorPose,
+    GeodeticPoint,
+    ImuSample,
+    Rotation,
+    UwbMeasurement,
+    Vec3Enu,
+    geodetic_to_enu,
+    skew,
+)
+from climbloc.fusion import ekf_pass, epoch_times
+from climbloc.sim import (
+    GpsNoise,
+    OcclusionWindow,
+    PauseSegment,
+    ScenarioConfig,
+    TrajectoryProfile,
+    simulate_scenario,
+)
 from climbloc.solvers import (
     BaroReference,
     GpsInsEkf,
@@ -16,11 +35,11 @@ from climbloc.solvers import (
     UwbSigmaModel,
     baro_altitude,
     baro_inverse,
-    ins_mechanize,
     uwb_geometric_solve,
     uwb_inverse,
     uwb_local_direction,
 )
+from climbloc.solvers.ins import rotation_increments
 
 IDENTITY_ANCHOR = AnchorPose(position=Vec3Enu(0.0, 0.0, 0.0), orientation=Rotation.identity())
 
@@ -159,21 +178,25 @@ def _static_imu(attitude: Rotation) -> ImuSample:
     return ImuSample(t=0.0, specific_force=tuple(f_b), angular_rate=(0.0, 0.0, 0.0))
 
 
+def _mechanize(state: InsState, imu: ImuSample, dt: float, n: int) -> InsState:
+    """n strapdown steps of the filter's propagation, from `state`."""
+    ekf = GpsInsEkf(state)
+    for _ in range(n):
+        ekf.propagate(imu, dt)
+    return ekf.state
+
+
 class TestMechanization:
     def test_static_equilibrium(self):
         state = InsState(Vec3Enu(1.0, 2.0, 3.0), (0.0, 0.0, 0.0), Rotation.identity())
-        imu = _static_imu(state.attitude)
-        for _ in range(100):
-            state = ins_mechanize(state, imu, 0.01)
+        state = _mechanize(state, _static_imu(state.attitude), 0.01, 100)
         np.testing.assert_allclose(state.position.as_array(), [1.0, 2.0, 3.0], atol=1e-9)
         np.testing.assert_allclose(state.velocity, [0.0, 0.0, 0.0], atol=1e-9)
 
     def test_static_equilibrium_tilted(self):
         att = Rotation.from_rotvec([0.3, -0.2, 0.5])
         state = InsState(Vec3Enu(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), att)
-        imu = _static_imu(att)
-        for _ in range(50):
-            state = ins_mechanize(state, imu, 0.02)
+        state = _mechanize(state, _static_imu(att), 0.02, 50)
         np.testing.assert_allclose(state.velocity, [0.0, 0.0, 0.0], atol=1e-9)
 
     def test_constant_yaw_rate(self):
@@ -181,8 +204,7 @@ class TestMechanization:
         imu = ImuSample(t=0.0, specific_force=(0.0, 0.0, 9.80665), angular_rate=(0.0, 0.0, 0.1))
         # gravity cancellation only holds while body z stays up, which a pure
         # yaw preserves, so the state stays static while heading advances
-        for _ in range(100):
-            state = ins_mechanize(state, imu, 0.01)
+        state = _mechanize(state, imu, 0.01, 100)
         expected = Rotation.from_rotvec([0.0, 0.0, 0.1])
         np.testing.assert_allclose(state.attitude.matrix, expected.matrix, atol=1e-9)
         np.testing.assert_allclose(state.velocity, [0.0, 0.0, 0.0], atol=1e-8)
@@ -192,8 +214,7 @@ class TestMechanization:
         state = InsState(Vec3Enu(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Rotation.identity())
         imu = ImuSample(t=0.0, specific_force=(1.0, 0.0, 9.80665), angular_rate=(0.0, 0.0, 0.0))
         dt, n = 0.01, 200
-        for _ in range(n):
-            state = ins_mechanize(state, imu, dt)
+        state = _mechanize(state, imu, dt, n)
         exact = 1.0 * dt * dt * n * (n + 1) / 2.0
         assert state.position.east == pytest.approx(exact, rel=1e-12)
         assert state.velocity[0] == pytest.approx(1.0 * dt * n, rel=1e-12)
@@ -203,15 +224,13 @@ class TestMechanization:
     def test_free_fall(self):
         state = InsState(Vec3Enu(0.0, 0.0, 100.0), (0.0, 0.0, 0.0), Rotation.identity())
         imu = ImuSample(t=0.0, specific_force=(0.0, 0.0, 0.0), angular_rate=(0.0, 0.0, 0.0))
-        for _ in range(100):
-            state = ins_mechanize(state, imu, 0.01)
+        state = _mechanize(state, imu, 0.01, 100)
         assert state.velocity[2] == pytest.approx(-9.80665, rel=1e-12)
 
     def test_rejects_nonpositive_dt(self):
         state = InsState(Vec3Enu(0, 0, 0), (0, 0, 0), Rotation.identity())
-        imu = _static_imu(state.attitude)
         with pytest.raises(ValueError):
-            ins_mechanize(state, imu, 0.0)
+            _mechanize(state, _static_imu(state.attitude), 0.0, 1)
 
 
 class TestGpsInsEkf:
@@ -219,6 +238,12 @@ class TestGpsInsEkf:
     def _static_filter(**model_kwargs) -> GpsInsEkf:
         state = InsState(Vec3Enu(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Rotation.identity())
         return GpsInsEkf(state, InsErrorModel(**model_kwargs))
+
+    @staticmethod
+    def _step(ekf: GpsInsEkf, imu: ImuSample, dt: float, fix: Vec3Enu | None = None, hdop: float = 1.0):
+        ekf.propagate(imu, dt)
+        if fix is not None:
+            ekf.update(fix, hdop)
 
     def test_zero_innovation_leaves_state_fixed(self):
         ekf = self._static_filter()
@@ -234,7 +259,7 @@ class TestGpsInsEkf:
         imu = _static_imu(ekf.state.attitude)
         fix = Vec3Enu(1.0, -2.0, 0.5)
         for _ in range(200):
-            ekf.step(imu, 0.1, position=fix, hdop=1.0)
+            self._step(ekf, imu, 0.1, fix)
         np.testing.assert_allclose(ekf.state.position.as_array(), fix.as_array(), atol=0.01)
 
     def test_covariance_contracts_with_updates(self):
@@ -242,7 +267,7 @@ class TestGpsInsEkf:
         imu = _static_imu(ekf.state.attitude)
         p_before = float(np.trace(ekf.model.P[0:3, 0:3]))
         for _ in range(20):
-            ekf.step(imu, 0.1, position=Vec3Enu(0.0, 0.0, 0.0))
+            self._step(ekf, imu, 0.1, Vec3Enu(0.0, 0.0, 0.0))
         p_after = float(np.trace(ekf.model.P[0:3, 0:3]))
         assert p_after < p_before / 5.0
 
@@ -252,7 +277,7 @@ class TestGpsInsEkf:
         imu = _static_imu(ekf.state.attitude)
         for i in range(300):
             fix = Vec3Enu(*rng.normal(0.0, 1.0, 3)) if i % 10 == 0 else None
-            ekf.step(imu, 0.01, position=fix)
+            self._step(ekf, imu, 0.01, fix)
         assert np.min(np.linalg.eigvalsh(ekf.model.P)) >= -1e-10
 
     def test_high_hdop_downweights_fix(self):
@@ -273,8 +298,7 @@ class TestGpsInsEkf:
             att = Rotation.from_rotvec([0.002, 0.0, 0.0])
             state = InsState(Vec3Enu(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), att)
             imu = ImuSample(0.0, (0.0, 0.0, 9.80665), (0.0, 0.0, 0.0))
-            for _ in range(n_steps):
-                state = ins_mechanize(state, imu, 0.01)
+            state = _mechanize(state, imu, 0.01, n_steps)
             return float(np.linalg.norm(state.position.as_array()))
 
         d1, d2 = drift_after(500), drift_after(1000)
@@ -282,11 +306,12 @@ class TestGpsInsEkf:
         assert d2 == pytest.approx(4.0 * d1, rel=0.05)
 
     def test_position_variance_matches_scalar_filter(self):
-        # with F_rv = 0 the east position error decouples; its variance must
-        # follow the scalar Kalman recursion exactly
+        # with no velocity or attitude uncertainty and no noise feeding them,
+        # the east position error decouples; its variance must follow the
+        # scalar Kalman recursion exactly
         q, r_sig, dt = 0.05, 1.25, 0.1
         ekf = self._static_filter(
-            F_rv=np.zeros((3, 3)),
+            P=np.diag([4.0, 4.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
             q_pos=q,
             q_vel=0.0,
             q_att=0.0,
@@ -296,7 +321,7 @@ class TestGpsInsEkf:
         p_scalar = float(ekf.model.P[0, 0])
         r = r_sig**2
         for _ in range(25):
-            ekf.step(imu, dt, position=Vec3Enu(0.0, 0.0, 0.0))
+            self._step(ekf, imu, dt, Vec3Enu(0.0, 0.0, 0.0))
             p_scalar = p_scalar + q * dt
             k = p_scalar / (p_scalar + r)
             p_scalar = (1.0 - k) * p_scalar
@@ -316,3 +341,97 @@ class TestGpsInsEkf:
         bad[0, 1] = 0.5  # asymmetric
         with pytest.raises(ValueError):
             InsErrorModel(P=bad)
+
+
+def _svd_rotation(m: np.ndarray) -> np.ndarray:
+    u, _, vt = np.linalg.svd(m)
+    r = u @ vt
+    if np.linalg.det(r) < 0:
+        u[:, -1] = -u[:, -1]
+        r = u @ vt
+    return r
+
+
+def _rotvec_matrix(v: np.ndarray) -> np.ndarray:
+    angle = float(np.linalg.norm(v))
+    if angle < 1e-12:
+        return _svd_rotation(np.eye(3) + skew(v))
+    k = skew(v / angle)
+    return _svd_rotation(np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k))
+
+
+def _reference_ekf_pass(scenario, epochs):
+    """(positions, sigmas) per epoch from a per-sample filter that projects the
+    attitude back onto SO(3) by SVD after every IMU step."""
+    model = InsErrorModel()
+    p, v, r, cov = np.zeros(3), np.zeros(3), np.eye(3), model.P.copy()
+    q = np.diag([model.q_pos] * 3 + [model.q_vel] * 3 + [model.q_att] * 3)
+    h = np.hstack([-np.eye(3), np.zeros((3, 6))])
+    imu, gps = scenario.imu, scenario.gps
+    gaps = np.append(np.diff(imu.t), imu.t[-1] - imu.t[-2])
+    i_imu = i_gps = 0
+
+    def advance(until):
+        nonlocal p, v, r, cov, i_imu
+        while i_imu < len(imu) and imu.t[i_imu] + gaps[i_imu] <= until + 1e-9:
+            dt = gaps[i_imu]
+            f_n = r @ imu.specific_force[i_imu]
+            r = _svd_rotation(r @ _rotvec_matrix(imu.angular_rate[i_imu] * dt))
+            v = v + (f_n + np.array([0.0, 0.0, -9.80665])) * dt
+            p = p + v * dt
+            phi = np.eye(9)
+            phi[0:3, 3:6] = np.eye(3) * dt
+            phi[3:6, 6:9] = skew(f_n) * dt
+            cov = phi @ cov @ phi.T + q * dt
+            cov = (cov + cov.T) / 2.0
+            i_imu += 1
+
+    positions, sigmas = [], []
+    for t_k in epochs:
+        while i_gps < len(gps) and gps.t[i_gps] <= t_k + 1e-9:
+            advance(gps.t[i_gps])
+            z = geodetic_to_enu(
+                GeodeticPoint(gps.lat[i_gps], gps.lon[i_gps], gps.height[i_gps]), scenario.origin
+            ).as_array()
+            rm = np.diag(np.asarray(model.gps_sigma) ** 2) * max(gps.hdop[i_gps], 1e-6) ** 2
+            i_gps += 1
+            k = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + rm)
+            delta = k @ (z - p)
+            ikh = np.eye(9) - k @ h
+            cov = ikh @ cov @ ikh.T + k @ rm @ k.T
+            cov = (cov + cov.T) / 2.0
+            p, v = p - delta[0:3], v - delta[3:6]
+            r = _svd_rotation((np.eye(3) + skew(delta[6:9])) @ r)
+        advance(t_k)
+        positions.append(p)
+        sigmas.append(np.sqrt(np.diag(cov)[0:3]))
+    return np.array(positions), np.array(sigmas)
+
+
+class TestEkfPass:
+    SCENARIO = ScenarioConfig(
+        duration=20.0,
+        profile=TrajectoryProfile(vertical_period=20.0, pauses=(PauseSegment(6.0, 8.0, ramp=0.5),)),
+        gps=GpsNoise(occlusions=(OcclusionWindow(8.0, 15.0, bias=(2.5, -1.5, 2.0), hdop_inflation=4.0,
+                                                 dropout=0.35),)),
+    )
+
+    def test_matches_per_step_svd_reference(self):
+        scenario = simulate_scenario(self.SCENARIO)
+        epochs = epoch_times(scenario)
+        estimates, _, _ = ekf_pass(scenario, epochs)
+        ref_positions, ref_sigmas = _reference_ekf_pass(scenario, epochs)
+        positions = np.array([e.position.as_array() for e in estimates])
+        sigmas = np.array([e.sigma for e in estimates])
+        assert np.max(np.abs(positions - ref_positions)) <= 1e-9
+        assert np.max(np.abs(sigmas - ref_sigmas)) <= 1e-12
+
+    def test_dead_reckoning_keeps_the_attitude_orthonormal(self):
+        # no GPS fix, so no reset ever re-orthonormalizes: 60 s of Rodrigues steps
+        imu = simulate_scenario(dataclasses.replace(self.SCENARIO, duration=60.0)).imu
+        ekf = GpsInsEkf(InsState(Vec3Enu(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Rotation.identity()))
+        gaps = np.append(np.diff(imu.t), imu.t[-1] - imu.t[-2])
+        ekf.propagate_run(imu.specific_force, rotation_increments(imu.angular_rate, gaps), gaps)
+        r = ekf.state.attitude.matrix
+        assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-12
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-12
