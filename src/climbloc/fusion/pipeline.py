@@ -20,10 +20,10 @@ starts at the first fused epoch.
 from __future__ import annotations
 
 import logging
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.geodesy import GeodeticPoint, geodetic_to_enu
 from ..core.types import Rotation, Vec3Enu
@@ -196,6 +196,18 @@ def _baro_pass(scenario, model, latest: np.ndarray, L: int):
     return alt_ep, sigma_ep
 
 
+def _recent_spread(values: np.ndarray, first: int, L: int) -> np.ndarray:
+    """Per epoch, the population variance of the last <= L values from `first` on (0 before it).
+
+    Deviations are taken from each epoch's own value first, so equal values
+    give exactly 0.
+    """
+    tail = values[first:]
+    recent = sliding_window_view(np.concatenate([np.full(L, np.nan), tail]), L)[1:] - tail[:, None]
+    dev = recent - np.nanmean(recent, axis=1, keepdims=True)
+    return np.concatenate([np.zeros(first), np.nanmean(dev * dev, axis=1)])
+
+
 def _estimate_windows(values: np.ndarray, present: np.ndarray, L: int) -> list:
     """Per epoch, a copy of the last L epoch estimates flattened, once L epochs have the modality."""
     first = _first(present)
@@ -222,7 +234,7 @@ def collect_fusion_frames(
     baro_latest = _latest(scenario.baro, epoch_arr)
     baro_alt, baro_sigma = _baro_pass(scenario, baro_model, baro_latest, L)
     uwb_on, baro_on = uwb_latest >= 0, baro_latest >= 0
-    baro_first = _first(baro_on)
+    baro_spread = _recent_spread(baro_alt, _first(baro_on), L)
     windows = {
         "gpsins": _estimate_windows(gps_pos, np.ones(len(epochs), dtype=bool), L),
         "uwb": _estimate_windows(uwb_pos, uwb_on, L),
@@ -243,9 +255,7 @@ def collect_fusion_frames(
         if baro_on[e]:
             estimates["baro"] = {"z": float(baro_alt[e])}
             sigmas["baro"] = {"z": float(baro_sigma[e])}
-            recent = baro_alt[max(baro_first, e - L + 1) : e + 1].tolist()
-            spread = statistics.pvariance(recent) if len(recent) > 1 else 0.0
-            r_baro = (1.0 / (1.0 + spread), float(baro_sigma[e]))
+            r_baro = (1.0 / (1.0 + float(baro_spread[e])), float(baro_sigma[e]))
         frames.append(
             FusionFrame(
                 t=t_k,

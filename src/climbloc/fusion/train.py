@@ -5,6 +5,8 @@ parameter (query maps, shared key map, reliability gates and read-outs,
 prior biases). The loss per epoch frame is the axis-weighted squared error
 of the fused position against ground truth, with gradients propagated by
 hand through the fusion ratio softmax, the logit algebra, and the encoders.
+The frames are stacked into arrays once, and each minibatch is one batched
+forward and backward pass over its rows.
 
 Training runs after the sensor models are fitted: frames are collected with
 the trained models in the loop, so the encoders see the same estimate
@@ -19,45 +21,136 @@ import math
 import numpy as np
 
 from ..errors import NumericalFailureError
-from ..nnet import _STD_FLOOR, TrainConfig, net_vjp
+from ..nnet import _STD_FLOOR, TrainConfig, _backward, _forward_trace
 from .attention import (
     AXES,
     AXIS_MODALITIES,
     MODALITIES,
     AttentionParams,
-    attention_logits,
-    encode,
-    fusion_ratios,
     init_attention_params,
     init_encoders,
 )
-from .pipeline import DEFAULT_L, collect_fusion_frames
+from .pipeline import DEFAULT_L, FusionFrame, collect_fusion_frames
+
+# (axis, modality): the modalities each axis's softmax may weigh
+_AXIS_MASK = np.array([[m in AXIS_MODALITIES[s] for m in MODALITIES] for s in AXES])
 
 
-def _zero_grads(encoders: dict, params: AttentionParams) -> dict:
-    return {
-        "w_q": {s: np.zeros_like(params.w_q[s]) for s in AXES},
-        "w_k": np.zeros_like(params.w_k),
-        "beta": {s: 0.0 for s in AXES},
-        "w_r": {s: np.zeros_like(params.w_r[s]) for s in AXES},
-        "b_prior": {key: 0.0 for key in params.b_prior},
-        "enc_w": {m: [np.zeros_like(w) for w in encoders[m].weights] for m in encoders},
-        "enc_b": {m: [np.zeros_like(b) for b in encoders[m].biases] for m in encoders},
+def stack_frames(frames, encoders: dict) -> dict:
+    """Fusible frames with ground truth stacked into arrays, one row per frame.
+
+    Keys: each modality -> (n, L*w) flattened estimate windows, as wide as
+    the encoder's input; "ready" -> (n, modality) bool; "estimates" -> (n,
+    modality, axis) meters; "reliability" -> (n, modality, N_RELIABILITY);
+    "truth" -> (n, axis) meters. Entries of a modality that is not ready in a
+    row (no window or no estimate) are 0 and masked out through "ready", as
+    are the estimates of axes a modality cannot see.
+    """
+    n = len(frames)
+    batch = {m: np.zeros((n, encoders[m].layer_sizes[0])) for m in MODALITIES}
+    batch["ready"] = np.zeros((n, len(MODALITIES)), dtype=bool)
+    batch["estimates"] = np.zeros((n, len(MODALITIES), len(AXES)))
+    batch["reliability"] = np.array([[getattr(f.reliability, m) for m in MODALITIES] for f in frames], dtype=float)
+    batch["truth"] = np.array([f.truth_position for f in frames], dtype=float)
+    for i, f in enumerate(frames):
+        for j, m in enumerate(MODALITIES):
+            if m in f.ready():
+                batch["ready"][i, j] = True
+                batch[m][i] = f.windows[m]
+                batch["estimates"][i, j] = [f.estimates[m].get(s, 0.0) for s in AXES]
+    return batch
+
+
+def _rows(batch: dict, index) -> dict:
+    return {key: values[index] for key, values in batch.items()}
+
+
+def _as_batch(batch, encoders: dict) -> dict:
+    return stack_frames([batch], encoders) if isinstance(batch, FusionFrame) else batch
+
+
+def _forward(batch: dict, encoders: dict, params: AttentionParams, weights):
+    """Summed loss over the rows plus every intermediate the backward pass reads.
+
+    The same algebra as `encode` -> `attention_logits` -> `fusion_ratios` ->
+    convex sum, with the rows stacked: logits and ratios are (row, axis,
+    modality), and the softmax runs over the modalities each axis may weigh
+    that are ready in the row.
+    """
+    n, d_e, d_k = len(batch["truth"]), params.w_k.shape[1], params.d_k
+    z = np.zeros((n, len(MODALITIES), d_e))
+    traces = {}
+    for j, m in enumerate(MODALITIES):
+        rows = np.flatnonzero(batch["ready"][:, j])
+        trace = _forward_trace(encoders[m], batch[m][rows])
+        z[rows, j] = trace[-1]
+        traces[m] = (rows, trace)
+    zc = z.reshape(n, -1)
+    w_q = np.stack([params.w_q[s] for s in AXES]).reshape(len(AXES) * d_k, -1)
+    queries = (zc @ w_q.T).reshape(n, len(AXES), d_k)
+    keys = z @ params.w_k.T
+    beta = np.array([params.beta[s] for s in AXES])
+    w_r = np.stack([params.w_r[s] for s in AXES])
+    prior = np.array([[params.b_prior[(m, s)] for m in MODALITIES] for s in AXES])
+    rel = np.einsum("nmr,sr->nsm", batch["reliability"], w_r)
+    logits = np.einsum("nsk,nmk->nsm", queries, keys) / math.sqrt(d_k) + beta[:, None] * rel + prior
+
+    mask = batch["ready"][:, None, :] & _AXIS_MASK
+    top = np.where(mask, logits, -np.inf).max(axis=2, keepdims=True)
+    shifted = np.where(mask, np.exp(logits - top), 0.0)
+    gamma = shifted / shifted.sum(axis=2, keepdims=True)
+    fused = np.einsum("nsm,nms->ns", gamma, batch["estimates"])
+    err = fused - batch["truth"]
+    w = np.asarray(weights, dtype=float)
+    loss = float(np.sum(w * err * err))
+    cache = {
+        "traces": traces, "z": z, "zc": zc, "w_q": w_q, "queries": queries, "keys": keys,
+        "beta": beta, "rel": rel, "gamma": gamma, "fused": fused, "err": err, "w": w,
     }
+    return loss, cache
 
 
-def _accumulate(total: dict, part: dict) -> None:
-    for s in AXES:
-        total["w_q"][s] += part["w_q"][s]
-        total["beta"][s] += part["beta"][s]
-        total["w_r"][s] += part["w_r"][s]
-    total["w_k"] += part["w_k"]
-    for key, v in part["b_prior"].items():
-        total["b_prior"][key] += v
-    for m in part["enc_w"]:
-        for i in range(len(part["enc_w"][m])):
-            total["enc_w"][m][i] += part["enc_w"][m][i]
-            total["enc_b"][m][i] += part["enc_b"][m][i]
+def fusion_loss(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0)) -> float:
+    """Summed axis-weighted squared error over a `stack_frames` batch; a FusionFrame is a batch of one."""
+    return _forward(_as_batch(batch, encoders), encoders, params, weights)[0]
+
+
+def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0)):
+    """Summed loss plus its exact gradient for every trainable fusion parameter.
+
+    `batch` is a minibatch from `stack_frames` or one FusionFrame. The backward
+    pass mirrors `_forward` step by step, batched over the rows: squared
+    error -> convex combination -> masked softmax -> logits -> encoders.
+    Gradients come in the nested layout of the parameters: `w_q[s]`, `w_k`,
+    `beta[s]`, `w_r[s]`, `b_prior[(m, s)]`, `enc_w[m][i]`, `enc_b[m][i]`.
+    """
+    batch = _as_batch(batch, encoders)
+    loss, c = _forward(batch, encoders, params, weights)
+    n, d_k = len(batch["truth"]), params.d_k
+    gamma = c["gamma"]
+    d_gamma = (2.0 * c["w"] * c["err"])[..., None] * batch["estimates"].transpose(0, 2, 1)
+    d_logit = gamma * (d_gamma - np.sum(gamma * d_gamma, axis=2, keepdims=True))
+    d_score = d_logit / math.sqrt(d_k)
+    d_queries = np.einsum("nsm,nmk->nsk", d_score, c["keys"]).reshape(n, -1)
+    d_keys = np.einsum("nsm,nsk->nmk", d_score, c["queries"])
+    d_z = (d_queries @ c["w_q"]).reshape(c["z"].shape) + d_keys @ params.w_k
+    g_w_q = (d_queries.T @ c["zc"]).reshape(len(AXES), d_k, -1)
+    g_prior = d_logit.sum(axis=0)
+    grads = {
+        "w_q": dict(zip(AXES, g_w_q)),
+        "w_k": np.einsum("nmk,nme->ke", d_keys, c["z"]),
+        "beta": dict(zip(AXES, np.einsum("nsm,nsm->s", d_logit, c["rel"]).tolist())),
+        "w_r": dict(zip(AXES, c["beta"][:, None] * np.einsum("nsm,nmr->sr", d_logit, batch["reliability"]))),
+        "b_prior": {
+            (m, s): float(g_prior[k, j]) for j, m in enumerate(MODALITIES) for k, s in enumerate(AXES)
+        },
+        "enc_w": {},
+        "enc_b": {},
+    }
+    for j, m in enumerate(MODALITIES):
+        rows, trace = c["traces"][m]
+        grads["enc_w"][m], grads["enc_b"][m], _ = _backward(encoders[m], trace, d_z[rows, j])
+    return loss, grads
 
 
 def _apply(encoders: dict, params: AttentionParams, grads: dict, step: float) -> None:
@@ -75,97 +168,18 @@ def _apply(encoders: dict, params: AttentionParams, grads: dict, step: float) ->
             net.biases[i] -= step * grads["enc_b"][m][i]
 
 
-def fusion_forward(frame, encoders: dict, params: AttentionParams):
-    """(fused position per axis, ratios, embeddings) for one frame."""
-    ready = set(frame.ready())
-    windows = {m: frame.windows[m] if m in ready else None for m in MODALITIES}
-    embeddings = encode(encoders, windows)
-    ratios = fusion_ratios(attention_logits(params, embeddings, frame.reliability))
-    fused = {
-        s: sum(g * frame.estimates[m][s] for m, g in ratios[s].items()) for s in AXES if ratios[s]
-    }
-    return fused, ratios, embeddings
-
-
-def fusion_loss(frame, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0)) -> float:
-    fused, _, _ = fusion_forward(frame, encoders, params)
-    return sum(
-        w * (fused[s] - frame.truth_position[i]) ** 2
-        for i, (s, w) in enumerate(zip(AXES, weights))
-        if s in fused
-    )
-
-
-def fusion_loss_and_grads(frame, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0)):
-    """Loss plus exact gradients for every trainable fusion parameter.
-
-    The forward pass reuses the same public functions the application path
-    calls; the backward pass mirrors them term by term: squared error ->
-    convex combination -> softmax -> logits -> encoders.
-    """
-    fused, ratios, embeddings = fusion_forward(frame, encoders, params)
-    grads = _zero_grads(encoders, params)
-    present = [m for m in MODALITIES if embeddings.get(m) is not None]
-    d_e = params.w_k.shape[1]
-    zc = np.concatenate(
-        [embeddings[m] if embeddings.get(m) is not None else np.zeros(d_e) for m in MODALITIES]
-    )
-    keys = {m: params.w_k @ embeddings[m] for m in present}
-    scale = 1.0 / math.sqrt(params.d_k)
-
-    loss = 0.0
-    d_zc = np.zeros_like(zc)
-    d_keys = {m: np.zeros(params.d_k) for m in present}
-    for i, (s, w_s) in enumerate(zip(AXES, weights)):
-        mods = [m for m in AXIS_MODALITIES[s] if m in ratios[s]]
-        if not mods:
+def _bake_standardization(encoders: dict, batch: dict) -> None:
+    """Fit each encoder's input mean/std from the windows it will train on."""
+    for j, m in enumerate(MODALITIES):
+        rows = batch[m][batch["ready"][:, j]]
+        if not len(rows):
             continue
-        gamma = np.array([ratios[s][m] for m in mods])
-        x_hat = np.array([frame.estimates[m][s] for m in mods])
-        err = fused[s] - frame.truth_position[i]
-        loss += w_s * err * err
-
-        d_gamma = 2.0 * w_s * err * x_hat
-        d_logit = gamma * (d_gamma - float(gamma @ d_gamma))
-
-        q = params.w_q[s] @ zc
-        d_q = np.zeros(params.d_k)
-        for j, m in enumerate(mods):
-            rel = frame.reliability.of(m)
-            d_keys[m] += d_logit[j] * q * scale
-            d_q += d_logit[j] * keys[m] * scale
-            grads["beta"][s] += d_logit[j] * float(params.w_r[s] @ rel)
-            grads["w_r"][s] += d_logit[j] * params.beta[s] * rel
-            grads["b_prior"][(m, s)] += d_logit[j]
-        grads["w_q"][s] += np.outer(d_q, zc)
-        d_zc += params.w_q[s].T @ d_q
-
-    for idx, m in enumerate(MODALITIES):
-        if m not in present:
-            continue
-        d_z = d_zc[idx * d_e : (idx + 1) * d_e] + params.w_k.T @ d_keys[m]
-        grads["w_k"] += np.outer(d_keys[m], embeddings[m])
-        _, _, g_w, g_b = net_vjp(encoders[m], frame.windows[m], d_z)
-        grads["enc_w"][m] = g_w
-        grads["enc_b"][m] = g_b
-    return loss, grads
+        encoders[m].input_mean = rows.mean(axis=0)
+        encoders[m].input_std = np.maximum(rows.std(axis=0), _STD_FLOOR)
 
 
-def _bake_standardization(encoders: dict, frames) -> None:
-    """Fit each encoder's input mean/std from the frames it will train on."""
-    for m, net in encoders.items():
-        rows = [f.windows[m] for f in frames if f.windows.get(m) is not None]
-        if not rows:
-            continue
-        stacked = np.asarray(rows, dtype=float)
-        net.input_mean = stacked.mean(axis=0)
-        net.input_std = np.maximum(stacked.std(axis=0), _STD_FLOOR)
-
-
-def _mean_loss(frames, encoders, params, weights) -> float:
-    if not frames:
-        return 0.0
-    return sum(fusion_loss(f, encoders, params, weights) for f in frames) / len(frames)
+def _mean_loss(batch: dict, encoders, params, weights) -> float:
+    return fusion_loss(batch, encoders, params, weights) / len(batch["truth"])
 
 
 def train_fusion(
@@ -195,8 +209,10 @@ def train_fusion(
     params = copy.deepcopy(params) if params is not None else init_attention_params(seed=cfg.seed)
 
     n_train = min(len(usable) - 1, max(1, int(round(len(usable) * cfg.split))))
-    train_frames, val_frames = usable[:n_train], usable[n_train:]
-    _bake_standardization(encoders, train_frames)
+    stacked = stack_frames(usable, encoders)
+    del frames, usable  # the stacked rows replace them; freeing them keeps peak memory down
+    train_set, val_set = _rows(stacked, slice(None, n_train)), _rows(stacked, slice(n_train, None))
+    _bake_standardization(encoders, train_set)
     weights = tuple(cfg.output_weights(3))
 
     rng = np.random.default_rng(cfg.seed)
@@ -206,13 +222,10 @@ def train_fusion(
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            total = _zero_grads(encoders, params)
-            for r in rows:
-                _, part = fusion_loss_and_grads(train_frames[r], encoders, params, weights)
-                _accumulate(total, part)
-            _apply(encoders, params, total, cfg.learning_rate / len(rows))
-        train_loss = _mean_loss(train_frames, encoders, params, weights)
-        val_loss = _mean_loss(val_frames, encoders, params, weights)
+            _, grads = fusion_loss_and_grads(_rows(train_set, rows), encoders, params, weights)
+            _apply(encoders, params, grads, cfg.learning_rate / len(rows))
+        train_loss = _mean_loss(train_set, encoders, params, weights)
+        val_loss = _mean_loss(val_set, encoders, params, weights)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             encoders, params = checkpoint
             break

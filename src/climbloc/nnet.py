@@ -194,30 +194,6 @@ def _loss_and_grads(net: DenseNetwork, x: np.ndarray, t: np.ndarray, w_out: np.n
     return loss, grads_w, grads_b
 
 
-def net_vjp(net: DenseNetwork, x, cotangent):
-    """Vector-Jacobian product through the network for chained gradients.
-
-    Given dL/d(output), returns (output, dL/d(input), weight grads, bias
-    grads) so a network can sit inside a larger differentiable computation.
-    Accepts a single example or a batch; shapes of the first two returns
-    mirror the input.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(cotangent, dtype=float)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x, g = x[None, :], g[None, :]
-    if x.shape[1] != net.layer_sizes[0]:
-        raise ValueError(f"input width {x.shape[1]} != network input size {net.layer_sizes[0]}")
-    if g.shape != (x.shape[0], net.layer_sizes[-1]):
-        raise ValueError("cotangent must match the output shape")
-    trace = _forward_trace(net, x)
-    grads_w, grads_b, grads_x = _backward(net, trace, g)
-    if squeeze:
-        return trace[-1][0], grads_x[0], grads_w, grads_b
-    return trace[-1], grads_x, grads_w, grads_b
-
-
 def net_gradient(net: DenseNetwork, x, target, axis_weights):
     """Exact gradients of the weighted squared error for one example.
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ from climbloc.fusion import (
     train_fusion,
     ukf_step,
 )
+from climbloc.fusion.attention import AXIS_MODALITIES, MODALITIES
+from climbloc.fusion.pipeline import _recent_spread
+from climbloc.fusion.train import _forward, stack_frames
 from climbloc.fusion.ukf import _robust_cholesky
 from climbloc.nnet import TrainConfig
 from climbloc.sim import (
@@ -440,6 +444,174 @@ def check_fusion_gradients(seed, frames=None, per_group=3):
     return worst
 
 
+def reference_encoder_grads(net, window, d_out):
+    """Weight and bias gradients of one encoder at one window, one layer at a time."""
+    acts = [(np.asarray(window, dtype=float) - net.input_mean) / net.input_std]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre = w @ acts[-1] + b
+        acts.append(pre if i == len(net.weights) - 1 else np.maximum(pre, 0.0))
+    g_w, g_b = [], []
+    for i in reversed(range(len(net.weights))):
+        g_w.insert(0, np.outer(d_out, acts[i]))
+        g_b.insert(0, d_out)
+        # acts[i] is the ReLU output below layer i (the last pass, at i = 0, is unused)
+        d_out = (net.weights[i].T @ d_out) * (acts[i] > 0.0)
+    return g_w, g_b
+
+
+def reference_loss_and_grads(frame, encoders, params, weights=(1.0, 1.0, 2.0)):
+    """Per-frame loss and gradients, written term by term from the application path.
+
+    Forward: `encode` -> `attention_logits` -> `fusion_ratios` -> convex sum
+    per axis. Backward: squared error -> convex combination -> softmax ->
+    logits -> encoders, one modality and one axis at a time.
+    """
+    ready = set(frame.ready())
+    embeddings = encode(encoders, {m: frame.windows[m] if m in ready else None for m in MODALITIES})
+    ratios = fusion_ratios(attention_logits(params, embeddings, frame.reliability))
+    grads = {
+        "w_q": {s: np.zeros_like(params.w_q[s]) for s in AXES},
+        "w_k": np.zeros_like(params.w_k),
+        "beta": {s: 0.0 for s in AXES},
+        "w_r": {s: np.zeros_like(params.w_r[s]) for s in AXES},
+        "b_prior": {key: 0.0 for key in params.b_prior},
+        "enc_w": {m: [np.zeros_like(w) for w in encoders[m].weights] for m in encoders},
+        "enc_b": {m: [np.zeros_like(b) for b in encoders[m].biases] for m in encoders},
+    }
+    present = [m for m in MODALITIES if embeddings.get(m) is not None]
+    d_e = params.w_k.shape[1]
+    zc = np.concatenate(
+        [embeddings[m] if embeddings.get(m) is not None else np.zeros(d_e) for m in MODALITIES]
+    )
+    keys = {m: params.w_k @ embeddings[m] for m in present}
+    scale = 1.0 / math.sqrt(params.d_k)
+
+    loss = 0.0
+    d_zc = np.zeros_like(zc)
+    d_keys = {m: np.zeros(params.d_k) for m in present}
+    for i, (s, w_s) in enumerate(zip(AXES, weights)):
+        mods = [m for m in AXIS_MODALITIES[s] if m in ratios[s]]
+        if not mods:
+            continue
+        gamma = np.array([ratios[s][m] for m in mods])
+        x_hat = np.array([frame.estimates[m][s] for m in mods])
+        err = float(gamma @ x_hat) - frame.truth_position[i]
+        loss += w_s * err * err
+
+        d_gamma = 2.0 * w_s * err * x_hat
+        d_logit = gamma * (d_gamma - float(gamma @ d_gamma))
+
+        q = params.w_q[s] @ zc
+        d_q = np.zeros(params.d_k)
+        for j, m in enumerate(mods):
+            rel = frame.reliability.of(m)
+            d_keys[m] += d_logit[j] * q * scale
+            d_q += d_logit[j] * keys[m] * scale
+            grads["beta"][s] += d_logit[j] * float(params.w_r[s] @ rel)
+            grads["w_r"][s] += d_logit[j] * params.beta[s] * rel
+            grads["b_prior"][(m, s)] += d_logit[j]
+        grads["w_q"][s] += np.outer(d_q, zc)
+        d_zc += params.w_q[s].T @ d_q
+
+    for idx, m in enumerate(MODALITIES):
+        if m not in present:
+            continue
+        d_z = d_zc[idx * d_e : (idx + 1) * d_e] + params.w_k.T @ d_keys[m]
+        grads["w_k"] += np.outer(d_keys[m], embeddings[m])
+        grads["enc_w"][m], grads["enc_b"][m] = reference_encoder_grads(encoders[m], frame.windows[m], d_z)
+    return loss, grads
+
+
+def _gradient_groups(grads):
+    """(label, array) per gradient group, in one fixed order."""
+    out = []
+    for s in AXES:
+        out += [(f"w_q[{s}]", grads["w_q"][s]), (f"beta[{s}]", grads["beta"][s]),
+                (f"w_r[{s}]", grads["w_r"][s])]
+    out.append(("w_k", grads["w_k"]))
+    out += [(f"b_prior[{key}]", v) for key, v in sorted(grads["b_prior"].items())]
+    for m in sorted(grads["enc_w"]):
+        for i, (w, b) in enumerate(zip(grads["enc_w"][m], grads["enc_b"][m])):
+            out += [(f"enc_w[{m}][{i}]", w), (f"enc_b[{m}][{i}]", b)]
+    return [(label, np.asarray(v, dtype=float)) for label, v in out]
+
+
+def without(frame, modality):
+    """The frame with one modality gone: no window, no estimate."""
+    return dataclasses.replace(
+        frame,
+        windows={**frame.windows, modality: None},
+        estimates={m: v for m, v in frame.estimates.items() if m != modality},
+        sigmas={m: v for m, v in frame.sigmas.items() if m != modality},
+    )
+
+
+def mixed_frames(seed, n=24):
+    """Toy frames where about a third lack UWB and a third lack baro."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for f in toy_frames(n=n + 3, L=4, seed=seed):
+        kind = int(rng.integers(3))
+        frames.append(f if kind == 0 else without(f, "uwb" if kind == 1 else "baro"))
+    return frames
+
+
+def random_model(seed):
+    rng = np.random.default_rng(seed)
+    encoders = init_encoders(L=4, d_e=8, hidden=16, seed=seed)
+    params = init_attention_params(d_e=8, d_k=4, seed=seed + 1)
+    for s in AXES:
+        params.beta[s] = float(rng.normal(1.0, 0.3))
+        params.w_r[s] = rng.normal(0.0, 0.5, 2)
+    for key in params.b_prior:
+        params.b_prior[key] = float(rng.normal(0.0, 0.3))
+    return encoders, params
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_minibatch_gradients_equal_summed_per_frame_reference(self, seed):
+        frames = mixed_frames(seed)
+        encoders, params = random_model(seed)
+        weights = (1.0, 1.0, 2.0)
+        rng = np.random.default_rng(100 + seed)
+        for size in (1, 5, 16):
+            rows = rng.choice(len(frames), size=size, replace=False)
+            picked = [frames[r] for r in rows]
+            loss, grads = fusion_loss_and_grads(
+                stack_frames(picked, encoders), encoders, params, weights
+            )
+            parts = [reference_loss_and_grads(f, encoders, params, weights) for f in picked]
+            per_frame = [_gradient_groups(part) for _, part in parts]
+            want = [
+                (label, sum(groups[i][1] for groups in per_frame))
+                for i, (label, _) in enumerate(per_frame[0])
+            ]
+            ref_loss = sum(part_loss for part_loss, _ in parts)
+            assert loss == pytest.approx(ref_loss, rel=1e-10)
+            got = _gradient_groups(grads)
+            assert [label for label, _ in got] == [label for label, _ in want]
+            for (label, g), (_, r) in zip(got, want):
+                assert g.shape == r.shape, label
+                np.testing.assert_allclose(g, r, rtol=1e-10, err_msg=f"{label}, batch of {size}")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ratios_and_fused_positions_match_the_application_path(self, seed):
+        frames = mixed_frames(seed)
+        encoders, params = random_model(seed)
+        _, cache = _forward(stack_frames(frames, encoders), encoders, params, (1.0, 1.0, 2.0))
+        for i, f in enumerate(frames):
+            ready = set(f.ready())
+            embeddings = encode(encoders, {m: f.windows[m] if m in ready else None for m in MODALITIES})
+            ratios = fusion_ratios(attention_logits(params, embeddings, f.reliability))
+            for k, s in enumerate(AXES):
+                for j, m in enumerate(MODALITIES):
+                    want = ratios[s].get(m, 0.0)
+                    assert cache["gamma"][i, k, j] == pytest.approx(want, abs=1e-12), (i, s, m)
+                fused = sum(g * f.estimates[m][s] for m, g in ratios[s].items())
+                assert cache["fused"][i, k] == pytest.approx(fused, rel=1e-12, abs=1e-12), (i, s)
+
+
 class TestFusionTraining:
     def test_gradients_match_finite_differences(self):
         for seed in range(6):
@@ -566,6 +738,24 @@ class TestPipeline:
             est = np.array([last.estimates[m][s] for s in AXES])
             assert np.allclose(est, last.truth_position, atol=0.05), m
         assert last.estimates["baro"]["z"] == pytest.approx(last.truth_position[2], abs=0.01)
+
+    def test_baro_spread_equals_exact_population_variance(self):
+        L = 10
+        scenario = simulate_scenario(
+            ScenarioConfig(duration=20.0, profile=TrajectoryProfile(pauses=()), seed=5)
+        )
+        frames = collect_fusion_frames(scenario, None, None, L=L)
+        on = np.array(["baro" in f.estimates for f in frames])
+        first = int(np.argmax(on))
+        altitudes = np.array([f.estimates["baro"]["z"] if o else np.nan for f, o in zip(frames, on)])
+        spread = _recent_spread(altitudes, first, L)
+        for e, frame in enumerate(frames):
+            recent = altitudes[max(first, e - L + 1) : e + 1].tolist() if on[e] else []
+            exact = statistics.pvariance(recent) if len(recent) > 1 else 0.0
+            assert spread[e] == pytest.approx(exact, rel=1e-12, abs=0.0), e
+            if on[e]:
+                assert frame.reliability.baro[0] == 1.0 / (1.0 + spread[e])
+        assert np.all(_recent_spread(np.full(7, 3.7), 2, 4) == 0.0)
 
     def test_degrades_gracefully_without_uwb(self):
         scenario = quiet_scenario(duration=8.0)
