@@ -182,7 +182,11 @@ def _zero_xy_pose(t, altitude, sigma_z, source) -> PoseEstimate:
 
 
 def run_algorithm(scenario, algo, models_dir=None, doc=None):
-    """Trajectory for one algorithm as a PoseEstimate sequence."""
+    """Trajectory for one algorithm as a PoseEstimate sequence.
+
+    A run too short to fill an FCNN's window (k) or the fusion estimate
+    window (L) yields no pose and raises MissingInputError.
+    """
     doc = doc if doc is not None else cfgmod.load_config(None)
     if algo == "baro":
         ref = scenario.baro_reference
@@ -193,6 +197,10 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
     if algo == "baro-fcnn":
         model = _load_sensor_model(models_dir, "baro")
         altitudes, sigmas = baro_fcnn_infer(model, scenario.baro)
+        if not len(altitudes):
+            raise MissingInputError(
+                f"baro-fcnn: {len(scenario.baro)} baro samples never fill the FCNN window (k = {model.k})"
+            )
         return [
             _zero_xy_pose(t, alt, sigma_z, "baro-fcnn")
             for t, alt, sigma_z in zip(scenario.baro.t[model.k - 1 :].tolist(), altitudes, sigmas)
@@ -210,6 +218,10 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
     if algo == "uwb-fcnn":
         model = _load_sensor_model(models_dir, "uwb")
         positions, sigmas = uwb_fcnn_infer(model, scenario.uwb, scenario.anchor)
+        if not len(positions):
+            raise MissingInputError(
+                f"uwb-fcnn: {len(scenario.uwb)} UWB measurements never fill the FCNN window (k = {model.k})"
+            )
         return [
             PoseEstimate(t=t, position=Vec3Enu.from_array(p), sigma=s, source="uwb-fcnn")
             for t, p, s in zip(scenario.uwb.t[model.k - 1 :].tolist(), positions, sigmas)
@@ -225,9 +237,10 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
         encoders, params, ukf, L, lam = fusion_from_dict(_read_json(bundle_path))
         uwb_model = _load_sensor_model(models_dir, "uwb")
         baro_model = _load_sensor_model(models_dir, "baro")
-        return list(
-            amfa_pipeline(scenario, uwb_model, baro_model, encoders, params, ukf, L=L, lam=lam)
-        )
+        poses = list(amfa_pipeline(scenario, uwb_model, baro_model, encoders, params, ukf, L=L, lam=lam))
+        if not poses:
+            raise MissingInputError(f"amfa: no fusion epoch fills the estimate window (L = {L} epochs)")
+        return poses
     raise ConfigError(f"unknown algorithm {algo!r} (expected one of {', '.join(ALGORITHMS)})")
 
 

@@ -7,8 +7,7 @@ from .attention import (
     AttentionParams,
     FusedObservation,
     ReliabilityScores,
-    attention_logits,
-    encode,
+    attend,
     fuse,
     fusion_ratios,
     init_attention_params,
@@ -22,6 +21,7 @@ from .pipeline import (
     ekf_pass,
     epoch_times,
     run_fusion,
+    stack_frames,
 )
 from .serialize import fusion_from_dict, fusion_to_dict
 from .train import fusion_loss, fusion_loss_and_grads, train_fusion
@@ -38,10 +38,9 @@ __all__ = [
     "UkfState",
     "DEFAULT_L",
     "amfa_pipeline",
-    "attention_logits",
+    "attend",
     "collect_fusion_frames",
     "ekf_pass",
-    "encode",
     "epoch_times",
     "fuse",
     "fusion_from_dict",
@@ -53,6 +52,7 @@ __all__ = [
     "init_encoders",
     "merwe_weights",
     "run_fusion",
+    "stack_frames",
     "train_fusion",
     "ukf_step",
 ]

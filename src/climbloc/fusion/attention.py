@@ -10,6 +10,10 @@ The fused measurement variance adds the ratio-weighted intrinsic variances
 to a divergence penalty: lambda times the ratio-weighted squared spread of
 the modality estimates around the fused value. Agreeing modalities therefore
 tighten the covariance; disagreeing ones inflate it.
+
+The algebra exists once, batched over stacked frames: `attend`. Training and
+application both call it; `fusion_ratios` and `fuse` are batch-of-one
+adaptors over its softmax and fuse steps.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from ..nnet import DenseNetwork, net_forward, net_init
+from ..nnet import _forward_trace, net_init
 
 AXES = ("x", "y", "z")
 MODALITIES = ("uwb", "gpsins", "baro")
@@ -29,7 +33,9 @@ AXIS_MODALITIES = {
     "y": ("uwb", "gpsins"),
     "z": ("uwb", "gpsins", "baro"),
 }
-AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+MODALITY_INDEX = {m: j for j, m in enumerate(MODALITIES)}
+# (axis, modality): the modalities each axis's softmax may weigh
+AXIS_MASK = np.array([[m in AXIS_MODALITIES[s] for m in MODALITIES] for s in AXES])
 N_RELIABILITY = 2  # features per modality
 
 DEFAULT_EMBED_DIM = 32
@@ -57,9 +63,6 @@ class ReliabilityScores:
             if not all(math.isfinite(v) and v >= 0 for v in r):
                 raise ValueError(f"{name} reliability must be finite and >= 0, got {r}")
             object.__setattr__(self, name, r)
-
-    def of(self, modality: str) -> np.ndarray:
-        return np.asarray(getattr(self, modality), dtype=float)
 
 
 @dataclass
@@ -121,60 +124,71 @@ def init_encoders(
     }
 
 
-def encode(encoders: dict, windows: dict) -> dict:
-    """Embed each modality's flattened estimate window; None windows pass through."""
-    out = {}
-    for m, window in windows.items():
-        if window is None:
-            out[m] = None
-            continue
-        net: DenseNetwork = encoders[m]
-        flat = np.asarray(window, dtype=float).ravel()
-        if flat.shape[0] != net.layer_sizes[0]:
-            raise ValueError(f"{m} window length {flat.shape[0]} != encoder input {net.layer_sizes[0]}")
-        out[m] = net_forward(net, flat)
-    return out
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Max-stabilized softmax over the last axis, restricted to the entries `mask` keeps.
 
-
-def attention_logits(params: AttentionParams, embeddings: dict, reliability: ReliabilityScores) -> dict:
-    """Per-axis logits over that axis's available modalities.
-
-    The query concatenates all three embeddings; a missing modality
-    contributes a zero block and is excluded from its axes' softmax.
+    Masked-out entries get exactly 0, and so does a row that keeps none.
     """
-    d_e = params.w_k.shape[1]
-    blocks = [
-        embeddings.get(m) if embeddings.get(m) is not None else np.zeros(d_e) for m in MODALITIES
-    ]
-    zc = np.concatenate(blocks)
-    scale = 1.0 / math.sqrt(params.d_k)
-    keys = {m: params.w_k @ z for m, z in embeddings.items() if z is not None}
-    logits = {}
-    for s in AXES:
-        q = params.w_q[s] @ zc
-        axis = {}
-        for m in AXIS_MODALITIES[s]:
-            if m not in keys:
-                continue
-            rel = float(params.w_r[s] @ reliability.of(m))
-            axis[m] = float(q @ keys[m] * scale + params.beta[s] * rel + params.b_prior[(m, s)])
-        logits[s] = axis
-    return logits
+    top = np.where(mask, logits, -np.inf).max(axis=-1, keepdims=True)
+    shifted = np.exp(np.where(mask, logits - top, -np.inf))
+    total = shifted.sum(axis=-1, keepdims=True)
+    return np.divide(shifted, total, out=np.zeros_like(shifted), where=total != 0)
 
 
-def fusion_ratios(logits: dict) -> dict:
-    """Max-stabilized softmax per axis; empty axes yield empty ratio dicts."""
-    ratios = {}
-    for s, axis in logits.items():
-        if not axis:
-            ratios[s] = {}
-            continue
-        names = list(axis)
-        raw = np.array([axis[m] for m in names])
-        shifted = np.exp(raw - raw.max())
-        gamma = shifted / shifted.sum()
-        ratios[s] = {m: float(g) for m, g in zip(names, gamma)}
-    return ratios
+def fuse_rows(gamma: np.ndarray, estimates: np.ndarray, sigmas: np.ndarray, lam: float):
+    """Convex sum per axis plus the divergence-inflated variance, one row per frame.
+
+    `gamma` is (row, axis, modality); `estimates` and `sigmas` are (row,
+    modality, axis), 0 wherever gamma is 0. Variance per axis: sum_m gamma
+    sigma^2 + lam * sum_m gamma (x_hat - fused)^2. Returns (fused, variance),
+    each (row, axis).
+    """
+    fused = np.einsum("nsm,nms->ns", gamma, estimates)
+    intrinsic = np.einsum("nsm,nms->ns", gamma, sigmas * sigmas)
+    spread = estimates.transpose(0, 2, 1) - fused[..., None]
+    return fused, intrinsic + lam * np.einsum("nsm,nsm->ns", gamma, spread * spread)
+
+
+def attend(batch: dict, encoders: dict, params: AttentionParams, lam: float = DEFAULT_LAMBDA):
+    """Per-axis attention over stacked frames: encode, score, softmax, fuse.
+
+    `batch` holds one row per frame, as `pipeline.stack_frames` builds it:
+    each modality's flattened estimate windows, the "ready" mask, and the
+    "estimates", "sigmas" and "reliability" arrays. A logit adds scaled
+    query-key agreement, the gated reliability read-out and the prior bias;
+    the softmax runs over the modalities each axis may weigh that are ready
+    in the row, and a modality that is not ready embeds as zeros.
+
+    Returns (ratios, fused, variance, cache): ratios (row, axis, modality),
+    fused positions and fused variances (row, axis), and the intermediates
+    the training backward pass reads.
+    """
+    ready = batch["ready"]
+    n, d_e, d_k = len(ready), params.w_k.shape[1], params.d_k
+    z = np.zeros((n, len(MODALITIES), d_e))
+    traces = {}
+    for j, m in enumerate(MODALITIES):
+        rows = np.flatnonzero(ready[:, j])
+        trace = _forward_trace(encoders[m], batch[m][rows])
+        z[rows, j] = trace[-1]
+        traces[m] = (rows, trace)
+    zc = z.reshape(n, len(MODALITIES) * d_e)
+    w_q = np.stack([params.w_q[s] for s in AXES]).reshape(len(AXES) * d_k, -1)
+    queries = (zc @ w_q.T).reshape(n, len(AXES), d_k)
+    keys = z @ params.w_k.T
+    beta = np.array([params.beta[s] for s in AXES])
+    w_r = np.stack([params.w_r[s] for s in AXES])
+    prior = np.array([[params.b_prior[(m, s)] for m in MODALITIES] for s in AXES])
+    rel = np.einsum("nmr,sr->nsm", batch["reliability"], w_r)
+    logits = np.einsum("nsk,nmk->nsm", queries, keys) / math.sqrt(d_k) + beta[:, None] * rel + prior
+
+    gamma = masked_softmax(logits, ready[:, None, :] & AXIS_MASK)
+    fused, variance = fuse_rows(gamma, batch["estimates"], batch["sigmas"], lam)
+    cache = {
+        "traces": traces, "z": z, "zc": zc, "w_q": w_q, "queries": queries, "keys": keys,
+        "beta": beta, "rel": rel,
+    }
+    return gamma, fused, variance, cache
 
 
 @dataclass(frozen=True)
@@ -200,23 +214,42 @@ class FusedObservation:
                     raise ValueError(f"axis {s} ratios are not a probability vector: {axis}")
 
 
-def fuse(ratios: dict, estimates: dict, sigmas: dict, lam: float = DEFAULT_LAMBDA, t: float = 0.0) -> FusedObservation:
-    """Convex combination per axis plus the divergence-inflated variance.
+def fusion_ratios(logits: dict) -> dict:
+    """Softmax per axis over the modalities its logits name; empty axes yield empty dicts.
 
-    `estimates[m]` and `sigmas[m]` hold the axis values the modality can see
-    (dicts axis -> float). Variance per axis: sum_m gamma sigma^2 + lam *
-    sum_m gamma (x_hat - fused)^2.
+    A batch-of-one adaptor over `masked_softmax`: `logits` maps axis ->
+    {modality: logit}.
     """
-    position = np.zeros(3)
-    variance = np.zeros(3)
-    for s in AXES:
+    raw = np.zeros((len(logits), len(MODALITIES)))
+    mask = np.zeros(raw.shape, dtype=bool)
+    for k, axis in enumerate(logits.values()):
+        for m, v in axis.items():
+            raw[k, MODALITY_INDEX[m]] = v
+            mask[k, MODALITY_INDEX[m]] = True
+    gamma = masked_softmax(raw, mask)
+    return {
+        s: {m: float(gamma[k, MODALITY_INDEX[m]]) for m in axis}
+        for k, (s, axis) in enumerate(logits.items())
+    }
+
+
+def fuse(ratios: dict, estimates: dict, sigmas: dict, lam: float = DEFAULT_LAMBDA, t: float = 0.0) -> FusedObservation:
+    """Fused position and variance of one frame; a batch-of-one adaptor over `fuse_rows`.
+
+    `ratios[s]` maps modality -> weight per axis; `estimates[m]` and
+    `sigmas[m]` hold the axis values the modality can see (dicts axis ->
+    float).
+    """
+    gamma = np.zeros((1, len(AXES), len(MODALITIES)))
+    est = np.zeros((1, len(MODALITIES), len(AXES)))
+    sig = np.zeros_like(est)
+    for k, s in enumerate(AXES):
         axis_ratios = ratios.get(s) or {}
-        i = AXIS_INDEX[s]
         if not axis_ratios:
             raise ValueError(f"no modality available for axis {s}")
-        fused = sum(g * estimates[m][s] for m, g in axis_ratios.items())
-        intrinsic = sum(g * sigmas[m][s] ** 2 for m, g in axis_ratios.items())
-        divergence = sum(g * (estimates[m][s] - fused) ** 2 for m, g in axis_ratios.items())
-        position[i] = fused
-        variance[i] = intrinsic + lam * divergence
-    return FusedObservation(t=t, position=position, variance=variance, ratios=ratios)
+        for m, g in axis_ratios.items():
+            j = MODALITY_INDEX[m]
+            gamma[0, k, j], est[0, j, k], sig[0, j, k] = g, estimates[m][s], sigmas[m][s]
+    fused, variance = fuse_rows(gamma, est, sig, lam)
+    return FusedObservation(t=t, position=fused[0], variance=variance[0], ratios=ratios)
+

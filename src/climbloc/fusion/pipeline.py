@@ -10,7 +10,8 @@ up to the next measurement. A modality's estimate window is its last L epoch
 estimates, once L epochs have it. Training and application consume the same
 frames, so the two phases see identical inputs by construction.
 
-`amfa_pipeline` then encodes, attends, fuses, and UKF-updates per epoch.
+`run_fusion` stacks the frames and attends over them in one call
+(`attention.attend`), then UKF-updates per epoch.
 Epochs that cannot fuse (an axis with every estimate window still filling)
 pass the GPS/INS solution through with inflated sigma; the application
 pipeline additionally drops the leading run of those, so its trajectory
@@ -35,14 +36,14 @@ from ..solvers.types import PoseEstimate
 from ..solvers.uwb import uwb_geometric_fixes
 from .attention import (
     AXES,
+    AXIS_MASK,
     AXIS_MODALITIES,
     MODALITIES,
+    N_RELIABILITY,
     AttentionParams,
+    FusedObservation,
     ReliabilityScores,
-    attention_logits,
-    encode,
-    fuse,
-    fusion_ratios,
+    attend,
 )
 from .ukf import UkfState, ukf_step
 
@@ -75,6 +76,42 @@ class FusionFrame:
     def fusible(self) -> bool:
         ready = set(self.ready())
         return all(any(m in ready for m in AXIS_MODALITIES[s]) for s in AXES)
+
+
+def stack_frames(frames, encoders: dict) -> dict:
+    """Frames stacked into arrays, one row per frame, as `attend` reads them.
+
+    Keys: each modality -> (n, L*w) flattened estimate windows, as wide as
+    the encoder's input; "ready" -> (n, modality) bool; "estimates" and
+    "sigmas" -> (n, modality, axis) meters; "reliability" -> (n, modality,
+    N_RELIABILITY); and, when every frame has one, "truth" -> (n, axis)
+    meters. Entries of a modality that is not ready in a row (no window or
+    no estimate) are 0 and masked out through "ready", as are the estimates
+    and sigmas of axes a modality cannot see.
+    """
+    n, n_mod = len(frames), len(MODALITIES)
+    batch = {m: np.zeros((n, encoders[m].layer_sizes[0])) for m in MODALITIES}
+    batch["ready"] = np.zeros((n, n_mod), dtype=bool)
+    batch["estimates"] = np.zeros((n, n_mod, len(AXES)))
+    batch["sigmas"] = np.zeros((n, n_mod, len(AXES)))
+    batch["reliability"] = np.array(
+        [[getattr(f.reliability, m) for m in MODALITIES] for f in frames], dtype=float
+    ).reshape(n, n_mod, N_RELIABILITY)
+    if all(f.truth_position is not None for f in frames):
+        batch["truth"] = np.array([f.truth_position for f in frames], dtype=float).reshape(n, len(AXES))
+    for i, f in enumerate(frames):
+        ready = f.ready()
+        for j, m in enumerate(MODALITIES):
+            if m not in ready:
+                continue
+            window = np.ravel(f.windows[m])
+            if len(window) != batch[m].shape[1]:
+                raise ValueError(f"{m} window length {len(window)} != encoder input {batch[m].shape[1]}")
+            batch["ready"][i, j] = True
+            batch[m][i] = window
+            batch["estimates"][i, j] = [f.estimates[m].get(s, 0.0) for s in AXES]
+            batch["sigmas"][i, j] = [f.sigmas[m].get(s, 0.0) for s in AXES]
+    return batch
 
 
 def epoch_times(scenario) -> list:
@@ -176,8 +213,8 @@ def _baro_pass(scenario, model, latest: np.ndarray, L: int):
 
     One altitude per sample: the barometric formula's until the FCNN window
     fills, then the FCNN's. Before the window fills, the sigma is the spread
-    of up to L previous epoch altitudes plus the current one, floored at
-    SIGMA_MIN.
+    (`_recent_spread`) of up to L previous epoch altitudes plus the current
+    one, floored at SIGMA_MIN.
     """
     baro = scenario.baro
     n_pre = len(baro) if model is None else min(model.k - 1, len(baro))
@@ -190,9 +227,9 @@ def _baro_pass(scenario, model, latest: np.ndarray, L: int):
         altitudes = np.concatenate([altitudes, fcnn_alt])
         sigmas = np.concatenate([sigmas, fcnn_sigma])
     alt_ep, sigma_ep = _held(altitudes, latest), _held(sigmas, latest)
-    first = _first(latest >= 0)
-    for e in np.flatnonzero((latest >= 0) & (latest < n_pre)):
-        sigma_ep[e] = max(float(np.std(alt_ep[max(first, e - L) : e + 1])), SIGMA_MIN)
+    pre = (latest >= 0) & (latest < n_pre)
+    spread = _recent_spread(alt_ep, _first(latest >= 0), L + 1)
+    sigma_ep[pre] = np.maximum(np.sqrt(spread[pre]), SIGMA_MIN)
     return alt_ep, sigma_ep
 
 
@@ -277,63 +314,43 @@ def run_fusion(
     ukf_state: UkfState | None = None,
     lam: float = 1.0,
 ):
-    """Attend + fuse + UKF over precomputed frames.
+    """Attend + fuse over the stacked frames in one kernel call, then UKF per epoch.
 
     Returns (pose estimates, fused observations), index-aligned with the
-    frames; the observation slot is None on warm-up epochs. Modalities that
-    drop out of a fusible epoch are renormalized away by the softmax and
-    logged once each.
+    frames; the observation slot is None on epochs that cannot fuse (an axis
+    with no ready modality), whose pose is the GPS/INS fallback with inflated
+    sigma. Modalities that drop out after the first fused epoch are
+    renormalized away by the softmax and logged once each.
     """
+    batch = stack_frames(frames, encoders)
+    gamma, fused, variance, _ = attend(batch, encoders, params, lam)
+    weighed = batch["ready"][:, None, :] & AXIS_MASK
+    fusible = weighed.any(axis=2).all(axis=1)
+    later = np.flatnonzero(fusible)[1:]
+    for j, m in enumerate(MODALITIES):
+        dropped = later[~batch["ready"][later, j]]
+        if len(dropped):
+            log.warning("modality %s unavailable at t=%.3f; fusing without it", m, frames[dropped[0]].t)
+    # the UKF's measurement covariance must stay strictly positive
+    measured = np.maximum(variance, SIGMA_MIN**2)
     state = ukf_state if ukf_state is not None else UkfState()
     estimates, observations = [], []
-    prev_t = None
-    fused_before = False
-    warned = set()
-    for frame in frames:
-        dt = frame.t - prev_t if prev_t is not None else None
-        prev_t = frame.t
-        if not frame.fusible():
+    for i, frame in enumerate(frames):
+        if not fusible[i]:
             fb = frame.fallback
-            estimates.append(
-                PoseEstimate(
-                    t=frame.t,
-                    position=fb.position,
-                    sigma=tuple(s * WARMUP_SIGMA_INFLATION for s in fb.sigma),
-                    source="amfa",
-                )
-            )
+            sigma = tuple(s * WARMUP_SIGMA_INFLATION for s in fb.sigma)
+            estimates.append(PoseEstimate(t=frame.t, position=fb.position, sigma=sigma, source="amfa"))
             observations.append(None)
             continue
-        ready = set(frame.ready())
-        if fused_before:
-            for m in set(MODALITIES) - ready - warned:
-                log.warning("modality %s unavailable at t=%.3f; fusing without it", m, frame.t)
-                warned.add(m)
-        embeddings = encode(encoders, {m: frame.windows[m] if m in ready else None for m in MODALITIES})
-        ratios = fusion_ratios(attention_logits(params, embeddings, frame.reliability))
-        obs = fuse(ratios, frame.estimates, frame.sigmas, lam=lam, t=frame.t)
-        if dt is None:
-            dt = 0.1
-        state, est = ukf_step(state, _floored(obs), dt)
+        ratios = {
+            s: {m: float(gamma[i, k, j]) for j, m in enumerate(MODALITIES) if weighed[i, k, j]}
+            for k, s in enumerate(AXES)
+        }
+        dt = frame.t - frames[i - 1].t if i else 0.1
+        state, est = ukf_step(state, FusedObservation(t=frame.t, position=fused[i], variance=measured[i]), dt)
         estimates.append(est)
-        observations.append(obs)
-        fused_before = True
+        observations.append(FusedObservation(t=frame.t, position=fused[i], variance=variance[i], ratios=ratios))
     return tuple(estimates), tuple(observations)
-
-
-def _floored(obs):
-    """Keep the UKF's measurement covariance strictly positive."""
-    floor = SIGMA_MIN**2
-    if np.all(obs.variance >= floor):
-        return obs
-    from .attention import FusedObservation
-
-    return FusedObservation(
-        t=obs.t,
-        position=obs.position,
-        variance=np.maximum(obs.variance, floor),
-        ratios=obs.ratios,
-    )
 
 
 def amfa_pipeline(

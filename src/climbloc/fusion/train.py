@@ -5,8 +5,9 @@ parameter (query maps, shared key map, reliability gates and read-outs,
 prior biases). The loss per epoch frame is the axis-weighted squared error
 of the fused position against ground truth, with gradients propagated by
 hand through the fusion ratio softmax, the logit algebra, and the encoders.
-The frames are stacked into arrays once, and each minibatch is one batched
-forward and backward pass over its rows.
+The frames are stacked into arrays once, and each minibatch is one pass of
+the attention kernel (`attend`) forward plus one batched backward pass over
+its rows.
 
 Training runs after the sensor models are fitted: frames are collected with
 the trained models in the loop, so the encoders see the same estimate
@@ -21,44 +22,9 @@ import math
 import numpy as np
 
 from ..errors import NumericalFailureError
-from ..nnet import _STD_FLOOR, TrainConfig, _backward, _forward_trace
-from .attention import (
-    AXES,
-    AXIS_MODALITIES,
-    MODALITIES,
-    AttentionParams,
-    init_attention_params,
-    init_encoders,
-)
-from .pipeline import DEFAULT_L, FusionFrame, collect_fusion_frames
-
-# (axis, modality): the modalities each axis's softmax may weigh
-_AXIS_MASK = np.array([[m in AXIS_MODALITIES[s] for m in MODALITIES] for s in AXES])
-
-
-def stack_frames(frames, encoders: dict) -> dict:
-    """Fusible frames with ground truth stacked into arrays, one row per frame.
-
-    Keys: each modality -> (n, L*w) flattened estimate windows, as wide as
-    the encoder's input; "ready" -> (n, modality) bool; "estimates" -> (n,
-    modality, axis) meters; "reliability" -> (n, modality, N_RELIABILITY);
-    "truth" -> (n, axis) meters. Entries of a modality that is not ready in a
-    row (no window or no estimate) are 0 and masked out through "ready", as
-    are the estimates of axes a modality cannot see.
-    """
-    n = len(frames)
-    batch = {m: np.zeros((n, encoders[m].layer_sizes[0])) for m in MODALITIES}
-    batch["ready"] = np.zeros((n, len(MODALITIES)), dtype=bool)
-    batch["estimates"] = np.zeros((n, len(MODALITIES), len(AXES)))
-    batch["reliability"] = np.array([[getattr(f.reliability, m) for m in MODALITIES] for f in frames], dtype=float)
-    batch["truth"] = np.array([f.truth_position for f in frames], dtype=float)
-    for i, f in enumerate(frames):
-        for j, m in enumerate(MODALITIES):
-            if m in f.ready():
-                batch["ready"][i, j] = True
-                batch[m][i] = f.windows[m]
-                batch["estimates"][i, j] = [f.estimates[m].get(s, 0.0) for s in AXES]
-    return batch
+from ..nnet import _STD_FLOOR, TrainConfig, _backward
+from .attention import AXES, MODALITIES, AttentionParams, attend, init_attention_params, init_encoders
+from .pipeline import DEFAULT_L, FusionFrame, collect_fusion_frames, stack_frames
 
 
 def _rows(batch: dict, index) -> dict:
@@ -69,66 +35,33 @@ def _as_batch(batch, encoders: dict) -> dict:
     return stack_frames([batch], encoders) if isinstance(batch, FusionFrame) else batch
 
 
-def _forward(batch: dict, encoders: dict, params: AttentionParams, weights):
-    """Summed loss over the rows plus every intermediate the backward pass reads.
-
-    The same algebra as `encode` -> `attention_logits` -> `fusion_ratios` ->
-    convex sum, with the rows stacked: logits and ratios are (row, axis,
-    modality), and the softmax runs over the modalities each axis may weigh
-    that are ready in the row.
-    """
-    n, d_e, d_k = len(batch["truth"]), params.w_k.shape[1], params.d_k
-    z = np.zeros((n, len(MODALITIES), d_e))
-    traces = {}
-    for j, m in enumerate(MODALITIES):
-        rows = np.flatnonzero(batch["ready"][:, j])
-        trace = _forward_trace(encoders[m], batch[m][rows])
-        z[rows, j] = trace[-1]
-        traces[m] = (rows, trace)
-    zc = z.reshape(n, -1)
-    w_q = np.stack([params.w_q[s] for s in AXES]).reshape(len(AXES) * d_k, -1)
-    queries = (zc @ w_q.T).reshape(n, len(AXES), d_k)
-    keys = z @ params.w_k.T
-    beta = np.array([params.beta[s] for s in AXES])
-    w_r = np.stack([params.w_r[s] for s in AXES])
-    prior = np.array([[params.b_prior[(m, s)] for m in MODALITIES] for s in AXES])
-    rel = np.einsum("nmr,sr->nsm", batch["reliability"], w_r)
-    logits = np.einsum("nsk,nmk->nsm", queries, keys) / math.sqrt(d_k) + beta[:, None] * rel + prior
-
-    mask = batch["ready"][:, None, :] & _AXIS_MASK
-    top = np.where(mask, logits, -np.inf).max(axis=2, keepdims=True)
-    shifted = np.where(mask, np.exp(logits - top), 0.0)
-    gamma = shifted / shifted.sum(axis=2, keepdims=True)
-    fused = np.einsum("nsm,nms->ns", gamma, batch["estimates"])
-    err = fused - batch["truth"]
+def _weighted_error(batch: dict, encoders: dict, params: AttentionParams, weights):
+    """The kernel scored against truth: (summed axis-weighted squared error,
+    its gradient with respect to the fused positions, ratios, kernel cache)."""
+    gamma, fused, _, cache = attend(batch, encoders, params)
     w = np.asarray(weights, dtype=float)
-    loss = float(np.sum(w * err * err))
-    cache = {
-        "traces": traces, "z": z, "zc": zc, "w_q": w_q, "queries": queries, "keys": keys,
-        "beta": beta, "rel": rel, "gamma": gamma, "fused": fused, "err": err, "w": w,
-    }
-    return loss, cache
+    err = fused - batch["truth"]
+    return float(np.sum(w * err * err)), 2.0 * w * err, gamma, cache
 
 
 def fusion_loss(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0)) -> float:
     """Summed axis-weighted squared error over a `stack_frames` batch; a FusionFrame is a batch of one."""
-    return _forward(_as_batch(batch, encoders), encoders, params, weights)[0]
+    return _weighted_error(_as_batch(batch, encoders), encoders, params, weights)[0]
 
 
 def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0)):
     """Summed loss plus its exact gradient for every trainable fusion parameter.
 
     `batch` is a minibatch from `stack_frames` or one FusionFrame. The backward
-    pass mirrors `_forward` step by step, batched over the rows: squared
+    pass mirrors `attend` step by step, batched over the rows: squared
     error -> convex combination -> masked softmax -> logits -> encoders.
     Gradients come in the nested layout of the parameters: `w_q[s]`, `w_k`,
     `beta[s]`, `w_r[s]`, `b_prior[(m, s)]`, `enc_w[m][i]`, `enc_b[m][i]`.
     """
     batch = _as_batch(batch, encoders)
-    loss, c = _forward(batch, encoders, params, weights)
+    loss, d_fused, gamma, c = _weighted_error(batch, encoders, params, weights)
     n, d_k = len(batch["truth"]), params.d_k
-    gamma = c["gamma"]
-    d_gamma = (2.0 * c["w"] * c["err"])[..., None] * batch["estimates"].transpose(0, 2, 1)
+    d_gamma = d_fused[..., None] * batch["estimates"].transpose(0, 2, 1)
     d_logit = gamma * (d_gamma - np.sum(gamma * d_gamma, axis=2, keepdims=True))
     d_score = d_logit / math.sqrt(d_k)
     d_queries = np.einsum("nsm,nmk->nsk", d_score, c["keys"]).reshape(n, -1)

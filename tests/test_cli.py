@@ -404,6 +404,27 @@ class TestRun:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("algo, window", [("amfa", "L"), ("uwb-fcnn", "k"), ("baro-fcnn", "k")])
+    def test_run_shorter_than_one_window_exits_3_naming_it(self, pipeline, tmp_path, algo, window):
+        cfg = json.loads(json.dumps(SHORT_CONFIG))
+        cfg["sim"]["duration"] = 0.3
+        cfg["sim"]["profile"]["pauses"] = []
+        cfg["sim"]["gps"]["occlusions"] = []
+        cfg["sim"]["uwb"]["nlos_windows"] = []
+        cfg_path = tmp_path / "short.json"
+        cfg_path.write_text(json.dumps(cfg))
+        data = str(tmp_path / "data")
+        assert main(["simulate", "--config", str(cfg_path), "--out", data]) == 0
+        out = tmp_path / "traj.jsonl"
+        proc = run_cli(
+            ["run", "--data", data, "--models", pipeline["models"], "--algo", algo, "--out", str(out),
+             "--config", pipeline["config"]]
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert f"window ({window} = " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_unordered_uwb_stream_exits_2(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)

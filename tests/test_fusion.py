@@ -16,9 +16,8 @@ from climbloc.fusion import (
     ReliabilityScores,
     UkfState,
     amfa_pipeline,
-    attention_logits,
+    attend,
     collect_fusion_frames,
-    encode,
     fuse,
     fusion_from_dict,
     fusion_loss,
@@ -33,10 +32,10 @@ from climbloc.fusion import (
     ukf_step,
 )
 from climbloc.fusion.attention import AXIS_MODALITIES, MODALITIES
-from climbloc.fusion.pipeline import _recent_spread
-from climbloc.fusion.train import _forward, stack_frames
+from climbloc.fusion.pipeline import WARMUP_SIGMA_INFLATION, _recent_spread, stack_frames
 from climbloc.fusion.ukf import _robust_cholesky
-from climbloc.nnet import TrainConfig
+from climbloc.models import SIGMA_MIN
+from climbloc.nnet import TrainConfig, net_forward
 from climbloc.sim import (
     BaroNoise,
     GpsNoise,
@@ -64,6 +63,78 @@ def quiet_scenario(duration=14.0, seed=3, **overrides):
 
 def unit_reliability():
     return ReliabilityScores(uwb=(1.0, 0.1), gpsins=(0.5, 0.2), baro=(0.9, 0.3))
+
+
+# Independent per-frame reference for the batched attention kernel: the same
+# algebra written one frame, one axis and one modality at a time.
+
+
+def encode(encoders, windows):
+    """Embed each modality's flattened estimate window; None windows pass through."""
+    return {m: None if w is None else net_forward(encoders[m], np.ravel(w)) for m, w in windows.items()}
+
+
+def attention_logits(params, embeddings, reliability):
+    """Per-axis logits over that axis's available modalities.
+
+    The query concatenates all three embeddings; a missing modality
+    contributes a zero block and is left out of its axes' logits.
+    """
+    d_e = params.w_k.shape[1]
+    zc = np.concatenate(
+        [embeddings[m] if embeddings.get(m) is not None else np.zeros(d_e) for m in MODALITIES]
+    )
+    scale = 1.0 / math.sqrt(params.d_k)
+    keys = {m: params.w_k @ z for m, z in embeddings.items() if z is not None}
+    logits = {}
+    for s in AXES:
+        q = params.w_q[s] @ zc
+        logits[s] = {
+            m: float(
+                q @ keys[m] * scale
+                + params.beta[s] * float(params.w_r[s] @ np.asarray(getattr(reliability, m)))
+                + params.b_prior[(m, s)]
+            )
+            for m in AXIS_MODALITIES[s]
+            if m in keys
+        }
+    return logits
+
+
+def reference_ratios(logits):
+    """Max-stabilized softmax per axis over the named modalities."""
+    ratios = {}
+    for s, axis in logits.items():
+        raw = np.array(list(axis.values()))
+        shifted = np.exp(raw - raw.max()) if len(raw) else raw
+        ratios[s] = dict(zip(axis, (shifted / shifted.sum()).tolist()))
+    return ratios
+
+
+def reference_ratios_of(frame, encoders, params):
+    ready = set(frame.ready())
+    embeddings = encode(encoders, {m: frame.windows[m] if m in ready else None for m in MODALITIES})
+    return reference_ratios(attention_logits(params, embeddings, frame.reliability))
+
+
+def kernel_frame(windows, reliability=None):
+    """A frame whose modalities are ready wherever a window is given, every estimate 0."""
+    estimates = {
+        m: {s: 0.0 for s in AXES if m in AXIS_MODALITIES[s]} for m, w in windows.items() if w is not None
+    }
+    return FusionFrame(
+        t=0.0,
+        windows=windows,
+        reliability=reliability or unit_reliability(),
+        estimates=estimates,
+        sigmas={m: {s: 1.0 for s in axes} for m, axes in estimates.items()},
+        fallback=None,
+    )
+
+
+def kernel(frames, encoders, params):
+    """attend over the stacked frames: (ratios, fused, variance, cache)."""
+    return attend(stack_frames(frames, encoders), encoders, params)
 
 
 class TestFusionRatios:
@@ -155,6 +226,14 @@ class TestFuse:
             )
 
 
+def random_windows(seed=0, L=4):
+    rng = np.random.default_rng(seed)
+    return {"uwb": rng.normal(size=3 * L), "gpsins": rng.normal(size=3 * L), "baro": rng.normal(size=L)}
+
+
+UWB, GPSINS, BARO = (MODALITIES.index(m) for m in ("uwb", "gpsins", "baro"))
+
+
 class TestAttentionLogits:
     def zero_params(self, d_e=8, d_k=4):
         return AttentionParams(
@@ -166,45 +245,44 @@ class TestAttentionLogits:
             d_k=d_k,
         )
 
-    def embeddings(self, d_e=8, seed=0):
-        rng = np.random.default_rng(seed)
-        return {m: rng.normal(size=d_e) for m in ("uwb", "gpsins", "baro")}
+    def encoders(self):
+        return init_encoders(L=4, d_e=8, hidden=16, seed=0)
 
     def test_zero_parameters_zero_logits(self):
-        logits = attention_logits(self.zero_params(), self.embeddings(), unit_reliability())
-        assert set(logits) == set(AXES)
-        assert set(logits["z"]) == {"uwb", "gpsins", "baro"}
-        assert set(logits["x"]) == {"uwb", "gpsins"}
-        for axis in logits.values():
-            for v in axis.values():
-                assert v == 0.0
+        gamma, _, _, _ = kernel([kernel_frame(random_windows())], self.encoders(), self.zero_params())
+        # zero logits: every modality an axis may weigh gets an equal share
+        np.testing.assert_array_equal(gamma[0, 0], [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(gamma[0, 1], [0.5, 0.5, 0.0])
+        np.testing.assert_allclose(gamma[0, 2], [1.0 / 3.0] * 3, rtol=0, atol=1e-15)
 
     def test_prior_bias_is_additive(self):
         params = self.zero_params()
         params.b_prior[("baro", "z")] = math.log(2.0)
-        logits = attention_logits(params, self.embeddings(), unit_reliability())
-        assert logits["z"]["baro"] - logits["z"]["uwb"] == pytest.approx(math.log(2.0))
+        gamma, _, _, _ = kernel([kernel_frame(random_windows())], self.encoders(), params)
+        assert gamma[0, 2, BARO] / gamma[0, 2, UWB] == pytest.approx(2.0, rel=1e-12)
+        assert gamma[0, 2, BARO] == pytest.approx(0.5, abs=1e-12)
 
     def test_reliability_raises_logit_monotonically(self):
         params = self.zero_params()
         params.beta["z"] = 1.0
         params.w_r["z"] = np.array([1.0, 0.0])
-        emb = self.embeddings()
-        low = ReliabilityScores(uwb=(0.2, 0.1), gpsins=(0.5, 0.2), baro=(0.9, 0.3))
-        high = ReliabilityScores(uwb=(0.8, 0.1), gpsins=(0.5, 0.2), baro=(0.9, 0.3))
-        assert (
-            attention_logits(params, emb, high)["z"]["uwb"]
-            > attention_logits(params, emb, low)["z"]["uwb"]
-        )
+        windows = random_windows()
+        frames = [
+            kernel_frame(windows, ReliabilityScores(uwb=(r, 0.1), gpsins=(0.5, 0.2), baro=(0.9, 0.3)))
+            for r in (0.2, 0.5, 0.8)
+        ]
+        gamma, _, _, _ = kernel(frames, self.encoders(), params)
+        assert gamma[0, 2, UWB] < gamma[1, 2, UWB] < gamma[2, 2, UWB]
+        # the read-out belongs to z alone
+        np.testing.assert_array_equal(gamma[:, 0], [[0.5, 0.5, 0.0]] * 3)
 
     def test_missing_modality_drops_out_of_softmax(self):
-        emb = self.embeddings()
-        emb["uwb"] = None
-        logits = attention_logits(self.zero_params(), emb, unit_reliability())
-        assert "uwb" not in logits["x"] and "uwb" not in logits["z"]
-        ratios = fusion_ratios(logits)
-        assert ratios["x"] == {"gpsins": 1.0}
-        assert sum(ratios["z"].values()) == pytest.approx(1.0, abs=1e-12)
+        windows = random_windows()
+        windows["uwb"] = None
+        gamma, _, _, _ = kernel([kernel_frame(windows)], self.encoders(), self.zero_params())
+        assert gamma[0, 0].tolist() == [0.0, 1.0, 0.0]
+        assert gamma[0, 2, UWB] == 0.0
+        assert gamma[0, 2].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEncode:
@@ -214,29 +292,31 @@ class TestEncode:
             for w in net.weights:
                 w *= 0.0
         windows = {"uwb": np.ones(12), "gpsins": np.ones(12), "baro": np.ones(4)}
-        for z in encode(encoders, windows).values():
-            assert np.all(z == 0.0)
+        _, _, _, cache = kernel([kernel_frame(windows)], encoders, init_attention_params(d_e=8, d_k=4))
+        assert np.all(cache["z"] == 0.0)
 
     def test_constant_windows_encode_identically(self):
         encoders = init_encoders(L=4, d_e=8, hidden=16, seed=1)
-        a = encode(encoders, {"uwb": np.full(12, 2.5), "gpsins": None, "baro": None})
-        b = encode(encoders, {"uwb": np.full(12, 2.5), "gpsins": None, "baro": None})
-        assert np.array_equal(a["uwb"], b["uwb"])
-        assert a["gpsins"] is None
+        frame = kernel_frame({"uwb": np.full(12, 2.5), "gpsins": None, "baro": None})
+        _, _, _, cache = kernel([frame, frame], encoders, init_attention_params(d_e=8, d_k=4))
+        assert np.array_equal(cache["z"][0], cache["z"][1])
+        # a modality that is not ready embeds as zeros
+        assert np.all(cache["z"][:, GPSINS] == 0.0)
 
     def test_embedding_responds_to_window_changes(self):
         encoders = init_encoders(L=4, d_e=8, hidden=16, seed=2)
         base = np.linspace(0.0, 1.0, 12)
-        z0 = encode(encoders, {"uwb": base, "gpsins": None, "baro": None})["uwb"]
         bumped = base.copy()
         bumped[5] += 0.1
-        z1 = encode(encoders, {"uwb": bumped, "gpsins": None, "baro": None})["uwb"]
-        assert not np.allclose(z0, z1)
+        frames = [kernel_frame({"uwb": w, "gpsins": None, "baro": None}) for w in (base, bumped)]
+        _, _, _, cache = kernel(frames, encoders, init_attention_params(d_e=8, d_k=4))
+        assert not np.allclose(cache["z"][0, UWB], cache["z"][1, UWB])
 
     def test_wrong_window_length_rejected(self):
         encoders = init_encoders(L=4, d_e=8, hidden=16, seed=0)
-        with pytest.raises(ValueError, match="length"):
-            encode(encoders, {"uwb": np.ones(11), "gpsins": None, "baro": None})
+        frame = kernel_frame({"uwb": np.ones(11), "gpsins": None, "baro": None})
+        with pytest.raises(ValueError, match="uwb window length"):
+            kernel([frame], encoders, init_attention_params(d_e=8, d_k=4))
 
 
 class TestUkf:
@@ -462,13 +542,13 @@ def reference_encoder_grads(net, window, d_out):
 def reference_loss_and_grads(frame, encoders, params, weights=(1.0, 1.0, 2.0)):
     """Per-frame loss and gradients, written term by term from the application path.
 
-    Forward: `encode` -> `attention_logits` -> `fusion_ratios` -> convex sum
-    per axis. Backward: squared error -> convex combination -> softmax ->
+    Forward: `encode` -> `attention_logits` -> `reference_ratios` -> convex
+    sum per axis. Backward: squared error -> convex combination -> softmax ->
     logits -> encoders, one modality and one axis at a time.
     """
     ready = set(frame.ready())
     embeddings = encode(encoders, {m: frame.windows[m] if m in ready else None for m in MODALITIES})
-    ratios = fusion_ratios(attention_logits(params, embeddings, frame.reliability))
+    ratios = reference_ratios(attention_logits(params, embeddings, frame.reliability))
     grads = {
         "w_q": {s: np.zeros_like(params.w_q[s]) for s in AXES},
         "w_k": np.zeros_like(params.w_k),
@@ -504,7 +584,7 @@ def reference_loss_and_grads(frame, encoders, params, weights=(1.0, 1.0, 2.0)):
         q = params.w_q[s] @ zc
         d_q = np.zeros(params.d_k)
         for j, m in enumerate(mods):
-            rel = frame.reliability.of(m)
+            rel = np.asarray(getattr(frame.reliability, m))
             d_keys[m] += d_logit[j] * q * scale
             d_q += d_logit[j] * keys[m] * scale
             grads["beta"][s] += d_logit[j] * float(params.w_r[s] @ rel)
@@ -599,17 +679,20 @@ class TestBatchedKernel:
     def test_ratios_and_fused_positions_match_the_application_path(self, seed):
         frames = mixed_frames(seed)
         encoders, params = random_model(seed)
-        _, cache = _forward(stack_frames(frames, encoders), encoders, params, (1.0, 1.0, 2.0))
+        lam = 0.7
+        gamma, fused, variance, _ = attend(stack_frames(frames, encoders), encoders, params, lam)
         for i, f in enumerate(frames):
-            ready = set(f.ready())
-            embeddings = encode(encoders, {m: f.windows[m] if m in ready else None for m in MODALITIES})
-            ratios = fusion_ratios(attention_logits(params, embeddings, f.reliability))
+            ratios = reference_ratios_of(f, encoders, params)
             for k, s in enumerate(AXES):
                 for j, m in enumerate(MODALITIES):
                     want = ratios[s].get(m, 0.0)
-                    assert cache["gamma"][i, k, j] == pytest.approx(want, abs=1e-12), (i, s, m)
-                fused = sum(g * f.estimates[m][s] for m, g in ratios[s].items())
-                assert cache["fused"][i, k] == pytest.approx(fused, rel=1e-12, abs=1e-12), (i, s)
+                    assert gamma[i, k, j] == pytest.approx(want, abs=1e-12), (i, s, m)
+                x = sum(g * f.estimates[m][s] for m, g in ratios[s].items())
+                var = sum(
+                    g * (f.sigmas[m][s] ** 2 + lam * (f.estimates[m][s] - x) ** 2) for m, g in ratios[s].items()
+                )
+                assert fused[i, k] == pytest.approx(x, rel=1e-12, abs=1e-12), (i, s)
+                assert variance[i, k] == pytest.approx(var, rel=1e-12, abs=1e-12), (i, s)
 
 
 class TestFusionTraining:
@@ -658,18 +741,9 @@ class TestFusionTraining:
             frames=frames,
         )
         assert history[-1][0] < history[0][0]
-        ratios = [
-            fusion_ratios(
-                attention_logits(
-                    params,
-                    encode(encoders, f.windows),
-                    f.reliability,
-                )
-            )
-            for f in frames
-        ]
-        for s in AXES:
-            mean_uwb = float(np.mean([r[s]["uwb"] for r in ratios]))
+        gamma, _, _, _ = kernel(frames, encoders, params)
+        for k, s in enumerate(AXES):
+            mean_uwb = float(np.mean(gamma[:, k, UWB]))
             assert mean_uwb > 0.9, f"axis {s}: mean uwb ratio {mean_uwb}"
 
     def test_training_is_deterministic(self):
@@ -730,6 +804,20 @@ class TestPipeline:
                 if axis:
                     assert sum(axis.values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_no_fusible_frame_falls_back_everywhere(self):
+        scenario = quiet_scenario(duration=0.5)
+        frames = collect_fusion_frames(scenario, None, None, L=10)
+        assert frames and not any(f.fusible() for f in frames)
+        encoders, params = init_encoders(L=10, seed=0), init_attention_params(seed=0)
+        assert run_fusion((), encoders, params) == ((), ())
+        poses, observations = run_fusion(frames, encoders, params)
+        assert observations == (None,) * len(frames)
+        for pose, frame in zip(poses, frames):
+            assert pose.source == "amfa"
+            assert pose.position == frame.fallback.position
+            assert pose.sigma == pytest.approx([s * WARMUP_SIGMA_INFLATION for s in frame.fallback.sigma])
+        assert amfa_pipeline(scenario, None, None, encoders, params) == ()
+
     def test_frames_track_truth_in_noiseless_setting(self):
         scenario = quiet_scenario(duration=6.0)
         frames = collect_fusion_frames(scenario, None, None, L=10)
@@ -755,6 +843,9 @@ class TestPipeline:
             assert spread[e] == pytest.approx(exact, rel=1e-12, abs=0.0), e
             if on[e]:
                 assert frame.reliability.baro[0] == 1.0 / (1.0 + spread[e])
+                # no baro model: every sigma is the spread of the last <= L+1 altitudes
+                exact_sigma = max(statistics.pstdev(altitudes[max(first, e - L) : e + 1].tolist()), SIGMA_MIN)
+                assert frame.sigmas["baro"]["z"] == pytest.approx(exact_sigma, rel=1e-12, abs=0.0), e
         assert np.all(_recent_spread(np.full(7, 3.7), 2, 4) == 0.0)
 
     def test_degrades_gracefully_without_uwb(self):
