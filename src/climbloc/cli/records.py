@@ -315,12 +315,3 @@ def read_manifest(directory) -> dict:
         raise MissingInputError(f"manifest not found: {path}")
     with open(path) as fh:
         return json.load(fh)
-
-
-def missing_manifest_files(directory, manifest: dict) -> list:
-    """Filenames referenced by the manifest that do not exist on disk."""
-    return [
-        name
-        for name in manifest.get("files", {}).values()
-        if not os.path.exists(os.path.join(directory, name))
-    ]

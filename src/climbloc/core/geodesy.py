@@ -101,10 +101,6 @@ def _enu_basis_ld(origin) -> np.ndarray:
     )
 
 
-def _enu_basis(origin) -> np.ndarray:
-    return np.asarray(_enu_basis_ld(origin), dtype=float)
-
-
 def geodetic_to_enu(fix, origin) -> Vec3Enu:
     """Map a geodetic point (anything with lat/lon/height) into origin-anchored ENU."""
     if not abs(fix.lat) <= math.pi / 2:

@@ -7,7 +7,7 @@ of the fused position against ground truth, with gradients propagated by
 hand through the fusion ratio softmax, the logit algebra, and the encoders.
 The frames are stacked into arrays once, and each minibatch is one pass of
 the attention kernel (`attend`) forward plus one batched backward pass over
-its rows.
+its rows; `nnet.sgd` draws the minibatches, steps and checkpoints.
 
 Training runs after the sensor models are fitted: frames are collected with
 the trained models in the loop, so the encoders see the same estimate
@@ -16,13 +16,12 @@ distributions the application phase produces.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
 
 from ..errors import NumericalFailureError
-from ..nnet import _STD_FLOOR, TrainConfig, _backward
+from ..nnet import TrainConfig, _backward, fit_standardization, sgd
 from .attention import AXES, MODALITIES, AttentionParams, attend, init_attention_params, init_encoders
 from .pipeline import DEFAULT_L, FusionFrame, collect_fusion_frames, stack_frames
 
@@ -86,29 +85,16 @@ def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weight
     return loss, grads
 
 
-def _apply(encoders: dict, params: AttentionParams, grads: dict, step: float) -> None:
-    for s in AXES:
-        params.w_q[s] -= step * grads["w_q"][s]
-        params.beta[s] -= step * grads["beta"][s]
-        params.w_r[s] -= step * grads["w_r"][s]
-    params.w_k -= step * grads["w_k"]
-    for key, g in grads["b_prior"].items():
-        params.b_prior[key] -= step * g
-    for m in grads["enc_w"]:
-        net = encoders[m]
-        for i in range(len(net.weights)):
-            net.weights[i] -= step * grads["enc_w"][m][i]
-            net.biases[i] -= step * grads["enc_b"][m][i]
-
-
-def _bake_standardization(encoders: dict, batch: dict) -> None:
-    """Fit each encoder's input mean/std from the windows it will train on."""
-    for j, m in enumerate(MODALITIES):
-        rows = batch[m][batch["ready"][:, j]]
-        if not len(rows):
-            continue
-        encoders[m].input_mean = rows.mean(axis=0)
-        encoders[m].input_std = np.maximum(rows.std(axis=0), _STD_FLOOR)
+def _copy(params: AttentionParams, scalar) -> AttentionParams:
+    """A deep copy with `scalar` applied to each `beta` and `b_prior` value."""
+    return AttentionParams(
+        w_q={s: w.copy() for s, w in params.w_q.items()},
+        w_k=params.w_k.copy(),
+        beta={s: scalar(b) for s, b in params.beta.items()},
+        w_r={s: w.copy() for s, w in params.w_r.items()},
+        b_prior={key: scalar(b) for key, b in params.b_prior.items()},
+        d_k=params.d_k,
+    )
 
 
 def _mean_loss(batch: dict, encoders, params, weights) -> float:
@@ -139,29 +125,28 @@ def train_fusion(
         raise NumericalFailureError("not enough fusible ground-truth epochs to train on")
 
     encoders = {m: net.copy() for m, net in (encoders or init_encoders(L, seed=cfg.seed)).items()}
-    params = copy.deepcopy(params) if params is not None else init_attention_params(seed=cfg.seed)
+    params = params if params is not None else init_attention_params(seed=cfg.seed)
+    params = _copy(params, lambda b: np.array(b, dtype=float))  # 0-d arrays, so sgd steps them in place
 
     n_train = min(len(usable) - 1, max(1, int(round(len(usable) * cfg.split))))
     stacked = stack_frames(usable, encoders)
     del frames, usable  # the stacked rows replace them; freeing them keeps peak memory down
     train_set, val_set = _rows(stacked, slice(None, n_train)), _rows(stacked, slice(n_train, None))
-    _bake_standardization(encoders, train_set)
+    for j, m in enumerate(MODALITIES):
+        if train_set["ready"][:, j].any():
+            fit_standardization(encoders[m], train_set[m][train_set["ready"][:, j]])
     weights = tuple(cfg.output_weights(3))
 
-    rng = np.random.default_rng(cfg.seed)
-    history = []
-    checkpoint = (copy.deepcopy(encoders), copy.deepcopy(params))
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            _, grads = fusion_loss_and_grads(_rows(train_set, rows), encoders, params, weights)
-            _apply(encoders, params, grads, cfg.learning_rate / len(rows))
-        train_loss = _mean_loss(train_set, encoders, params, weights)
-        val_loss = _mean_loss(val_set, encoders, params, weights)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            encoders, params = checkpoint
-            break
-        history.append((train_loss, val_loss))
-        checkpoint = (copy.deepcopy(encoders), copy.deepcopy(params))
-    return encoders, params, history
+    def grads_of(rows):
+        _, grads = fusion_loss_and_grads(_rows(train_set, rows), encoders, params, weights)
+        return cfg.learning_rate / len(rows), grads
+
+    def losses():
+        return tuple(_mean_loss(split, encoders, params, weights) for split in (train_set, val_set))
+
+    # the layout of the gradients fusion_loss_and_grads returns
+    tree = {key: getattr(params, key) for key in ("w_q", "w_k", "beta", "w_r", "b_prior")}
+    tree["enc_w"] = {m: encoders[m].weights for m in MODALITIES}
+    tree["enc_b"] = {m: encoders[m].biases for m in MODALITIES}
+    history = sgd(tree, n_train, cfg, grads_of, losses)
+    return encoders, _copy(params, float), history

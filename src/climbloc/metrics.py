@@ -124,14 +124,6 @@ def match_series(est_t, est_xyz, truth_t, truth_xyz, est_sigma=None, tolerance=N
     )
 
 
-def pose_arrays(poses):
-    """Split PoseEstimate records into (times, positions, sigmas) arrays."""
-    t = np.array([p.t for p in poses], dtype=float)
-    xyz = np.array([p.position.as_array() for p in poses], dtype=float).reshape(len(poses), 3)
-    sigma = np.array([p.sigma for p in poses], dtype=float).reshape(len(poses), 3)
-    return t, xyz, sigma
-
-
 @dataclass(frozen=True)
 class MetricsRow:
     """Summary statistics for one algorithm on one scenario (meters)."""

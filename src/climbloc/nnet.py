@@ -1,4 +1,4 @@
-"""Minimal dense-network engine: forward, exact reverse-mode gradients, SGD.
+"""Minimal dense-network engine: forward, exact reverse-mode gradients, the one SGD loop.
 
 Networks are ReLU-hidden / identity-output multilayer perceptrons with
 per-feature input standardization baked into the model (mean/std learned
@@ -213,6 +213,50 @@ def _evaluate(net, x, t, w_out) -> float:
     return float(np.sum(w_out * err * err) / len(x))
 
 
+def fit_standardization(net: DenseNetwork, x: np.ndarray) -> None:
+    """Set the network's input mean/std from the rows it will train on."""
+    net.input_mean = x.mean(axis=0)
+    net.input_std = np.maximum(x.std(axis=0), _STD_FLOOR)
+
+
+def _leaves(tree) -> list:
+    """The arrays of a tree of dicts and lists, in one fixed order (dict keys sorted)."""
+    if isinstance(tree, dict):
+        return [leaf for key in sorted(tree) for leaf in _leaves(tree[key])]
+    if isinstance(tree, (list, tuple)):
+        return [leaf for branch in tree for leaf in _leaves(branch)]
+    return [tree]
+
+
+def sgd(params, n_train: int, cfg: TrainConfig, grads_of, losses) -> list:
+    """Mini-batch SGD over training rows 0..n_train-1, stepping `params` in place.
+
+    `params` is a tree of dicts and lists of float arrays; `grads_of(rows)`
+    returns (step, grads), grads in the same layout, and each array takes
+    `p -= step * g`. After each epoch `losses()` gives the (train, validation)
+    loss; the first non-finite one restores every array to its value after
+    the last finite epoch and stops. Returns one loss pair per finite epoch.
+    """
+    arrays = _leaves(params)
+    checkpoint = [p.copy() for p in arrays]
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_train)
+        for start in range(0, n_train, cfg.batch_size):
+            step, grads = grads_of(order[start : start + cfg.batch_size])
+            for p, g in zip(arrays, _leaves(grads), strict=True):
+                np.subtract(p, step * g, out=p)  # in place: a Python float leaf raises
+        train_loss, val_loss = losses()
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            for p, saved in zip(arrays, checkpoint):
+                p[...] = saved
+            break
+        history.append((train_loss, val_loss))
+        checkpoint = [p.copy() for p in arrays]
+    return history
+
+
 def train(net: DenseNetwork, dataset: Dataset, cfg: TrainConfig):
     """Mini-batch SGD on a chronological train/validation split.
 
@@ -228,28 +272,18 @@ def train(net: DenseNetwork, dataset: Dataset, cfg: TrainConfig):
     x_val, t_val = dataset.inputs[n_train:], dataset.targets[n_train:]
 
     out = net.copy()
-    mean = x_train.mean(axis=0)
-    std = np.maximum(x_train.std(axis=0), _STD_FLOOR)
-    out.input_mean, out.input_std = mean, std
+    fit_standardization(out, x_train)
     w_out = cfg.output_weights(out.layer_sizes[-1])
 
-    rng = np.random.default_rng(cfg.seed)
-    history = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            _, gw, gb = _loss_and_grads(out, x_train[rows], t_train[rows], w_out)
-            for i in range(len(out.weights)):
-                out.weights[i] -= cfg.learning_rate * gw[i]
-                out.biases[i] -= cfg.learning_rate * gb[i]
-        train_loss = _evaluate(out, x_train, t_train, w_out)
-        val_loss = _evaluate(out, x_val, t_val, w_out)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise NumericalFailureError(
-                f"training diverged at epoch {epoch}: train={train_loss}, val={val_loss}"
-            )
-        history.append((train_loss, val_loss))
+    def grads_of(rows):
+        return cfg.learning_rate, _loss_and_grads(out, x_train[rows], t_train[rows], w_out)[1:]
+
+    def losses():
+        return _evaluate(out, x_train, t_train, w_out), _evaluate(out, x_val, t_val, w_out)
+
+    history = sgd([out.weights, out.biases], n_train, cfg, grads_of, losses)
+    if len(history) < cfg.epochs:
+        raise NumericalFailureError(f"training diverged at epoch {len(history)}: non-finite loss")
     out.metadata = dict(out.metadata, epochs=cfg.epochs, train_seed=cfg.seed)
     return out, history
 

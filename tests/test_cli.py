@@ -25,11 +25,20 @@ from climbloc.cli import (
     read_trajectory,
 )
 from climbloc.cli.config import scenario_config
-from climbloc.cli.records import missing_manifest_files, write_jsonl
+from climbloc.cli.records import write_jsonl
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import model_from_dict, uwb_fcnn_infer
 from climbloc.sim import simulate_scenario
 from climbloc.solvers import uwb_geometric_fixes
+
+
+def missing_manifest_files(directory, manifest: dict) -> list:
+    """Filenames referenced by the manifest that do not exist on disk."""
+    return [
+        name
+        for name in manifest.get("files", {}).values()
+        if not os.path.exists(os.path.join(directory, name))
+    ]
 
 
 def _without(record: dict, name: str) -> str:

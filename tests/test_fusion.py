@@ -780,8 +780,46 @@ class TestFusionTraining:
         for m in doc["encoders"]:
             for layer in doc["encoders"][m]["weights"]:
                 flat.extend(np.asarray(layer).ravel())
+        att = doc["attention"]
+        for s in AXES:
+            flat.extend([*np.ravel(att["w_q"][s]), att["beta"][s], *att["w_r"][s]])
+            flat.extend(att["b_prior"][m][s] for m in MODALITIES)
+        flat.extend(np.ravel(att["w_k"]))
         assert all(math.isfinite(v) for v in flat)
         assert len(history) < 10
+        # the restored checkpoint is exactly the state after the last finite epoch
+        rerun = train_fusion(
+            None,
+            None,
+            None,
+            cfg=TrainConfig(learning_rate=1e300, epochs=len(history), batch_size=8, seed=1),
+            L=4,
+            frames=frames,
+        )
+        assert rerun[2] == history
+        assert fusion_to_dict(rerun[0], rerun[1]) == doc
+
+    def test_short_run_steps_every_scalar_parameter(self):
+        frames = toy_frames(n=30, L=4, seed=4)
+        params = init_attention_params(d_e=8, d_k=4, seed=2)
+        _, trained, history = train_fusion(
+            None,
+            None,
+            None,
+            encoders=init_encoders(L=4, d_e=8, hidden=16, seed=2),
+            params=params,
+            cfg=TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=2),
+            L=4,
+            frames=frames,
+        )
+        assert len(history) == 2
+        for s in AXES:
+            assert isinstance(trained.beta[s], float)
+            assert trained.beta[s] != params.beta[s], s
+            for m in MODALITIES:
+                # a modality an axis may not weigh gets no gradient on that axis
+                moved = trained.b_prior[(m, s)] != params.b_prior[(m, s)]
+                assert moved == (m in AXIS_MODALITIES[s]), (m, s)
 
 
 class TestPipeline:
@@ -817,6 +855,24 @@ class TestPipeline:
             assert pose.position == frame.fallback.position
             assert pose.sigma == pytest.approx([s * WARMUP_SIGMA_INFLATION for s in frame.fallback.sigma])
         assert amfa_pipeline(scenario, None, None, encoders, params) == ()
+
+    def test_zero_fused_variance_reaches_the_ukf_floored(self):
+        # every ready modality reads 0 m with sigma 0, so the fused variance
+        # is exactly 0; the UKF needs a strictly positive measurement variance
+        encoders = init_encoders(L=4, d_e=8, hidden=16, seed=0)
+        params = init_attention_params(d_e=8, d_k=4, seed=0)
+        frames = []
+        for k in range(5):
+            frame = kernel_frame(random_windows(seed=k))
+            zero = {m: {s: 0.0 for s in axes} for m, axes in frame.sigmas.items()}
+            frames.append(dataclasses.replace(frame, t=0.1 * (k + 1), sigmas=zero))
+        _, _, variance, _ = kernel(frames, encoders, params)
+        assert np.all(variance == 0.0)
+        poses, observations = run_fusion(frames, encoders, params)
+        assert all(obs is not None for obs in observations)
+        for pose in poses:
+            assert np.all(np.isfinite(pose.position.as_array()))
+            assert all(math.isfinite(s) and s > 0 for s in pose.sigma)
 
     def test_frames_track_truth_in_noiseless_setting(self):
         scenario = quiet_scenario(duration=6.0)

@@ -23,12 +23,19 @@ from climbloc.metrics import (
     compute_cdf,
     compute_metrics,
     match_series,
-    pose_arrays,
     write_boxplot_csv,
     write_cdf_csv,
     write_metrics_csv,
 )
 from climbloc.solvers import PoseEstimate
+
+
+def pose_arrays(poses):
+    """Split PoseEstimate records into (times, positions, sigmas) arrays."""
+    t = np.array([p.t for p in poses], dtype=float)
+    xyz = np.array([p.position.as_array() for p in poses], dtype=float).reshape(len(poses), 3)
+    sigma = np.array([p.sigma for p in poses], dtype=float).reshape(len(poses), 3)
+    return t, xyz, sigma
 
 
 def series_from_errors(errors, traces=None):

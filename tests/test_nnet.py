@@ -18,6 +18,7 @@ from climbloc.nnet import (
     net_gradient,
     net_init,
     net_to_dict,
+    sgd,
     train,
 )
 
@@ -198,7 +199,7 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self):
         net = net_init([1, 8, 1], seed=0)
-        with pytest.raises(NumericalFailureError):
+        with pytest.raises(NumericalFailureError, match="diverged at epoch"):
             train(net, _linear_dataset(), TrainConfig(learning_rate=1e12, epochs=20, axis_weights=(1.0,)))
 
     def test_deterministic(self):
@@ -223,6 +224,59 @@ class TestTraining:
             TrainConfig(split=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(axis_weights=(2.0, 1.0, 1.0))  # w_z < w_x
+
+
+class TestSgd:
+    def tree(self):
+        return {"b": [np.zeros(()), np.ones(2)], "a": np.zeros((2, 2))}
+
+    def test_non_finite_epoch_restores_the_last_finite_epoch(self):
+        params = self.tree()
+        arrays = [params["a"], *params["b"]]
+        epoch_losses = iter([(1.0, 2.0), (0.5, 1.5), (float("nan"), 1.0), (0.1, 0.1)])
+        # every step subtracts 1 from each entry: two minibatches of 2 rows per epoch
+        history = sgd(
+            params,
+            4,
+            TrainConfig(epochs=4, batch_size=2),
+            lambda rows: (1.0, {"a": -np.ones((2, 2)), "b": [-1.0, -np.ones(2)]}),
+            lambda: next(epoch_losses),
+        )
+        assert history == [(1.0, 2.0), (0.5, 1.5)]
+        # restored in place: the same array objects hold their epoch-2 values
+        assert [params["a"], *params["b"]] == arrays
+        np.testing.assert_array_equal(params["a"], np.full((2, 2), 4.0))
+        assert params["b"][0] == 4.0
+        np.testing.assert_array_equal(params["b"][1], [5.0, 5.0])
+
+    def test_non_finite_first_epoch_restores_the_initial_values(self):
+        params = self.tree()
+        history = sgd(
+            params,
+            3,
+            TrainConfig(epochs=2, batch_size=2),
+            lambda rows: (0.5, {"a": np.ones((2, 2)), "b": [1.0, np.ones(2)]}),
+            lambda: (1.0, float("inf")),
+        )
+        assert history == []
+        for got, want in zip([params["a"], *params["b"]], [np.zeros((2, 2)), np.zeros(()), np.ones(2)]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_python_float_parameter_is_rejected(self):
+        # it could not step in place, so it must not pass silently
+        with pytest.raises((AttributeError, TypeError)):
+            sgd([1.0], 2, TrainConfig(epochs=1), lambda rows: (1.0, [1.0]), lambda: (0.0, 0.0))
+
+    def test_minibatches_cover_every_row_once_per_epoch(self):
+        seen = []
+
+        def grads_of(rows):
+            seen.extend(rows.tolist())
+            return 0.0, [np.zeros(1)]
+
+        sgd([np.zeros(1)], 7, TrainConfig(epochs=2, batch_size=3, seed=4), grads_of, lambda: (0.0, 0.0))
+        assert sorted(seen[:7]) == sorted(seen[7:]) == list(range(7))
+        assert seen[:7] != seen[7:]
 
 
 class TestSerialization:
