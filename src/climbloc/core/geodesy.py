@@ -75,16 +75,6 @@ def _geodetic_from_ecef_ld(ecef) -> tuple:
     return lat, lon, height
 
 
-def geodetic_to_ecef(lat: float, lon: float, height: float) -> np.ndarray:
-    return np.asarray(_ecef_ld(lat, lon, height), dtype=float)
-
-
-def ecef_to_geodetic(ecef) -> GeodeticPoint:
-    """Iterative ECEF -> geodetic solve; fixed-point to extended precision."""
-    lat, lon, height = _geodetic_from_ecef_ld(ecef)
-    return GeodeticPoint(float(lat), float(lon), float(height))
-
-
 def _enu_basis_ld(origin) -> np.ndarray:
     """Rows: unit east, north, up vectors of the tangent plane, in ECEF."""
     lat, lon = _LD(origin.lat), _LD(origin.lon)

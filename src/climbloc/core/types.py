@@ -109,91 +109,18 @@ class Rotation:
         """Nearest rotation (Frobenius sense) to an approximately-orthonormal matrix."""
         return Rotation(nearest_rotation(matrix))
 
-    @staticmethod
-    def from_rotvec(rotvec) -> "Rotation":
-        """Exponential map: rotation by angle ||v|| about axis v/||v||."""
-        v = np.asarray(rotvec, dtype=float)
-        angle = float(np.linalg.norm(v))
-        if angle < 1e-12:
-            k = _skew(v)
-            return Rotation.orthonormalized(np.eye(3) + k)
-        k = _skew(v / angle)
-        m = np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-        return Rotation.orthonormalized(m)
-
-    def as_rotvec(self) -> np.ndarray:
-        """Logarithm map, inverse of :meth:`from_rotvec`."""
-        m = self._m
-        cos_angle = max(-1.0, min(1.0, (np.trace(m) - 1.0) / 2.0))
-        angle = math.acos(cos_angle)
-        if angle < 1e-9:
-            return np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]]) / 2.0
-        if angle > math.pi - 1e-6:
-            # near pi: extract axis from the symmetric part
-            a = (m + np.eye(3)) / 2.0
-            axis = np.sqrt(np.maximum(np.diag(a), 0.0))
-            # fix signs from off-diagonal terms
-            i = int(np.argmax(axis))
-            if axis[i] > 0:
-                axis = a[:, i] / axis[i]
-                axis = axis / np.linalg.norm(axis)
-            return axis * angle
-        axis = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-        return axis / (2.0 * math.sin(angle)) * angle
-
     def apply(self, v) -> np.ndarray:
         """Rotate a 3-vector into the target frame."""
         return self._m @ np.asarray(v, dtype=float)
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        """self @ other (apply `other` first, then `self`)."""
-        return Rotation.orthonormalized(self._m @ other._m)
-
-    def transpose(self) -> "Rotation":
-        return Rotation(self._m.T)
-
-    def as_quaternion(self) -> np.ndarray:
-        """Unit quaternion (w, x, y, z) for this rotation."""
-        m = self._m
-        t = np.trace(m)
-        if t > 0:
-            s = math.sqrt(t + 1.0) * 2.0
-            w = 0.25 * s
-            x = (m[2, 1] - m[1, 2]) / s
-            y = (m[0, 2] - m[2, 0]) / s
-            z = (m[1, 0] - m[0, 1]) / s
-        elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-            s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-            w = (m[2, 1] - m[1, 2]) / s
-            x = 0.25 * s
-            y = (m[0, 1] + m[1, 0]) / s
-            z = (m[0, 2] + m[2, 0]) / s
-        elif m[1, 1] > m[2, 2]:
-            s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-            w = (m[0, 2] - m[2, 0]) / s
-            x = (m[0, 1] + m[1, 0]) / s
-            y = 0.25 * s
-            z = (m[1, 2] + m[2, 1]) / s
-        else:
-            s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-            w = (m[1, 0] - m[0, 1]) / s
-            x = (m[0, 2] + m[2, 0]) / s
-            y = (m[1, 2] + m[2, 1]) / s
-            z = 0.25 * s
-        q = np.array([w, x, y, z])
-        return q / np.linalg.norm(q)
 
     def __repr__(self):
         return f"Rotation({self._m.tolist()})"
 
 
-def _skew(v) -> np.ndarray:
+def skew(v) -> np.ndarray:
     """Cross-product matrix: skew(a) @ b == a x b."""
     x, y, z = v
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-skew = _skew
 
 
 @dataclass(frozen=True)
@@ -385,3 +312,15 @@ class TruthStream(_Stream):
 
     def _check(self):
         self._require("quaternion", np.any(self.quaternion != 0, axis=1), "must be non-zero")
+
+    def position_at(self, times) -> np.ndarray:
+        """(n, 3) positions of the rows nearest `times` on the stream's uniform grid.
+
+        The grid starts at the first row and steps by the first spacing;
+        times outside the stream take its first or last row.
+        """
+        if not len(self):
+            raise ValueError("truth stream is empty")
+        dt = self.t[1] - self.t[0] if len(self) > 1 else 1.0
+        rows = np.rint((np.asarray(times, dtype=float) - self.t[0]) / dt)
+        return self.position[np.clip(rows, 0, len(self) - 1).astype(int)]

@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..core.geodesy import GeodeticPoint, geodetic_to_enu
 from ..core.types import Rotation, Vec3Enu
 from ..errors import MissingInputError
-from ..models import SIGMA_MIN, _truth_lookup, baro_fcnn_infer, uwb_fcnn_infer
+from ..models import SIGMA_MIN, baro_fcnn_infer, uwb_fcnn_infer
 from ..solvers.baro import baro_altitude
 from ..solvers.ins import GpsInsEkf, InsState, rotation_increments
 from ..solvers.types import PoseEstimate
@@ -277,7 +277,7 @@ def collect_fusion_frames(
         "uwb": _estimate_windows(uwb_pos, uwb_on, L),
         "baro": _estimate_windows(baro_alt, baro_on, L),
     }
-    truth = _truth_lookup(scenario.truth, epochs)
+    truth = scenario.truth.position_at(epochs) if len(scenario.truth) else None
 
     frames = []
     for e, t_k in enumerate(epochs):

@@ -101,15 +101,6 @@ def baro_fcnn_infer(model: BaroFcnnModel, stream):
     return out[:, 0], np.maximum(np.abs(out[:, 1]), SIGMA_MIN)
 
 
-def _truth_lookup(truth, times):
-    """(n, 3) truth positions at the samples nearest `times`; None without truth."""
-    if not len(truth):
-        return None
-    dt = truth.t[1] - truth.t[0] if len(truth) > 1 else 1.0
-    idx = np.minimum(np.rint(np.asarray(times, dtype=float) / dt).astype(int), len(truth) - 1)
-    return truth.position[idx]
-
-
 def build_training_set(scenario, which: str, k: int = DEFAULT_K, include_geometric: bool = True) -> Dataset:
     """One example per full sliding window; targets pair truth with solver error.
 
@@ -124,14 +115,14 @@ def build_training_set(scenario, which: str, k: int = DEFAULT_K, include_geometr
         if len(stream) < k:
             raise ValueError(f"need at least k={k} UWB measurements, got {len(stream)}")
         inputs = uwb_inputs(stream, scenario.anchor, k, include_geometric)
-        p_true = _truth_lookup(scenario.truth, stream.t[k - 1 :])
+        p_true = scenario.truth.position_at(stream.t[k - 1 :])
         targets = np.hstack([p_true, p_true - uwb_geometric_fixes(stream[k - 1 :], scenario.anchor)[0]])
     elif which == "baro":
         stream = scenario.baro
         if len(stream) < k:
             raise ValueError(f"need at least k={k} baro samples, got {len(stream)}")
         inputs = baro_inputs(stream, k)
-        up_true = _truth_lookup(scenario.truth, stream.t[k - 1 :])[:, 2]
+        up_true = scenario.truth.position_at(stream.t[k - 1 :])[:, 2]
         targets = np.column_stack([up_true, up_true - inputs[:, -1]])
     else:
         raise ConfigError(f"unknown training-set kind {which!r} (expected 'uwb' or 'baro')")

@@ -32,47 +32,42 @@ _G_ENU = np.array([0.0, 0.0, -GRAVITY])
 _MAX_ANGLE = math.pi / 2 - 1e-9
 
 
-def simulate_imu(truth: TruthStream, attitudes, cfg: ScenarioConfig) -> ImuStream:
+def simulate_imu(truth: TruthStream, yaw: np.ndarray, cfg: ScenarioConfig) -> ImuStream:
     """Body-frame IMU stream by differencing consecutive truth states.
 
-    Sample i covers [t_i, t_{i+1}): acceleration from the velocity increment,
-    angular rate from the relative rotation vector of the body-to-ENU
-    `attitudes` (one Rotation per truth point), both plus configured bias
-    and white noise. Differencing (rather than analytic derivatives) makes a
-    noiseless stream integrate back to the truth velocities exactly.
+    Sample i covers [t_i, t_{i+1}): specific force from the velocity
+    increment, rotated into the body by Rz(yaw_i)^T, and the yaw rate from the
+    yaw increment, both plus configured bias and white noise (accel then gyro
+    draws per sample). Differencing (rather than analytic derivatives) makes
+    a noiseless stream integrate back to the truth velocities to rounding.
     """
-    if len(truth) < 2:
+    n = len(truth)
+    if n < 2:
         raise ValueError("need at least two truth points to difference")
-    rng = sensor_rng(cfg.seed, IMU_STREAM)
-    accel_bias = np.asarray(cfg.imu.accel_bias)
-    gyro_bias = np.asarray(cfg.imu.gyro_bias)
-    t, velocity = truth.t, truth.velocity
-    forces, rates = [], []
-    for i in range(len(truth) - 1):
-        a, b = attitudes[i], attitudes[i + 1]
-        dt = t[i + 1] - t[i]
-        accel = (velocity[i + 1] - velocity[i]) / dt
-        f_body = a.matrix.T @ (accel - _G_ENU)
-        w_body = a.transpose().compose(b).as_rotvec() / dt
-        forces.append(f_body + accel_bias + rng.normal(0.0, 1.0, 3) * cfg.imu.accel_sigma)
-        rates.append(w_body + gyro_bias + rng.normal(0.0, 1.0, 3) * cfg.imu.gyro_sigma)
-    return ImuStream(t=t[:-1], specific_force=forces, angular_rate=rates)
-
-
-def _truth_index(t: float, dt: float, n: int) -> int:
-    i = int(round(t / dt))
-    return min(i, n - 1)
+    dt = np.diff(truth.t)
+    accel = np.diff(truth.velocity, axis=0) / dt[:, None] - _G_ENU
+    c, s = np.cos(yaw[:-1]), np.sin(yaw[:-1])
+    force = np.column_stack([c * accel[:, 0] + s * accel[:, 1], c * accel[:, 1] - s * accel[:, 0], accel[:, 2]])
+    rate = np.zeros((n - 1, 3))
+    rate[:, 2] = np.diff(yaw) / dt
+    noise = sensor_rng(cfg.seed, IMU_STREAM).normal(0.0, 1.0, (n - 1, 2, 3))
+    return ImuStream(
+        t=truth.t[:-1],
+        specific_force=force + np.asarray(cfg.imu.accel_bias) + noise[:, 0] * cfg.imu.accel_sigma,
+        angular_rate=rate + np.asarray(cfg.imu.gyro_bias) + noise[:, 1] * cfg.imu.gyro_sigma,
+    )
 
 
 def simulate_gps(truth: TruthStream, cfg: ScenarioConfig, origin: GeodeticPoint) -> GpsStream:
     rng = sensor_rng(cfg.seed, GPS_STREAM)
     g = cfg.gps
     sigma = np.array([g.sigma_xy, g.sigma_xy, g.sigma_z])
+    times = sensor_times(cfg.duration, g.rate_hz)
     fixes = []
-    for t in sensor_times(cfg.duration, g.rate_hz):
+    for t, p_true in zip(times, truth.position_at(times)):
         noise = rng.normal(0.0, 1.0, 3) * sigma
         u_drop = rng.uniform()
-        p = truth.position[_truth_index(t, cfg.dt, len(truth))] + noise
+        p = p_true + noise
         hdop = g.base_hdop
         dropped = False
         for w in g.occlusions:
@@ -94,10 +89,10 @@ def simulate_uwb(truth: TruthStream, anchor, cfg: ScenarioConfig) -> UwbStream:
     u = cfg.uwb
     times = sensor_times(cfg.duration, u.rate_hz)
     ranges, alphas, betas, nlos = [], [], [], []
-    for t in times:
+    for t, p_true in zip(times, truth.position_at(times)):
         n_range, n_alpha, n_beta = rng.normal(0.0, 1.0, 3)
         n_conf = rng.normal(0.0, 1.0)
-        target = Vec3Enu.from_array(truth.position[_truth_index(t, cfg.dt, len(truth))])
+        target = Vec3Enu.from_array(p_true)
         d, alpha, beta = uwb_inverse(target, anchor)
         d += n_range * u.range_sigma
         alpha += n_alpha * u.angle_sigma
@@ -120,11 +115,10 @@ def simulate_baro(truth: TruthStream, cfg: ScenarioConfig) -> BaroStream:
     rng = sensor_rng(cfg.seed, BARO_STREAM)
     b = cfg.baro
     times = sensor_times(cfg.duration, b.rate_hz)
-    up = truth.position[:, 2].tolist()
     pressures, altitudes = [], []
-    for t in times:
+    for t, up in zip(times, truth.position_at(times)[:, 2].tolist()):
         noise = rng.normal(0.0, 1.0) * b.pressure_sigma
-        pressure = baro_inverse(up[_truth_index(t, cfg.dt, len(up))], b.reference) + b.drift_rate * t + noise
+        pressure = baro_inverse(up, b.reference) + b.drift_rate * t + noise
         if pressure <= 0.0:
             raise NumericalFailureError(
                 f"simulated pressure {pressure:.3f} Pa <= 0 at t={t:.3f}"
@@ -136,10 +130,10 @@ def simulate_baro(truth: TruthStream, cfg: ScenarioConfig) -> BaroStream:
 
 def simulate_scenario(cfg: ScenarioConfig) -> ScenarioData:
     """Generate truth and all four sensor streams for one configuration."""
-    truth, attitudes = generate_truth(cfg)
+    truth, yaw = generate_truth(cfg)
     return ScenarioData(
         truth=truth,
-        imu=simulate_imu(truth, attitudes, cfg),
+        imu=simulate_imu(truth, yaw, cfg),
         gps=simulate_gps(truth, cfg, cfg.origin),
         uwb=simulate_uwb(truth, cfg.anchor, cfg),
         baro=simulate_baro(truth, cfg),

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 
-from ..core.types import Rotation, TruthStream
+import numpy as np
+
+from ..core.types import TruthStream
 from .scenario import PauseSegment, ScenarioConfig, TrajectoryProfile
 
 
@@ -74,28 +76,24 @@ def _profile_state(tau: float, prof: TrajectoryProfile):
     return pos, dpos, yaw
 
 
-def generate_truth(cfg: ScenarioConfig) -> tuple[TruthStream, tuple[Rotation, ...]]:
+def generate_truth(cfg: ScenarioConfig) -> tuple[TruthStream, np.ndarray]:
     """Sample the analytic profile on the IMU grid: n_steps + 1 points.
 
-    Returns the truth stream and the body-to-ENU rotation of each point. The
-    stream stores each rotation as a quaternion; the IMU simulator
-    differences the rotations themselves.
+    Returns the truth stream and the (n,) yaw of each point; the attitude is
+    a pure rotation by yaw about up, stored in the stream as the quaternion
+    (cos yaw/2, 0, 0, sin yaw/2). The IMU simulator differences the yaw.
     """
     prof = cfg.profile
-    t, position, velocity, attitudes = [], [], [], []
+    t, position, velocity, yaw = [], [], [], []
     for i in range(cfg.n_steps + 1):
         t_i = i * cfg.dt
         tau = warped_time(t_i, prof.pauses)
         s = pause_speed(t_i, prof.pauses)
-        pos, dpos, yaw = _profile_state(tau, prof)
+        pos, dpos, psi = _profile_state(tau, prof)
         t.append(t_i)
         position.append(pos)
         velocity.append([v * s for v in dpos])
-        attitudes.append(Rotation.from_rotvec([0.0, 0.0, yaw]))
-    truth = TruthStream(
-        t=t,
-        position=position,
-        velocity=velocity,
-        quaternion=[r.as_quaternion() for r in attitudes],
-    )
-    return truth, tuple(attitudes)
+        yaw.append(psi)
+    yaw = np.array(yaw)
+    quaternion = np.column_stack([np.cos(0.5 * yaw), np.zeros((len(yaw), 2)), np.sin(0.5 * yaw)])
+    return TruthStream(t=t, position=position, velocity=velocity, quaternion=quaternion), yaw

@@ -306,12 +306,14 @@ class TestSimulate:
         assert manifest["config_digest"] == config_digest(load_config(pipeline["config"]))
         assert missing_manifest_files(data, manifest) == []
 
-    # SHA-256 of each file `simulate` writes for SHORT_CONFIG at seed 7, as
-    # written by the per-sample simulator this columnar one replaced (x86-64,
-    # numpy 2.4): a change to any simulated or written value shows here
+    # SHA-256 of each file `simulate` writes for SHORT_CONFIG at seed 7
+    # (x86-64, numpy 2.4): a change to any simulated or written value shows
+    # here. truth.jsonl and imu.jsonl are as written by the yaw-array
+    # simulator (numpy sin/cos of the yaw); the other four files are as the
+    # per-sample simulator before it wrote them.
     GOLDEN = {
-        "truth.jsonl": "354090e507a3d012a1a1b7390a763476d11a2a3366a76480e71c478c9c233e94",
-        "imu.jsonl": "7b1dfe7b11062158685f51766072bece435995019e46717806f481def9f17604",
+        "truth.jsonl": "0fe560242ed4fe01353c8bb91489a40df186f07c1d3282d25e56e2468add697f",
+        "imu.jsonl": "31d8b8e49d0ca26b8d98f9c51766e2cce1b2e554aabdafeaea76f9fbec4baa17",
         "gps.jsonl": "fa813ac0c643c47c1f240ff6a5505d6bb8b737273346aec01e257b1a9767bc5d",
         "uwb.jsonl": "e3097cff667af929a543d33fe899c7018deaf5202f74ba4872ca1a086f6e5117",
         "baro.jsonl": "00fcf99d5f414a305f7433738e521f7d8bd0754e066d64da97ad0a9fbafdb302",

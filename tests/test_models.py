@@ -184,6 +184,18 @@ class TestTrainingSet:
         with pytest.raises(MissingInputError):
             build_training_set(dataclasses.replace(data, truth=data.truth[:0]), "baro", k=K)
 
+    def test_targets_follow_a_clock_that_starts_late(self):
+        # the same run with every timestamp 5 s later pairs each window with the same truth row
+        data = simulate_scenario(ScenarioConfig(duration=15.0, profile=TrajectoryProfile(pauses=())))
+        names = ("truth", "imu", "gps", "uwb", "baro")
+        late = dataclasses.replace(
+            data, **{n: dataclasses.replace(getattr(data, n), t=getattr(data, n).t + 5.0) for n in names}
+        )
+        for which in ("uwb", "baro"):
+            np.testing.assert_array_equal(
+                build_training_set(late, which, k=K).targets, build_training_set(data, which, k=K).targets
+            )
+
 
 class TestTrainedModels:
     def test_baro_calibration_on_quiet_scenario(self):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from climbloc.core import GeodeticPoint, Rotation, TruthStream, Vec3Enu, geodetic_to_enu
+from climbloc.core import GRAVITY, GeodeticPoint, TruthStream, Vec3Enu, geodetic_to_enu
 from climbloc.errors import ConfigError
 from climbloc.sim import (
     NlosWindow,
@@ -20,6 +20,7 @@ from climbloc.sim import (
     ImuNoise,
     generate_truth,
     pause_speed,
+    sensor_rng,
     simulate_baro,
     simulate_gps,
     simulate_imu,
@@ -27,6 +28,7 @@ from climbloc.sim import (
     simulate_uwb,
     warped_time,
 )
+from climbloc.sim.scenario import IMU_STREAM
 from climbloc.solvers import baro_inverse, uwb_geometric_fixes, uwb_inverse
 
 QUIET_IMU = ImuNoise(accel_sigma=0.0, gyro_sigma=0.0, accel_bias=(0, 0, 0), gyro_bias=(0, 0, 0))
@@ -50,14 +52,47 @@ def quiet_cfg(**overrides) -> ScenarioConfig:
 
 
 def level_truth(n, velocity=(0.0, 0.0, 0.0), start=(0.0, 0.0, 0.0)):
-    """(stream, attitudes): n level points 0.01 s apart at constant velocity."""
+    """(stream, yaw): n level points 0.01 s apart at constant velocity."""
     truth = TruthStream(
         t=[i * 0.01 for i in range(n)],
         position=[[s + v * i * 0.01 for s, v in zip(start, velocity)] for i in range(n)],
         velocity=[velocity] * n,
         quaternion=[(1.0, 0.0, 0.0, 0.0)] * n,
     )
-    return truth, (Rotation.identity(),) * n
+    return truth, np.zeros(n)
+
+
+YAWING = TrajectoryProfile(yaw_amplitude=0.6, pauses=(PauseSegment(6.0, 9.0, ramp=1.0),))
+
+
+def yawing_cfg(dt, imu=ImuNoise()):
+    return quiet_cfg(duration=15.0, dt=dt, profile=YAWING, imu=imu)
+
+
+def rz(yaw):
+    """Body-to-ENU rotation by `yaw` about up."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def reference_imu(truth, yaw, cfg):
+    """(forces, rates) one step at a time: R_i^T (dv/dt - g) and the axis-angle
+    log of R_i^T R_{i+1} over dt, each plus bias and its accel-then-gyro draws."""
+    rng = sensor_rng(cfg.seed, IMU_STREAM)
+    forces, rates = [], []
+    for i in range(len(truth) - 1):
+        r_a, r_b = rz(yaw[i]), rz(yaw[i + 1])
+        dt = truth.t[i + 1] - truth.t[i]
+        accel = (truth.velocity[i + 1] - truth.velocity[i]) / dt
+        forces.append(r_a.T @ (accel - [0.0, 0.0, -GRAVITY]) + cfg.imu.accel_bias
+                      + rng.normal(0.0, 1.0, 3) * cfg.imu.accel_sigma)
+        rel = r_a.T @ r_b
+        axis = np.array([rel[2, 1] - rel[1, 2], rel[0, 2] - rel[2, 0], rel[1, 0] - rel[0, 1]]) / 2.0
+        sin_angle = np.linalg.norm(axis)
+        angle = np.arctan2(sin_angle, (np.trace(rel) - 1.0) / 2.0)
+        rotvec = axis * (angle / sin_angle) if sin_angle > 0 else axis
+        rates.append(rotvec / dt + cfg.imu.gyro_bias + rng.normal(0.0, 1.0, 3) * cfg.imu.gyro_sigma)
+    return np.array(forces), np.array(rates)
 
 
 def truth_rows(truth, times, dt):
@@ -68,8 +103,18 @@ def truth_rows(truth, times, dt):
 class TestTruth:
     def test_point_count(self):
         cfg = quiet_cfg(duration=100.0, dt=0.1)
-        truth, attitudes = generate_truth(cfg)
-        assert len(truth) == len(attitudes) == 1001
+        truth, yaw = generate_truth(cfg)
+        assert len(truth) == len(yaw) == 1001
+
+    def test_quaternion_is_the_yaw_about_up(self):
+        cfg = yawing_cfg(0.01)
+        truth, yaw = generate_truth(cfg)
+        tau = np.array([warped_time(t, YAWING.pauses) for t in truth.t])
+        analytic = YAWING.yaw_amplitude * np.sin(2 * np.pi / YAWING.horizontal_period * tau)
+        np.testing.assert_allclose(yaw, analytic, rtol=0, atol=1e-15)
+        assert np.ptp(yaw) > 0.5
+        expected = np.column_stack([np.cos(yaw / 2), np.zeros((len(yaw), 2)), np.sin(yaw / 2)])
+        np.testing.assert_array_equal(truth.quaternion, expected)
 
     def test_zero_amplitudes_hold_still(self):
         prof = TrajectoryProfile(vertical_amplitude=0.0, horizontal_amplitude=0.0, pauses=())
@@ -137,6 +182,26 @@ class TestImuSim:
         mean_w = np.mean(stream.angular_rate, axis=0)
         np.testing.assert_allclose(mean_f - np.array([0, 0, 9.80665]), imu_cfg.accel_bias, atol=1e-12)
         np.testing.assert_allclose(mean_w, imu_cfg.gyro_bias, atol=1e-12)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.02])
+    def test_matches_per_step_reference_while_yawing(self, dt):
+        cfg = yawing_cfg(dt)
+        truth, yaw = generate_truth(cfg)
+        stream = simulate_imu(truth, yaw, cfg)
+        forces, rates = reference_imu(truth, yaw, cfg)
+        np.testing.assert_array_equal(stream.t, truth.t[:-1])
+        np.testing.assert_allclose(stream.specific_force, forces, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stream.angular_rate, rates, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.02])
+    def test_noiseless_stream_integrates_to_truth_velocity(self, dt):
+        cfg = yawing_cfg(dt, imu=QUIET_IMU)
+        truth, yaw = generate_truth(cfg)
+        stream = simulate_imu(truth, yaw, cfg)
+        accel = np.array([rz(psi) @ f for psi, f in zip(yaw, stream.specific_force)])
+        dv = (accel + [0.0, 0.0, -GRAVITY]) * np.diff(truth.t)[:, None]
+        velocity = truth.velocity[0] + np.cumsum(dv, axis=0)
+        np.testing.assert_allclose(velocity, truth.velocity[1:], rtol=0, atol=1e-12)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
