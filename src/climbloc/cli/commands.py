@@ -258,7 +258,7 @@ def cmd_report(est_paths, truth_path, out_dir, config_path=None):
     """Metric/CDF/boxplot CSVs plus a comparison table on stdout."""
     doc = cfgmod.load_config(config_path)
     ev = cfgmod.eval_options(doc)
-    truth, _ = records.read_table(truth_path, ("t", "x", "y", "z"))
+    truth, _ = records.read_stream_table(truth_path, "truth", ("t", "x", "y", "z"))
     os.makedirs(out_dir, exist_ok=True)
 
     rows, cdf_table, summaries, report_rows = [], {}, [], []

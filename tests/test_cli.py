@@ -24,8 +24,9 @@ from climbloc.cli import (
     read_table,
     read_trajectory,
 )
+from climbloc.cli import records
 from climbloc.cli.config import scenario_config
-from climbloc.cli.records import write_jsonl
+from climbloc.cli.records import COLUMNS_DIR, write_jsonl, write_scenario
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import model_from_dict, uwb_fcnn_infer
 from climbloc.sim import simulate_scenario
@@ -189,6 +190,39 @@ def tiny_scenario():
     return simulate_scenario(scenario_config(doc))
 
 
+@pytest.fixture(scope="module")
+def default_scenario():
+    return simulate_scenario(scenario_config(load_config(None)))
+
+
+def _record_parses(monkeypatch) -> list:
+    """The names of the files `read_table` parses from here on, in order."""
+    parsed, read_table = [], records.read_table
+
+    def recording(path, *args, **kwargs):
+        parsed.append(os.path.basename(path))
+        return read_table(path, *args, **kwargs)
+
+    monkeypatch.setattr(records, "read_table", recording)
+    return parsed
+
+
+class TestBlasThreads:
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("setting, expected", [(None, "1"), ("2", "2")])
+    def test_cli_pins_one_thread_unless_the_environment_sets_it(self, setting, expected):
+        src = os.path.dirname(os.path.dirname(climbloc.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if setting is not None:
+            env.update(dict.fromkeys(self.BLAS_VARS, setting))
+        code = "import os, climbloc.cli; print(*(os.environ[k] for k in %r))" % (self.BLAS_VARS,)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [expected] * 3
+
+
 class TestRecords:
     def test_scenario_round_trip(self, tiny_scenario, tmp_path):
         from climbloc.cli import write_scenario
@@ -213,6 +247,65 @@ class TestRecords:
         write_scenario(str(second), read_scenario(str(first)))
         for filename in [*SCENARIO_FILES.values(), "anchor.json"]:
             assert file_sha(first / filename) == file_sha(second / filename), filename
+
+    @pytest.mark.parametrize("scenario", ["tiny_scenario", "default_scenario"])
+    def test_column_file_read_equals_jsonl_read(self, scenario, request, tmp_path, monkeypatch):
+        write_scenario(str(tmp_path), request.getfixturevalue(scenario))
+        parsed = _record_parses(monkeypatch)
+        cached = read_scenario(str(tmp_path))
+        assert parsed == []
+        shutil.rmtree(tmp_path / COLUMNS_DIR)
+        parsed = read_scenario(str(tmp_path))
+        for name in SCENARIO_FILES:
+            assert getattr(cached, name) == getattr(parsed, name), name
+
+    def test_edited_stream_ignores_its_stale_column_file(self, tiny_scenario, tmp_path):
+        write_scenario(str(tmp_path), tiny_scenario)
+        _rewrite_line(tmp_path / "baro.jsonl", 5, lambda r: json.dumps({**r, "p": r["p"] + 1.0}))
+        pressure = read_scenario(str(tmp_path)).baro.pressure
+        assert pressure[4] == tiny_scenario.baro.pressure[4] + 1.0
+        assert np.array_equal(np.delete(pressure, 4), np.delete(tiny_scenario.baro.pressure, 4))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda path, table: np.save(path, table[:, 1:]), id="wrong-width"),
+            pytest.param(lambda path, table: np.save(path, table.astype(np.float32)), id="wrong-dtype"),
+            pytest.param(lambda path, table: path.write_bytes(path.read_bytes()[:-20]), id="truncated"),
+            pytest.param(lambda path, table: path.write_bytes(path.read_bytes()[:40]), id="truncated-header"),
+        ],
+    )
+    def test_unusable_column_file_falls_back_to_the_jsonl(self, tiny_scenario, tmp_path, damage):
+        write_scenario(str(tmp_path), tiny_scenario)
+        [path] = (tmp_path / COLUMNS_DIR).glob("gps-*.npy")
+        damage(path, np.load(path))
+        assert read_scenario(str(tmp_path)).gps == tiny_scenario.gps
+
+    def test_emptied_stream_reads_as_no_rows_beside_cached_streams(self, tiny_scenario, tmp_path, monkeypatch):
+        write_scenario(str(tmp_path), tiny_scenario)
+        (tmp_path / "uwb.jsonl").write_bytes(b"")
+        parsed = _record_parses(monkeypatch)
+        back = read_scenario(str(tmp_path))
+        assert parsed == ["uwb.jsonl"]
+        assert len(back.uwb) == 0
+        for name in ("truth", "imu", "gps", "baro"):
+            assert getattr(back, name) == getattr(tiny_scenario, name), name
+
+    def test_report_is_byte_identical_without_column_files(self, pipeline, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+
+        def report_sha(out):
+            rc = main(["report", "--est", *pipeline["trajectories"].values(), "--truth", str(data / "truth.jsonl"),
+                       "--out", str(out), "--config", pipeline["config"]])
+            assert rc == 0
+            return file_sha(out / "report.json")
+
+        parsed = _record_parses(monkeypatch)
+        with_columns = report_sha(tmp_path / "with")
+        assert "truth.jsonl" not in parsed
+        shutil.rmtree(data / COLUMNS_DIR)
+        assert report_sha(tmp_path / "without") == with_columns
 
     def test_jsonl_error_carries_line_number(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -332,7 +425,11 @@ class TestSimulate:
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         again = str(tmp_path / "again")
         assert main(["simulate", "--config", pipeline["config"], "--out", again]) == 0
-        for filename in [*SCENARIO_FILES.values(), "anchor.json", MANIFEST_FILE]:
+        columns = sorted(os.listdir(os.path.join(again, COLUMNS_DIR)))
+        assert columns == sorted(os.listdir(os.path.join(pipeline["data"], COLUMNS_DIR)))
+        assert len(columns) == len(SCENARIO_FILES)
+        for filename in [*SCENARIO_FILES.values(), "anchor.json", MANIFEST_FILE,
+                         *(os.path.join(COLUMNS_DIR, name) for name in columns)]:
             assert file_sha(os.path.join(pipeline["data"], filename)) == file_sha(
                 os.path.join(again, filename)
             ), filename
