@@ -32,7 +32,6 @@ from .records import (
     read_scenario,
     read_table,
     read_trajectory,
-    write_jsonl,
     write_manifest,
     write_scenario,
     write_trajectory,
@@ -58,7 +57,6 @@ __all__ = [
     "read_table",
     "read_trajectory",
     "run_algorithm",
-    "write_jsonl",
     "write_manifest",
     "write_scenario",
     "write_trajectory",

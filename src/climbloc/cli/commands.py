@@ -17,8 +17,9 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .. import __version__
-from ..core import Vec3Enu
 from ..errors import ConfigError, MissingInputError, NumericalFailureError
 from ..fusion import (
     amfa_pipeline,
@@ -55,7 +56,7 @@ from ..models import (
     uwb_fcnn_infer,
 )
 from ..sim import simulate_scenario
-from ..solvers import PoseEstimate, UwbSigmaModel, baro_altitude, uwb_geometric_fixes
+from ..solvers import UwbSigmaModel, baro_altitude, uwb_geometric_fixes
 from . import config as cfgmod
 from . import records
 
@@ -174,61 +175,45 @@ def cmd_train(model, data_dir, out_path, config_path=None, seed=None, epochs=Non
     return out_path
 
 
-def _zero_xy_pose(t, altitude, sigma_z, source) -> PoseEstimate:
-    # altitude-only algorithms report x = y = 0 placeholders
-    return PoseEstimate(
-        t=t, position=Vec3Enu(0.0, 0.0, float(altitude)), sigma=(0.0, 0.0, float(sigma_z)), source=source
-    )
+def _altitude_only(t, altitudes, sigmas_z):
+    # altitude-only algorithms report x = y = 0 placeholders, with sigma 0
+    zeros = np.zeros((len(t), 2))
+    return t, np.column_stack([zeros, altitudes]), np.column_stack([zeros, sigmas_z])
 
 
 def run_algorithm(scenario, algo, models_dir=None, doc=None):
-    """Trajectory for one algorithm as a PoseEstimate sequence.
+    """Trajectory for one algorithm: (t, positions, sigmas), one row per epoch.
 
-    A run too short to fill an FCNN's window (k) or the fusion estimate
-    window (L) yields no pose and raises MissingInputError.
+    An algorithm that yields no row raises MissingInputError naming what ran
+    short: an empty stream, or a run too short to fill an FCNN's window (k)
+    or the fusion estimate window (L).
     """
     doc = doc if doc is not None else cfgmod.load_config(None)
     if algo == "baro":
         ref = scenario.baro_reference
-        return [
-            _zero_xy_pose(t, baro_altitude(p, ref), 0.0, "baro")
-            for t, p in zip(scenario.baro.t.tolist(), scenario.baro.pressure.tolist())
-        ]
-    if algo == "baro-fcnn":
+        altitudes = [baro_altitude(p, ref) for p in scenario.baro.pressure.tolist()]
+        track = _altitude_only(scenario.baro.t, altitudes, np.zeros(len(altitudes)))
+        short = "baro: the baro stream has no samples"
+    elif algo == "baro-fcnn":
         model = _load_sensor_model(models_dir, "baro")
         altitudes, sigmas = baro_fcnn_infer(model, scenario.baro)
-        if not len(altitudes):
-            raise MissingInputError(
-                f"baro-fcnn: {len(scenario.baro)} baro samples never fill the FCNN window (k = {model.k})"
-            )
-        return [
-            _zero_xy_pose(t, alt, sigma_z, "baro-fcnn")
-            for t, alt, sigma_z in zip(scenario.baro.t[model.k - 1 :].tolist(), altitudes, sigmas)
-        ]
-    if algo == "uwb-geo":
+        track = _altitude_only(scenario.baro.t[model.k - 1 :], altitudes, sigmas)
+        short = f"baro-fcnn: {len(scenario.baro)} baro samples never fill the FCNN window (k = {model.k})"
+    elif algo == "uwb-geo":
         sigma_model = UwbSigmaModel(
             range_sigma=doc["sim"]["uwb"]["range_sigma"],
             angle_sigma=doc["sim"]["uwb"]["angle_sigma"],
         )
-        positions, sigmas = uwb_geometric_fixes(scenario.uwb, scenario.anchor, sigma_model)
-        return [
-            PoseEstimate(t=t, position=Vec3Enu.from_array(p), sigma=s, source="uwb-geo")
-            for t, p, s in zip(scenario.uwb.t.tolist(), positions, sigmas)
-        ]
-    if algo == "uwb-fcnn":
+        track = (scenario.uwb.t, *uwb_geometric_fixes(scenario.uwb, scenario.anchor, sigma_model))
+        short = "uwb-geo: the UWB stream has no measurements"
+    elif algo == "uwb-fcnn":
         model = _load_sensor_model(models_dir, "uwb")
-        positions, sigmas = uwb_fcnn_infer(model, scenario.uwb, scenario.anchor)
-        if not len(positions):
-            raise MissingInputError(
-                f"uwb-fcnn: {len(scenario.uwb)} UWB measurements never fill the FCNN window (k = {model.k})"
-            )
-        return [
-            PoseEstimate(t=t, position=Vec3Enu.from_array(p), sigma=s, source="uwb-fcnn")
-            for t, p, s in zip(scenario.uwb.t[model.k - 1 :].tolist(), positions, sigmas)
-        ]
-    if algo == "gpsins-ekf":
-        return ekf_pass(scenario, epoch_times(scenario))[0]
-    if algo == "amfa":
+        track = (scenario.uwb.t[model.k - 1 :], *uwb_fcnn_infer(model, scenario.uwb, scenario.anchor))
+        short = f"uwb-fcnn: {len(scenario.uwb)} UWB measurements never fill the FCNN window (k = {model.k})"
+    elif algo == "gpsins-ekf":
+        epochs = epoch_times(scenario)  # at least one, or MissingInputError
+        return (np.asarray(epochs, dtype=float), *ekf_pass(scenario, epochs)[:2])
+    elif algo == "amfa":
         bundle_path = os.path.join(models_dir, MODEL_FILES["fusion"])
         if not os.path.exists(bundle_path):
             raise MissingInputError(
@@ -237,19 +222,21 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
         encoders, params, ukf, L, lam = fusion_from_dict(_read_json(bundle_path))
         uwb_model = _load_sensor_model(models_dir, "uwb")
         baro_model = _load_sensor_model(models_dir, "baro")
-        poses = list(amfa_pipeline(scenario, uwb_model, baro_model, encoders, params, ukf, L=L, lam=lam))
-        if not poses:
-            raise MissingInputError(f"amfa: no fusion epoch fills the estimate window (L = {L} epochs)")
-        return poses
-    raise ConfigError(f"unknown algorithm {algo!r} (expected one of {', '.join(ALGORITHMS)})")
+        track = amfa_pipeline(scenario, uwb_model, baro_model, encoders, params, ukf, L=L, lam=lam)
+        short = f"amfa: no fusion epoch fills the estimate window (L = {L} epochs)"
+    else:
+        raise ConfigError(f"unknown algorithm {algo!r} (expected one of {', '.join(ALGORITHMS)})")
+    if not len(track[0]):
+        raise MissingInputError(short)
+    return track
 
 
 def cmd_run(data_dir, models_dir, algo, out_path, config_path=None):
     doc = cfgmod.load_config(config_path)
     scenario = records.read_scenario(data_dir)
-    poses = run_algorithm(scenario, algo, models_dir=models_dir, doc=doc)
+    track = run_algorithm(scenario, algo, models_dir=models_dir, doc=doc)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-    n = records.write_trajectory(out_path, poses, algo)
+    n = records.write_trajectory(out_path, *track, algo)
     print(f"wrote {out_path} ({n} epochs)")
     return out_path
 

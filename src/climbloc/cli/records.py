@@ -45,7 +45,7 @@ from ..core import (
 )
 from ..errors import MissingInputError
 from ..sim import ScenarioData
-from ..solvers import BaroReference, PoseEstimate
+from ..solvers import BaroReference
 
 SCENARIO_FILES = {
     "truth": "truth.jsonl",
@@ -77,16 +77,6 @@ _NUMBER = {float, int}  # JSON numbers; bools are not numbers here
 # rows per write of a stream file: a chunk of 4096 rows raised the peak RSS
 # of `simulate` by 3.7 MB on a 40 s scenario, 256 keeps it at the old level
 _ROWS_PER_WRITE = 256
-
-
-def write_jsonl(path, records) -> int:
-    n = 0
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec))
-            fh.write("\n")
-            n += 1
-    return n
 
 
 def _records(path):
@@ -197,22 +187,22 @@ def _read_stream(directory, name):
         raise ValueError(f"{path}:{_line_of(path, err.row)}: field {key!r}: {err.detail}") from None
 
 
-def trajectory_record(pose: PoseEstimate, algo: str) -> dict:
-    sx, sy, sz = pose.sigma
-    return {
-        "t": float(pose.t),
-        "x": float(pose.position.east),
-        "y": float(pose.position.north),
-        "z": float(pose.position.up),
-        "sx": sx,
-        "sy": sy,
-        "sz": sz,
-        "algo": algo,
-    }
+def write_trajectory(path, t, positions, sigmas, algo: str) -> int:
+    """Write one trajectory record per epoch; returns the number written.
 
-
-def write_trajectory(path, poses, algo: str) -> int:
-    return write_jsonl(path, (trajectory_record(p, algo) for p in poses))
+    `t` holds the epoch times and `positions` and `sigmas` one (x, y, z) row
+    per epoch. A non-finite value or a negative sigma is a ValueError, raised
+    before the file is opened.
+    """
+    table = np.column_stack([t, positions, sigmas]).astype(float)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1) | (table[:, 4:] < 0).any(axis=1))
+    if len(bad):
+        t_k, *values = table[bad[0]].tolist()
+        raise ValueError(
+            f"{algo} epoch t={t_k!r}: position and sigma must be finite, sigma >= 0, got {tuple(values)}"
+        )
+    _write_stream(path, table, TRAJECTORY_KEYS, fixed={"algo": algo})
+    return len(table)
 
 
 def read_trajectory(path):
@@ -255,12 +245,17 @@ def anchor_document(scenario: ScenarioData) -> dict:
     }
 
 
-def _write_stream(path, name, table) -> str:
-    """Write a stream's records from its column table in one pass; returns
-    the SHA-256 of the bytes written. `repr` of a finite float is what
-    `json.dumps` writes for it, so the lines are `write_jsonl`'s."""
-    flag = _STREAMS[name][2]
-    fields = [f'"{key}": %r' for key in _numeric_keys(name)] + ([f'"{flag}": %s'] if flag else [])
+def _write_stream(path, table, keys, flag=None, fixed=None) -> str:
+    """Write one JSONL record per row of `table` in one pass; returns the
+    SHA-256 of the bytes written.
+
+    A record holds the row's numbers under `keys`, then, when `flag` names
+    one, its last column as a JSON bool, then the `fixed` fields, the same
+    on every line. `repr` of a finite float is what `json.dumps` writes for
+    it, so each line is `json.dumps` of its record.
+    """
+    fields = [f'"{key}": %r' for key in keys] + ([f'"{flag}": %s'] if flag else [])
+    fields += [f"{json.dumps(key)}: {json.dumps(value)}".replace("%", "%%") for key, value in (fixed or {}).items()]
     line = "{" + ", ".join(fields) + "}\n"
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -297,7 +292,7 @@ def write_scenario(directory, scenario: ScenarioData) -> dict:
             parts.append(getattr(stream, flag))
         table = np.ascontiguousarray(np.column_stack(parts), dtype=np.float64)
         path = os.path.join(directory, filename)
-        _store_table(path, name, _write_stream(path, name, table), table)
+        _store_table(path, name, _write_stream(path, table, _numeric_keys(name), flag), table)
         files[name] = filename
     with open(os.path.join(directory, ANCHOR_FILE), "w") as fh:
         json.dump(anchor_document(scenario), fh, indent=2)

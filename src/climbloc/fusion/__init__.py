@@ -8,6 +8,7 @@ from .attention import (
     FusedObservation,
     ReliabilityScores,
     attend,
+    encode,
     fuse,
     fusion_ratios,
     init_attention_params,
@@ -15,6 +16,7 @@ from .attention import (
 )
 from .pipeline import (
     DEFAULT_L,
+    FrameBatch,
     FusionFrame,
     amfa_pipeline,
     collect_fusion_frames,
@@ -32,6 +34,7 @@ __all__ = [
     "AXIS_MODALITIES",
     "MODALITIES",
     "AttentionParams",
+    "FrameBatch",
     "FusedObservation",
     "FusionFrame",
     "ReliabilityScores",
@@ -41,6 +44,7 @@ __all__ = [
     "attend",
     "collect_fusion_frames",
     "ekf_pass",
+    "encode",
     "epoch_times",
     "fuse",
     "fusion_from_dict",

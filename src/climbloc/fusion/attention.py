@@ -11,9 +11,10 @@ to a divergence penalty: lambda times the ratio-weighted squared spread of
 the modality estimates around the fused value. Agreeing modalities therefore
 tighten the covariance; disagreeing ones inflate it.
 
-The algebra exists once, batched over stacked frames: `attend`. Training and
-application both call it; `fusion_ratios` and `fuse` are batch-of-one
-adaptors over its softmax and fuse steps.
+The algebra exists once, batched over the rows of a frame batch: `attend`
+scores the embeddings that `encode` (or the trainer, keeping activations)
+computes. `fusion_ratios` and `fuse` are batch-of-one adaptors over its
+softmax and fuse steps.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError
-from ..nnet import _forward_trace, net_init
+from ..nnet import net_forward, net_init
 
 AXES = ("x", "y", "z")
 MODALITIES = ("uwb", "gpsins", "baro")
@@ -45,7 +46,8 @@ DEFAULT_LAMBDA = 1.0
 
 @dataclass(frozen=True)
 class ReliabilityScores:
-    """Two hand-computed quality features per modality, all finite and >= 0.
+    """Two hand-computed quality features per modality; a FrameBatch holding
+    them requires each to be finite and >= 0.
 
     uwb: (1 - nlos_confidence, mean model sigma); gpsins: (1/(1+hdop),
     innovation magnitude); baro: (1/(1+window variance), sigma_z).
@@ -60,8 +62,6 @@ class ReliabilityScores:
             r = tuple(float(v) for v in getattr(self, name))
             if len(r) != N_RELIABILITY:
                 raise ValueError(f"{name} reliability needs {N_RELIABILITY} features")
-            if not all(math.isfinite(v) and v >= 0 for v in r):
-                raise ValueError(f"{name} reliability must be finite and >= 0, got {r}")
             object.__setattr__(self, name, r)
 
 
@@ -149,30 +149,42 @@ def fuse_rows(gamma: np.ndarray, estimates: np.ndarray, sigmas: np.ndarray, lam:
     return fused, intrinsic + lam * np.einsum("nsm,nsm->ns", gamma, spread * spread)
 
 
-def attend(batch: dict, encoders: dict, params: AttentionParams, lam: float = DEFAULT_LAMBDA):
-    """Per-axis attention over stacked frames: encode, score, softmax, fuse.
+def ready_windows(batch: dict, encoders: dict):
+    """Per modality: (its index, its name, the rows where it is ready, their
+    windows), which must be as wide as its encoder's input (ValueError)."""
+    for j, m in enumerate(MODALITIES):
+        width = encoders[m].layer_sizes[0]
+        if batch[m].shape[1] != width:
+            raise ValueError(f"{m} window length {batch[m].shape[1]} != encoder input {width}")
+        rows = np.flatnonzero(batch["ready"][:, j])
+        yield j, m, rows, batch[m][rows]
 
-    `batch` holds one row per frame, as `pipeline.stack_frames` builds it:
-    each modality's flattened estimate windows, the "ready" mask, and the
-    "estimates", "sigmas" and "reliability" arrays. A logit adds scaled
-    query-key agreement, the gated reliability read-out and the prior bias;
-    the softmax runs over the modalities each axis may weigh that are ready
-    in the row, and a modality that is not ready embeds as zeros.
+
+def encode(batch: dict, encoders: dict) -> np.ndarray:
+    """Embeddings (row, modality, d_e) of each ready modality's window; zeros where it is not ready."""
+    z = np.zeros((len(batch["ready"]), len(MODALITIES), encoders[MODALITIES[0]].layer_sizes[-1]))
+    for j, m, rows, windows in ready_windows(batch, encoders):
+        z[rows, j] = net_forward(encoders[m], windows)
+    return z
+
+
+def attend(batch: dict, z: np.ndarray, params: AttentionParams, lam: float = DEFAULT_LAMBDA):
+    """Per-axis attention over the rows of a batch: score, softmax, fuse.
+
+    `batch` holds one row per frame, as `FrameBatch.arrays` builds it: the
+    "ready" mask and the "estimates", "sigmas" and "reliability" arrays.
+    `z` holds the rows' embeddings (`encode`), zeros for a modality that is
+    not ready. A logit adds scaled query-key agreement, the gated
+    reliability read-out and the prior bias; the softmax runs over the
+    modalities each axis may weigh that are ready in the row.
 
     Returns (ratios, fused, variance, cache): ratios (row, axis, modality),
     fused positions and fused variances (row, axis), and the intermediates
     the training backward pass reads.
     """
     ready = batch["ready"]
-    n, d_e, d_k = len(ready), params.w_k.shape[1], params.d_k
-    z = np.zeros((n, len(MODALITIES), d_e))
-    traces = {}
-    for j, m in enumerate(MODALITIES):
-        rows = np.flatnonzero(ready[:, j])
-        trace = _forward_trace(encoders[m], batch[m][rows])
-        z[rows, j] = trace[-1]
-        traces[m] = (rows, trace)
-    zc = z.reshape(n, len(MODALITIES) * d_e)
+    n, d_k = len(ready), params.d_k
+    zc = z.reshape(n, len(MODALITIES) * z.shape[2])
     w_q = np.stack([params.w_q[s] for s in AXES]).reshape(len(AXES) * d_k, -1)
     queries = (zc @ w_q.T).reshape(n, len(AXES), d_k)
     keys = z @ params.w_k.T
@@ -184,10 +196,7 @@ def attend(batch: dict, encoders: dict, params: AttentionParams, lam: float = DE
 
     gamma = masked_softmax(logits, ready[:, None, :] & AXIS_MASK)
     fused, variance = fuse_rows(gamma, batch["estimates"], batch["sigmas"], lam)
-    cache = {
-        "traces": traces, "z": z, "zc": zc, "w_q": w_q, "queries": queries, "keys": keys,
-        "beta": beta, "rel": rel,
-    }
+    cache = {"z": z, "zc": zc, "w_q": w_q, "queries": queries, "keys": keys, "beta": beta, "rel": rel}
     return gamma, fused, variance, cache
 
 

@@ -1,26 +1,31 @@
 """Epoch-aligned fusion front-end and the full attention-fusion pipeline.
 
-`collect_fusion_frames` builds one frame per fusion epoch from three passes
-over whole streams. The EKF pass is the only sequential loop: it drives the
-GPS/INS filter at the IMU rate, applies each valid GPS fix in time order, and
-records the estimate, HDOP and innovation at every epoch. The UWB and baro
-passes compute one estimate per measurement (the classical solution until
-the FCNN window fills, then one batched FCNN pass) and hold it at each epoch
-up to the next measurement. A modality's estimate window is its last L epoch
-estimates, once L epochs have it. Training and application consume the same
-frames, so the two phases see identical inputs by construction.
+`collect_fusion_frames` builds one FrameBatch, the arrays of every fusion
+epoch of a run, from three passes over whole streams. The EKF pass is the
+only sequential loop: it drives the GPS/INS filter at the IMU rate, applies
+each valid GPS fix in time order, and records the estimate, HDOP and
+innovation at every epoch. The UWB and baro passes compute one estimate per
+measurement (the classical solution until the FCNN window fills, then one
+batched FCNN pass) and hold it at each epoch up to the next measurement. A
+modality's estimate window is its last L epoch estimates, once L epochs have
+it. Training and application consume the same batch, so the two phases see
+identical inputs by construction.
 
-`run_fusion` stacks the frames and attends over them in one call
-(`attention.attend`), then UKF-updates per epoch.
+`run_fusion` encodes and attends over the batch in one call
+(`attention.encode`, `attention.attend`), then UKF-updates per epoch.
 Epochs that cannot fuse (an axis with every estimate window still filling)
 pass the GPS/INS solution through with inflated sigma; the application
 pipeline additionally drops the leading run of those, so its trajectory
-starts at the first fused epoch.
+starts at the first fused epoch. Per-epoch objects (FusionFrame,
+FusedObservation) exist only as views built when a batch or the
+observations are indexed.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +49,7 @@ from .attention import (
     FusedObservation,
     ReliabilityScores,
     attend,
+    encode,
 )
 from .ukf import UkfState, ukf_step
 
@@ -65,7 +71,7 @@ class FusionFrame:
     reliability: ReliabilityScores
     estimates: dict      # modality -> {axis: meters}; absent modalities omitted
     sigmas: dict         # modality -> {axis: sigma}
-    fallback: PoseEstimate
+    fallback: PoseEstimate | None
     truth_position: np.ndarray | None = None
 
     def ready(self) -> tuple:
@@ -78,40 +84,103 @@ class FusionFrame:
         return all(any(m in ready for m in AXIS_MODALITIES[s]) for s in AXES)
 
 
-def stack_frames(frames, encoders: dict) -> dict:
-    """Frames stacked into arrays, one row per frame, as `attend` reads them.
+@dataclass(frozen=True, eq=False)
+class FrameBatch(Sequence):
+    """A run's n fusion epochs as arrays; `batch[i]` builds epoch i's FusionFrame.
 
-    Keys: each modality -> (n, L*w) flattened estimate windows, as wide as
-    the encoder's input; "ready" -> (n, modality) bool; "estimates" and
-    "sigmas" -> (n, modality, axis) meters; "reliability" -> (n, modality,
-    N_RELIABILITY); and, when every frame has one, "truth" -> (n, axis)
-    meters. Entries of a modality that is not ready in a row (no window or
-    no estimate) are 0 and masked out through "ready", as are the estimates
-    and sigmas of axes a modality cannot see.
+    Every reliability feature must be finite and >= 0 (ValueError).
     """
-    n, n_mod = len(frames), len(MODALITIES)
-    batch = {m: np.zeros((n, encoders[m].layer_sizes[0])) for m in MODALITIES}
-    batch["ready"] = np.zeros((n, n_mod), dtype=bool)
-    batch["estimates"] = np.zeros((n, n_mod, len(AXES)))
-    batch["sigmas"] = np.zeros((n, n_mod, len(AXES)))
-    batch["reliability"] = np.array(
-        [[getattr(f.reliability, m) for m in MODALITIES] for f in frames], dtype=float
-    ).reshape(n, n_mod, N_RELIABILITY)
-    if all(f.truth_position is not None for f in frames):
-        batch["truth"] = np.array([f.truth_position for f in frames], dtype=float).reshape(n, len(AXES))
-    for i, f in enumerate(frames):
-        ready = f.ready()
-        for j, m in enumerate(MODALITIES):
-            if m not in ready:
-                continue
-            window = np.ravel(f.windows[m])
-            if len(window) != batch[m].shape[1]:
-                raise ValueError(f"{m} window length {len(window)} != encoder input {batch[m].shape[1]}")
-            batch["ready"][i, j] = True
-            batch[m][i] = window
-            batch["estimates"][i, j] = [f.estimates[m].get(s, 0.0) for s in AXES]
-            batch["sigmas"][i, j] = [f.sigmas[m].get(s, 0.0) for s in AXES]
-    return batch
+
+    t: np.ndarray               # (n,) epoch times
+    windows: dict               # modality -> (n, L*w) flattened estimate windows, 0 until ready
+    present: np.ndarray         # (n, modality) bool: the modality has an estimate at the epoch
+    ready: np.ndarray           # (n, modality) bool: ... and a full estimate window
+    estimates: np.ndarray       # (n, modality, axis) meters, 0 where absent or the axis is unseen
+    sigmas: np.ndarray          # (n, modality, axis) meters, likewise
+    reliability: np.ndarray     # (n, modality, N_RELIABILITY), 0 where absent
+    fallback: np.ndarray        # (n, axis) GPS/INS position; NaN where a frame had none
+    fallback_sigma: np.ndarray  # (n, axis)
+    truth: np.ndarray | None = None  # (n, axis), when the run has truth
+
+    def __post_init__(self):
+        bad = ~(np.isfinite(self.reliability) & (self.reliability >= 0)).all(axis=2)
+        if bad.any():
+            e, j = np.argwhere(bad)[0]
+            r = tuple(self.reliability[e, j].tolist())
+            raise ValueError(f"{MODALITIES[j]} reliability must be finite and >= 0, got {r}")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i) -> FusionFrame:
+        e = range(len(self))[operator.index(i)]
+        t, present = float(self.t[e]), [(j, m) for j, m in enumerate(MODALITIES) if self.present[e, j]]
+
+        def axes(values, j):
+            return {s: v for s, v, seen in zip(AXES, values.tolist(), AXIS_MASK[:, j]) if seen}
+
+        fallback = None
+        if not np.isnan(self.fallback_sigma[e]).any():
+            fallback = PoseEstimate(t, Vec3Enu.from_array(self.fallback[e]), self.fallback_sigma[e], "gpsins-ekf")
+        return FusionFrame(
+            t=t,
+            windows={m: self.windows[m][e].copy() if self.ready[e, j] else None for j, m in enumerate(MODALITIES)},
+            reliability=ReliabilityScores(**dict(zip(MODALITIES, map(tuple, self.reliability[e].tolist())))),
+            estimates={m: axes(self.estimates[e, j], j) for j, m in present},
+            sigmas={m: axes(self.sigmas[e, j], j) for j, m in present},
+            fallback=fallback,
+            truth_position=None if self.truth is None else self.truth[e].copy(),
+        )
+
+    @property
+    def fusible(self) -> np.ndarray:
+        """(n,) bool: every axis has a ready modality it may weigh."""
+        return (self.ready[:, None, :] & AXIS_MASK).any(axis=2).all(axis=1)
+
+    def arrays(self) -> dict:
+        """The rows as `attend` reads them: the windows, "ready", "reliability",
+        "truth" when there is one, and "estimates" and "sigmas", 0 wherever
+        the modality is not ready."""
+        out = {**self.windows, "ready": self.ready, "reliability": self.reliability}
+        for key in ("estimates", "sigmas"):
+            out[key] = np.where(self.ready[..., None], getattr(self, key), 0.0)
+        return out if self.truth is None else {**out, "truth": self.truth}
+
+
+def stack_frames(frames, encoders: dict) -> FrameBatch:
+    """Hand-built FusionFrames as one FrameBatch.
+
+    A modality no frame has ready gets windows as wide as its encoder's
+    input. A frame without a fallback leaves NaN in its fallback rows;
+    truth is kept when every frame has one.
+    """
+    n, nan = len(frames), (np.nan,) * len(AXES)
+
+    def table(value, *width, dtype=float):
+        """(frame, modality, *width) array of value(frame, modality)."""
+        values = [[value(f, m) for m in MODALITIES] for f in frames]
+        return np.array(values, dtype=dtype).reshape(n, len(MODALITIES), *width)
+
+    ready = table(lambda f, m: m in f.ready(), dtype=bool)
+    windows = {}
+    for j, m in enumerate(MODALITIES):
+        rows = np.flatnonzero(ready[:, j]).tolist()
+        windows[m] = np.zeros((n, np.size(frames[rows[0]].windows[m]) if rows else encoders[m].layer_sizes[0]))
+        for i in rows:
+            windows[m][i] = np.ravel(frames[i].windows[m])
+    has_truth = all(f.truth_position is not None for f in frames)
+    return FrameBatch(
+        t=np.array([f.t for f in frames], dtype=float),
+        windows=windows,
+        present=table(lambda f, m: m in f.estimates, dtype=bool),
+        ready=ready,
+        estimates=table(lambda f, m: [f.estimates.get(m, {}).get(s, 0.0) for s in AXES], len(AXES)),
+        sigmas=table(lambda f, m: [f.sigmas.get(m, {}).get(s, 0.0) for s in AXES], len(AXES)),
+        reliability=table(lambda f, m: getattr(f.reliability, m), N_RELIABILITY),
+        fallback=np.array([f.fallback.position.as_array() if f.fallback else nan for f in frames]).reshape(n, 3),
+        fallback_sigma=np.array([f.fallback.sigma if f.fallback else nan for f in frames]).reshape(n, 3),
+        truth=np.array([f.truth_position for f in frames], dtype=float).reshape(n, 3) if has_truth else None,
+    )
 
 
 def epoch_times(scenario) -> list:
@@ -131,10 +200,12 @@ def epoch_times(scenario) -> list:
 
 
 def ekf_pass(scenario, epochs):
-    """GPS/INS filter over the epochs: (estimates, last HDOP, last innovation) per epoch.
+    """GPS/INS filter over the epochs: (positions, sigmas, last HDOP, last innovation).
 
-    Each valid GPS fix up to an epoch is applied after propagating the IMU to
-    the fix time; the filter is then propagated to the epoch itself.
+    Positions and sigmas are (epoch, axis) arrays, HDOP and innovation one
+    value per epoch. Each valid GPS fix up to an epoch is applied after
+    propagating the IMU to the fix time; the filter is then propagated to
+    the epoch itself.
     """
     imu = scenario.imu
     if len(imu) < 2:
@@ -158,8 +229,9 @@ def ekf_pass(scenario, epochs):
             ekf.propagate_run(imu.specific_force[i_imu:end], increments[i_imu:end], gaps[i_imu:end])
             i_imu = end
 
-    estimates, hdop, innovation = [], [], []
-    for t_k in epochs:
+    positions, sigmas = np.zeros((2, len(epochs), 3))
+    hdop, innovation = np.zeros((2, len(epochs)))
+    for e, t_k in enumerate(epochs):
         while i_gps < len(fixes) and fixes[i_gps][0] <= t_k + _EPS:
             t_fix, valid, lat, lon, height, fix_hdop = fixes[i_gps]
             i_gps += 1
@@ -168,10 +240,10 @@ def ekf_pass(scenario, epochs):
             advance_imu(t_fix)
             ekf.update(geodetic_to_enu(GeodeticPoint(lat, lon, height), scenario.origin), fix_hdop)
         advance_imu(t_k)
-        estimates.append(ekf.estimate(t_k))
-        hdop.append(ekf.last_hdop)
-        innovation.append(ekf.last_innovation)
-    return estimates, hdop, innovation
+        est = ekf.estimate(t_k)  # fails once the attitude has left SO(3)
+        positions[e], sigmas[e] = est.position.as_array(), est.sigma
+        hdop[e], innovation[e] = ekf.last_hdop, ekf.last_innovation
+    return positions, sigmas, hdop, innovation
 
 
 def _latest(stream, epochs: np.ndarray) -> np.ndarray:
@@ -245,112 +317,115 @@ def _recent_spread(values: np.ndarray, first: int, L: int) -> np.ndarray:
     return np.concatenate([np.zeros(first), np.nanmean(dev * dev, axis=1)])
 
 
-def _estimate_windows(values: np.ndarray, present: np.ndarray, L: int) -> list:
-    """Per epoch, a copy of the last L epoch estimates flattened, once L epochs have the modality."""
+def _estimate_windows(values: np.ndarray, present: np.ndarray, L: int):
+    """(windows, ready): per epoch, the last L epoch estimates flattened, once
+    L epochs have the modality (0 before), and whether they have.
+
+    `present` turns on at the modality's first epoch and stays on.
+    """
+    values = values.reshape(len(present), -1)
     first = _first(present)
-    return [
-        values[e - L + 1 : e + 1].flatten() if e - first + 1 >= L else None
-        for e in range(len(present))
-    ]
+    ready = np.arange(len(present)) >= first + L - 1
+    windows = np.zeros((len(present), L * values.shape[1]))
+    if ready.any():
+        runs = sliding_window_view(values[first:], L, axis=0).transpose(0, 2, 1)
+        windows[ready] = runs.reshape(len(runs), -1)
+    return windows, ready
 
 
-def _axis_dict(values) -> dict:
-    return {s: float(v) for s, v in zip(AXES, values)}
-
-
-def collect_fusion_frames(
-    scenario, uwb_model=None, baro_model=None, L: int = DEFAULT_L
-) -> tuple[FusionFrame, ...]:
-    """One FusionFrame per epoch, from the EKF, UWB and baro passes."""
+def collect_fusion_frames(scenario, uwb_model=None, baro_model=None, L: int = DEFAULT_L) -> FrameBatch:
+    """Every fusion epoch of a run as one FrameBatch, from the EKF, UWB and baro passes."""
     epochs = epoch_times(scenario)
-    gps_est, hdop, innovation = ekf_pass(scenario, epochs)
-    gps_pos = np.array([est.position.as_array() for est in gps_est], dtype=float)
-    epoch_arr = np.asarray(epochs, dtype=float)
-    uwb_latest = _latest(scenario.uwb, epoch_arr)
+    t = np.asarray(epochs, dtype=float)
+    gps_pos, gps_sigma, hdop, innovation = ekf_pass(scenario, epochs)
+    uwb_latest, baro_latest = _latest(scenario.uwb, t), _latest(scenario.baro, t)
     uwb_pos, uwb_sigma, nlos = _uwb_pass(scenario, uwb_model, uwb_latest)
-    baro_latest = _latest(scenario.baro, epoch_arr)
     baro_alt, baro_sigma = _baro_pass(scenario, baro_model, baro_latest, L)
-    uwb_on, baro_on = uwb_latest >= 0, baro_latest >= 0
-    baro_spread = _recent_spread(baro_alt, _first(baro_on), L)
-    windows = {
-        "gpsins": _estimate_windows(gps_pos, np.ones(len(epochs), dtype=bool), L),
-        "uwb": _estimate_windows(uwb_pos, uwb_on, L),
-        "baro": _estimate_windows(baro_alt, baro_on, L),
-    }
-    truth = scenario.truth.position_at(epochs) if len(scenario.truth) else None
+    present = np.column_stack([uwb_latest >= 0, np.ones(len(t), dtype=bool), baro_latest >= 0])
+    baro_spread = _recent_spread(baro_alt, _first(present[:, 2]), L)
 
-    frames = []
-    for e, t_k in enumerate(epochs):
-        estimates = {"gpsins": _axis_dict(gps_pos[e])}
-        sigmas = {"gpsins": _axis_dict(gps_est[e].sigma)}
-        r_gpsins = (1.0 / (1.0 + hdop[e]), innovation[e])
-        r_uwb = r_baro = (0.0, 0.0)
-        if uwb_on[e]:
-            estimates["uwb"] = _axis_dict(uwb_pos[e])
-            sigmas["uwb"] = _axis_dict(uwb_sigma[e])
-            r_uwb = (1.0 - float(nlos[e]), float(np.mean(uwb_sigma[e])))
-        if baro_on[e]:
-            estimates["baro"] = {"z": float(baro_alt[e])}
-            sigmas["baro"] = {"z": float(baro_sigma[e])}
-            r_baro = (1.0 / (1.0 + float(baro_spread[e])), float(baro_sigma[e]))
-        frames.append(
-            FusionFrame(
-                t=t_k,
-                windows={m: windows[m][e] for m in MODALITIES},
-                reliability=ReliabilityScores(uwb=r_uwb, gpsins=r_gpsins, baro=r_baro),
-                estimates=estimates,
-                sigmas=sigmas,
-                fallback=gps_est[e],
-                truth_position=None if truth is None else truth[e],
-            )
-        )
-    return tuple(frames)
+    def on_z(values):  # the barometer sees z alone
+        return np.column_stack([np.zeros((len(t), 2)), values])
+
+    # (epoch, modality, ...) in MODALITIES order; what a stream holds before
+    # its first sample (NaN) becomes 0
+    estimates = np.stack([uwb_pos, gps_pos, on_z(baro_alt)], axis=1)
+    sigmas = np.stack([uwb_sigma, gps_sigma, on_z(baro_sigma)], axis=1)
+    reliability = np.stack(
+        [
+            np.column_stack([1.0 - nlos, np.mean(uwb_sigma, axis=1)]),
+            np.column_stack([1.0 / (1.0 + hdop), innovation]),
+            np.column_stack([1.0 / (1.0 + baro_spread), baro_sigma]),
+        ],
+        axis=1,
+    )
+    for values in (estimates, sigmas, reliability):
+        values[~present] = 0.0
+    windows, ready = {}, np.zeros_like(present)
+    for j, (m, values) in enumerate(zip(MODALITIES, (uwb_pos, gps_pos, baro_alt))):
+        windows[m], ready[:, j] = _estimate_windows(values, present[:, j], L)
+    truth = scenario.truth.position_at(epochs) if len(scenario.truth) else None
+    return FrameBatch(t, windows, present, ready, estimates, sigmas, reliability, gps_pos, gps_sigma, truth)
+
+
+class FusedObservations(Sequence):
+    """The fused observation of each epoch of a run, built on demand from
+    the attention arrays; None on epochs that cannot fuse."""
+
+    def __init__(self, batch: FrameBatch, gamma, fused, variance):
+        self.t, self.ready, self.fusible = batch.t, batch.ready, batch.fusible
+        self.gamma, self.fused, self.variance = gamma, fused, variance
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i) -> FusedObservation | None:
+        e = range(len(self))[operator.index(i)]
+        if not self.fusible[e]:
+            return None
+        weighed = self.ready[e] & AXIS_MASK
+        ratios = {
+            s: {m: float(self.gamma[e, k, j]) for j, m in enumerate(MODALITIES) if weighed[k, j]}
+            for k, s in enumerate(AXES)
+        }
+        return FusedObservation(t=float(self.t[e]), position=self.fused[e], variance=self.variance[e], ratios=ratios)
 
 
 def run_fusion(
-    frames,
+    batch: FrameBatch,
     encoders: dict,
     params: AttentionParams,
     ukf_state: UkfState | None = None,
     lam: float = 1.0,
 ):
-    """Attend + fuse over the stacked frames in one kernel call, then UKF per epoch.
+    """Attend + fuse over the whole batch in one kernel call, then UKF per epoch.
 
-    Returns (pose estimates, fused observations), index-aligned with the
-    frames; the observation slot is None on epochs that cannot fuse (an axis
-    with no ready modality), whose pose is the GPS/INS fallback with inflated
-    sigma. Modalities that drop out after the first fused epoch are
-    renormalized away by the softmax and logged once each.
+    Returns (track, observations). `track` is (t, positions, sigmas): the
+    epoch times and (epoch, axis) arrays. `observations` is index-aligned
+    with the batch and holds None on epochs that cannot fuse (an axis with
+    no ready modality), whose position is the GPS/INS fallback with
+    inflated sigma. A modality that drops out after a fused epoch that had
+    it is renormalized away by the softmax and logged once.
     """
-    batch = stack_frames(frames, encoders)
-    gamma, fused, variance, _ = attend(batch, encoders, params, lam)
-    weighed = batch["ready"][:, None, :] & AXIS_MASK
-    fusible = weighed.any(axis=2).all(axis=1)
-    later = np.flatnonzero(fusible)[1:]
+    arrays = batch.arrays()
+    gamma, fused, variance, _ = attend(arrays, encode(arrays, encoders), params, lam)
+    fused_rows = np.flatnonzero(batch.fusible)
     for j, m in enumerate(MODALITIES):
-        dropped = later[~batch["ready"][later, j]]
+        # a fused epoch without the modality after one with it
+        ready = batch.ready[fused_rows, j]
+        dropped = fused_rows[1:][np.logical_or.accumulate(ready)[:-1] & ~ready[1:]]
         if len(dropped):
-            log.warning("modality %s unavailable at t=%.3f; fusing without it", m, frames[dropped[0]].t)
+            log.warning("modality %s unavailable at t=%.3f; fusing without it", m, batch.t[dropped[0]])
     # the UKF's measurement covariance must stay strictly positive
     measured = np.maximum(variance, SIGMA_MIN**2)
     state = ukf_state if ukf_state is not None else UkfState()
-    estimates, observations = [], []
-    for i, frame in enumerate(frames):
-        if not fusible[i]:
-            fb = frame.fallback
-            sigma = tuple(s * WARMUP_SIGMA_INFLATION for s in fb.sigma)
-            estimates.append(PoseEstimate(t=frame.t, position=fb.position, sigma=sigma, source="amfa"))
-            observations.append(None)
-            continue
-        ratios = {
-            s: {m: float(gamma[i, k, j]) for j, m in enumerate(MODALITIES) if weighed[i, k, j]}
-            for k, s in enumerate(AXES)
-        }
-        dt = frame.t - frames[i - 1].t if i else 0.1
-        state, est = ukf_step(state, FusedObservation(t=frame.t, position=fused[i], variance=measured[i]), dt)
-        estimates.append(est)
-        observations.append(FusedObservation(t=frame.t, position=fused[i], variance=variance[i], ratios=ratios))
-    return tuple(estimates), tuple(observations)
+    positions, sigmas = batch.fallback.copy(), batch.fallback_sigma * WARMUP_SIGMA_INFLATION
+    t = batch.t.tolist()
+    for i in fused_rows.tolist():
+        dt = t[i] - t[i - 1] if i else 0.1
+        state, est = ukf_step(state, FusedObservation(t=t[i], position=fused[i], variance=measured[i]), dt)
+        positions[i], sigmas[i] = est.position.as_array(), est.sigma
+    return (batch.t, positions, sigmas), FusedObservations(batch, gamma, fused, variance)
 
 
 def amfa_pipeline(
@@ -362,14 +437,15 @@ def amfa_pipeline(
     ukf_state: UkfState | None = None,
     L: int = DEFAULT_L,
     lam: float = 1.0,
-) -> tuple[PoseEstimate, ...]:
+):
     """Full application phase: frames -> attention fusion -> UKF trajectory.
 
-    Emission starts at the first fused epoch; later non-fusible epochs (a
-    modality dropping below window length mid-run) still yield the inflated
-    fallback pose so the trajectory has no interior gaps.
+    Returns (t, positions, sigmas) arrays. Emission starts at the first
+    fused epoch; later non-fusible epochs (a modality dropping below window
+    length mid-run) still yield the inflated fallback so the trajectory has
+    no interior gaps.
     """
-    frames = collect_fusion_frames(scenario, uwb_model, baro_model, L=L)
-    poses, observations = run_fusion(frames, encoders, params, ukf_state, lam=lam)
-    first = next((i for i, obs in enumerate(observations) if obs is not None), len(poses))
-    return poses[first:]
+    batch = collect_fusion_frames(scenario, uwb_model, baro_model, L=L)
+    track, _ = run_fusion(batch, encoders, params, ukf_state, lam=lam)
+    first = _first(batch.fusible)
+    return tuple(values[first:] for values in track)

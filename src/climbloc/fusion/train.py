@@ -5,9 +5,10 @@ parameter (query maps, shared key map, reliability gates and read-outs,
 prior biases). The loss per epoch frame is the axis-weighted squared error
 of the fused position against ground truth, with gradients propagated by
 hand through the fusion ratio softmax, the logit algebra, and the encoders.
-The frames are stacked into arrays once, and each minibatch is one pass of
-the attention kernel (`attend`) forward plus one batched backward pass over
-its rows; `nnet.sgd` draws the minibatches, steps and checkpoints.
+The trainer takes the fusible ground-truth rows of one frame batch, and each
+minibatch is one pass of the attention kernel (`attend`) forward plus one
+batched backward pass over its rows; `nnet.sgd` draws the minibatches, steps
+and checkpoints. Only the gradient pass keeps the encoders' activations.
 
 Training runs after the sensor models are fitted: frames are collected with
 the trained models in the loop, so the encoders see the same estimate
@@ -21,8 +22,17 @@ import math
 import numpy as np
 
 from ..errors import NumericalFailureError
-from ..nnet import TrainConfig, _backward, fit_standardization, sgd
-from .attention import AXES, MODALITIES, AttentionParams, attend, init_attention_params, init_encoders
+from ..nnet import TrainConfig, _backward, _forward_trace, fit_standardization, sgd
+from .attention import (
+    AXES,
+    MODALITIES,
+    AttentionParams,
+    attend,
+    encode,
+    init_attention_params,
+    init_encoders,
+    ready_windows,
+)
 from .pipeline import DEFAULT_L, FusionFrame, collect_fusion_frames, stack_frames
 
 
@@ -31,34 +41,40 @@ def _rows(batch: dict, index) -> dict:
 
 
 def _as_batch(batch, encoders: dict) -> dict:
-    return stack_frames([batch], encoders) if isinstance(batch, FusionFrame) else batch
+    return stack_frames([batch], encoders).arrays() if isinstance(batch, FusionFrame) else batch
 
 
-def _weighted_error(batch: dict, encoders: dict, params: AttentionParams, weights):
+def _weighted_error(batch: dict, z, params: AttentionParams, weights):
     """The kernel scored against truth: (summed axis-weighted squared error,
     its gradient with respect to the fused positions, ratios, kernel cache)."""
-    gamma, fused, _, cache = attend(batch, encoders, params)
+    gamma, fused, _, cache = attend(batch, z, params)
     w = np.asarray(weights, dtype=float)
     err = fused - batch["truth"]
     return float(np.sum(w * err * err)), 2.0 * w * err, gamma, cache
 
 
 def fusion_loss(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0)) -> float:
-    """Summed axis-weighted squared error over a `stack_frames` batch; a FusionFrame is a batch of one."""
-    return _weighted_error(_as_batch(batch, encoders), encoders, params, weights)[0]
+    """Summed axis-weighted squared error over `FrameBatch.arrays` rows; a FusionFrame is a batch of one."""
+    batch = _as_batch(batch, encoders)
+    return _weighted_error(batch, encode(batch, encoders), params, weights)[0]
 
 
 def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0)):
     """Summed loss plus its exact gradient for every trainable fusion parameter.
 
-    `batch` is a minibatch from `stack_frames` or one FusionFrame. The backward
-    pass mirrors `attend` step by step, batched over the rows: squared
-    error -> convex combination -> masked softmax -> logits -> encoders.
+    `batch` is a minibatch of `FrameBatch.arrays` rows or one FusionFrame.
+    The backward pass mirrors `attend` step by step, batched over the rows:
+    squared error -> convex combination -> masked softmax -> logits ->
+    encoders, whose every layer's activations the forward pass keeps.
     Gradients come in the nested layout of the parameters: `w_q[s]`, `w_k`,
     `beta[s]`, `w_r[s]`, `b_prior[(m, s)]`, `enc_w[m][i]`, `enc_b[m][i]`.
     """
     batch = _as_batch(batch, encoders)
-    loss, d_fused, gamma, c = _weighted_error(batch, encoders, params, weights)
+    z, traces = np.zeros((len(batch["ready"]), len(MODALITIES), encoders[MODALITIES[0]].layer_sizes[-1])), {}
+    for j, m, rows, windows in ready_windows(batch, encoders):
+        traces[m] = rows, _forward_trace(encoders[m], windows)
+        z[rows, j] = traces[m][1][-1]
+    loss, d_fused, gamma, c = _weighted_error(batch, z, params, weights)
     n, d_k = len(batch["truth"]), params.d_k
     d_gamma = d_fused[..., None] * batch["estimates"].transpose(0, 2, 1)
     d_logit = gamma * (d_gamma - np.sum(gamma * d_gamma, axis=2, keepdims=True))
@@ -80,7 +96,7 @@ def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weight
         "enc_b": {},
     }
     for j, m in enumerate(MODALITIES):
-        rows, trace = c["traces"][m]
+        rows, trace = traces[m]
         grads["enc_w"][m], grads["enc_b"][m], _ = _backward(encoders[m], trace, d_z[rows, j])
     return loss, grads
 
@@ -116,11 +132,13 @@ def train_fusion(
     Returns (encoders, params, history) with history one (train, validation)
     mean-loss pair per epoch. Inputs are never mutated. A non-finite epoch
     loss aborts and returns the last finite-loss checkpoint instead of
-    raising, so a long fit cannot be lost to a late blow-up.
+    raising, so a long fit cannot be lost to a late blow-up. `frames`, when
+    given, is the FrameBatch to train on in place of one collected from the
+    scenario; its fusible rows are used when it has ground truth.
     """
     if frames is None:
         frames = collect_fusion_frames(scenario, uwb_model, baro_model, L=L)
-    usable = [f for f in frames if f.fusible() and f.truth_position is not None]
+    usable = np.flatnonzero(frames.fusible & (frames.truth is not None))
     if len(usable) < 2:
         raise NumericalFailureError("not enough fusible ground-truth epochs to train on")
 
@@ -129,8 +147,8 @@ def train_fusion(
     params = _copy(params, lambda b: np.array(b, dtype=float))  # 0-d arrays, so sgd steps them in place
 
     n_train = min(len(usable) - 1, max(1, int(round(len(usable) * cfg.split))))
-    stacked = stack_frames(usable, encoders)
-    del frames, usable  # the stacked rows replace them; freeing them keeps peak memory down
+    stacked = _rows(frames.arrays(), usable)
+    del frames  # the usable rows replace the batch; freeing it keeps peak memory down
     train_set, val_set = _rows(stacked, slice(None, n_train)), _rows(stacked, slice(n_train, None))
     for j, m in enumerate(MODALITIES):
         if train_set["ready"][:, j].any():

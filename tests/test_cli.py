@@ -7,9 +7,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import climbloc
 from climbloc.cli import (
@@ -26,7 +29,8 @@ from climbloc.cli import (
 )
 from climbloc.cli import records
 from climbloc.cli.config import scenario_config
-from climbloc.cli.records import COLUMNS_DIR, write_jsonl, write_scenario
+from climbloc.cli.commands import run_algorithm
+from climbloc.cli.records import COLUMNS_DIR, write_scenario, write_trajectory
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import model_from_dict, uwb_fcnn_infer
 from climbloc.sim import simulate_scenario
@@ -384,9 +388,36 @@ class TestRecords:
             {"t": 0.1, "x": 0, "y": 0, "z": 0, "sx": 0, "sy": 0, "sz": 0, "algo": "a"},
             {"t": 0.2, "x": 0, "y": 0, "z": 0, "sx": 0, "sy": 0, "sz": 0, "algo": "b"},
         ]
-        write_jsonl(str(path), rows)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         with pytest.raises(ValueError, match="mixed algo"):
             read_trajectory(str(path))
+
+    FINITE = st.floats(allow_nan=False, allow_infinity=False)
+    SIGMA = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+
+    @given(
+        rows=st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE, SIGMA, SIGMA, SIGMA), min_size=1, max_size=6),
+        algo=st.sampled_from(ALGORITHMS),
+    )
+    @example(rows=[(-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -0.0, 5e-324, 1.7976931348623157e308)],
+             algo="amfa")
+    def test_trajectory_bytes_are_json_dumps_of_each_record(self, rows, algo):
+        table = np.array(rows, dtype=float)
+        want = "".join(json.dumps(dict(zip(records.TRAJECTORY_KEYS, row), algo=algo)) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "traj.jsonl")
+            assert write_trajectory(path, table[:, 0], table[:, 1:4], table[:, 4:7], algo) == len(rows)
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode()
+
+    @pytest.mark.parametrize("column, value", [(0, math.nan), (2, math.inf), (3, -math.inf), (5, -1e-300)])
+    def test_trajectory_with_a_bad_value_raises_and_writes_nothing(self, tmp_path, column, value):
+        table = np.ones((3, 7))
+        table[1, column] = value
+        path = tmp_path / "traj.jsonl"
+        with pytest.raises(ValueError, match="finite"):
+            write_trajectory(str(path), table[:, 0], table[:, 1:4], table[:, 4:7], "amfa")
+        assert not path.exists()
 
 
 class TestSimulate:
@@ -533,6 +564,43 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    # (emptied stream, algorithm) pairs that must exit 3 without a file; every
+    # other pair exits 0 with a non-empty trajectory
+    NEEDS = {
+        ("imu", "gpsins-ekf"), ("imu", "amfa"),
+        ("uwb", "uwb-fcnn"), ("uwb", "uwb-geo"),
+        ("baro", "baro-fcnn"), ("baro", "baro"),
+    }
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("stream", ("imu", "gps", "uwb", "baro"))
+    def test_emptied_stream_exits_3_or_writes_a_full_trajectory(self, pipeline, tmp_path, capsys, stream, algo):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        (data / SCENARIO_FILES[stream]).write_bytes(b"")
+        out = tmp_path / "traj.jsonl"
+        rc = main(["run", "--data", str(data), "--models", pipeline["models"], "--algo", algo,
+                   "--out", str(out), "--config", pipeline["config"]])
+        if (stream, algo) in self.NEEDS:
+            assert rc == 3
+            assert not out.exists()
+            assert stream in capsys.readouterr().err.lower()
+        else:
+            assert rc == 0
+            rows, tag = read_trajectory(str(out))
+            assert tag == algo and len(rows) > 0
+
+    def test_amfa_builds_no_per_epoch_frame(self, pipeline, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-epoch object built on the run path")
+
+        monkeypatch.setattr("climbloc.fusion.pipeline.FusionFrame", refuse)
+        monkeypatch.setattr("climbloc.fusion.pipeline.ReliabilityScores", refuse)
+        scenario = read_scenario(pipeline["data"])
+        t, positions, sigmas = run_algorithm(scenario, "amfa", pipeline["models"], load_config(pipeline["config"]))
+        expected, _ = read_trajectory(pipeline["trajectories"]["amfa"])
+        np.testing.assert_array_equal(np.column_stack([t, positions, sigmas]), expected)
+
     def test_unordered_uwb_stream_exits_2(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(pipeline["data"], data)
@@ -581,12 +649,8 @@ class TestReport:
     def test_estimate_equal_to_truth_scores_zero(self, pipeline, tmp_path):
         truth_path = os.path.join(pipeline["data"], "truth.jsonl")
         rows, _ = read_table(truth_path, ("t", "x", "y", "z"))
-        est = [
-            {"t": t, "x": x, "y": y, "z": z, "sx": 0.0, "sy": 0.0, "sz": 0.0, "algo": "oracle"}
-            for t, x, y, z in rows.tolist()
-        ]
         est_path = tmp_path / "oracle.jsonl"
-        write_jsonl(str(est_path), est)
+        write_trajectory(str(est_path), rows[:, 0], rows[:, 1:4], np.zeros((len(rows), 3)), "oracle")
         out = tmp_path / "report"
         rc = main(["report", "--est", str(est_path), "--truth", truth_path, "--out", str(out)])
         assert rc == 0
@@ -596,9 +660,8 @@ class TestReport:
         assert doc["rows"][0]["max"] == 0.0
 
     def test_disjoint_timelines_fail_numerically(self, pipeline, tmp_path):
-        est = [{"t": 1e6, "x": 0, "y": 0, "z": 0, "sx": 0, "sy": 0, "sz": 0, "algo": "x"}]
         est_path = tmp_path / "far.jsonl"
-        write_jsonl(str(est_path), est)
+        write_trajectory(str(est_path), [1e6], np.zeros((1, 3)), np.zeros((1, 3)), "x")
         rc = main(
             ["report", "--est", str(est_path), "--truth",
              os.path.join(pipeline["data"], "truth.jsonl"), "--out", str(tmp_path / "r")]

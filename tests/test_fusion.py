@@ -31,6 +31,7 @@ from climbloc.fusion import (
     train_fusion,
     ukf_step,
 )
+from climbloc.fusion import attention
 from climbloc.fusion.attention import AXIS_MODALITIES, MODALITIES
 from climbloc.fusion.pipeline import WARMUP_SIGMA_INFLATION, _recent_spread, stack_frames
 from climbloc.fusion.ukf import _robust_cholesky
@@ -132,9 +133,10 @@ def kernel_frame(windows, reliability=None):
     )
 
 
-def kernel(frames, encoders, params):
-    """attend over the stacked frames: (ratios, fused, variance, cache)."""
-    return attend(stack_frames(frames, encoders), encoders, params)
+def kernel(frames, encoders, params, lam=1.0):
+    """encode and attend over the stacked frames: (ratios, fused, variance, cache)."""
+    batch = stack_frames(frames, encoders).arrays()
+    return attend(batch, attention.encode(batch, encoders), params, lam)
 
 
 class TestFusionRatios:
@@ -319,6 +321,15 @@ class TestEncode:
             kernel([frame], encoders, init_attention_params(d_e=8, d_k=4))
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_bad_reliability_feature_rejected_by_the_batch(self, bad):
+        encoders = init_encoders(L=4, d_e=8, hidden=16, seed=0)
+        good = kernel_frame(random_windows())
+        frame = kernel_frame(random_windows(), ReliabilityScores(uwb=(1.0, 0.1), gpsins=(0.5, bad), baro=(0.9, 0.3)))
+        with pytest.raises(ValueError, match=r"gpsins reliability must be finite and >= 0, got \(0\.5, "):
+            stack_frames([good, frame], encoders)
+
+
 class TestUkf:
     def test_mean_weights_sum_to_one(self):
         # exact identity in real arithmetic; in float64 the achievable
@@ -443,6 +454,11 @@ def toy_frames(n=80, L=4, seed=0, good="uwb"):
             )
         )
     return frames
+
+
+def toy_batch(frames):
+    """Toy frames as the FrameBatch the trainer reads."""
+    return stack_frames(frames, init_encoders(L=4, d_e=8, hidden=16))
 
 
 def _parameter_slots(encoders, params, grads, rng, per_group=3):
@@ -659,7 +675,7 @@ class TestBatchedKernel:
             rows = rng.choice(len(frames), size=size, replace=False)
             picked = [frames[r] for r in rows]
             loss, grads = fusion_loss_and_grads(
-                stack_frames(picked, encoders), encoders, params, weights
+                stack_frames(picked, encoders).arrays(), encoders, params, weights
             )
             parts = [reference_loss_and_grads(f, encoders, params, weights) for f in picked]
             per_frame = [_gradient_groups(part) for _, part in parts]
@@ -680,7 +696,7 @@ class TestBatchedKernel:
         frames = mixed_frames(seed)
         encoders, params = random_model(seed)
         lam = 0.7
-        gamma, fused, variance, _ = attend(stack_frames(frames, encoders), encoders, params, lam)
+        gamma, fused, variance, _ = kernel(frames, encoders, params, lam)
         for i, f in enumerate(frames):
             ratios = reference_ratios_of(f, encoders, params)
             for k, s in enumerate(AXES):
@@ -713,7 +729,7 @@ class TestFusionTraining:
             params=params,
             cfg=TrainConfig(epochs=0),
             L=4,
-            frames=frames,
+            frames=toy_batch(frames),
         )
         assert history == []
         after = fusion_to_dict(trained_enc, trained_params)
@@ -738,7 +754,7 @@ class TestFusionTraining:
             params=init_attention_params(d_e=8, d_k=4, seed=0),
             cfg=TrainConfig(learning_rate=0.05, epochs=150, batch_size=16, seed=0),
             L=4,
-            frames=frames,
+            frames=toy_batch(frames),
         )
         assert history[-1][0] < history[0][0]
         gamma, _, _, _ = kernel(frames, encoders, params)
@@ -755,7 +771,7 @@ class TestFusionTraining:
                 None,
                 cfg=TrainConfig(learning_rate=0.01, epochs=5, batch_size=8, seed=9),
                 L=4,
-                frames=frames,
+                frames=toy_batch(frames),
             )
             for _ in range(2)
         ]
@@ -773,7 +789,7 @@ class TestFusionTraining:
             None,
             cfg=TrainConfig(learning_rate=1e300, epochs=10, batch_size=8, seed=1),
             L=4,
-            frames=frames,
+            frames=toy_batch(frames),
         )
         doc = fusion_to_dict(encoders, params)
         flat = []
@@ -794,7 +810,7 @@ class TestFusionTraining:
             None,
             cfg=TrainConfig(learning_rate=1e300, epochs=len(history), batch_size=8, seed=1),
             L=4,
-            frames=frames,
+            frames=toy_batch(frames),
         )
         assert rerun[2] == history
         assert fusion_to_dict(rerun[0], rerun[1]) == doc
@@ -810,7 +826,7 @@ class TestFusionTraining:
             params=params,
             cfg=TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=2),
             L=4,
-            frames=frames,
+            frames=toy_batch(frames),
         )
         assert len(history) == 2
         for s in AXES:
@@ -829,10 +845,11 @@ class TestPipeline:
         assert len(frames) == 80
         encoders = init_encoders(L=10, seed=0)
         params = init_attention_params(seed=0)
-        poses, observations = run_fusion(frames, encoders, params)
-        assert len(poses) == len(frames)
-        assert all(p.source == "amfa" for p in poses)
-        assert all(s > 0 for p in poses for s in p.sigma)
+        (t, positions, sigmas), observations = run_fusion(frames, encoders, params)
+        assert len(positions) == len(sigmas) == len(observations) == len(frames)
+        assert t.tolist() == [f.t for f in frames]
+        assert np.all(np.isfinite(positions))
+        assert np.all(sigmas > 0)
         # first epochs fall back; once windows fill the fused path takes over
         assert observations[0] is None
         fused = [o for o in observations if o is not None]
@@ -847,14 +864,15 @@ class TestPipeline:
         frames = collect_fusion_frames(scenario, None, None, L=10)
         assert frames and not any(f.fusible() for f in frames)
         encoders, params = init_encoders(L=10, seed=0), init_attention_params(seed=0)
-        assert run_fusion((), encoders, params) == ((), ())
-        poses, observations = run_fusion(frames, encoders, params)
-        assert observations == (None,) * len(frames)
-        for pose, frame in zip(poses, frames):
-            assert pose.source == "amfa"
-            assert pose.position == frame.fallback.position
-            assert pose.sigma == pytest.approx([s * WARMUP_SIGMA_INFLATION for s in frame.fallback.sigma])
-        assert amfa_pipeline(scenario, None, None, encoders, params) == ()
+        track, observations = run_fusion(stack_frames([], encoders), encoders, params)
+        assert [len(values) for values in track] == [0, 0, 0] and len(observations) == 0
+        (t, positions, sigmas), observations = run_fusion(frames, encoders, params)
+        assert list(observations) == [None] * len(frames)
+        for i, frame in enumerate(frames):
+            assert t[i] == frame.t
+            assert positions[i].tolist() == frame.fallback.position.as_array().tolist()
+            assert sigmas[i] == pytest.approx([s * WARMUP_SIGMA_INFLATION for s in frame.fallback.sigma])
+        assert [len(values) for values in amfa_pipeline(scenario, None, None, encoders, params)] == [0, 0, 0]
 
     def test_zero_fused_variance_reaches_the_ukf_floored(self):
         # every ready modality reads 0 m with sigma 0, so the fused variance
@@ -868,11 +886,10 @@ class TestPipeline:
             frames.append(dataclasses.replace(frame, t=0.1 * (k + 1), sigmas=zero))
         _, _, variance, _ = kernel(frames, encoders, params)
         assert np.all(variance == 0.0)
-        poses, observations = run_fusion(frames, encoders, params)
+        (_, positions, sigmas), observations = run_fusion(stack_frames(frames, encoders), encoders, params)
         assert all(obs is not None for obs in observations)
-        for pose in poses:
-            assert np.all(np.isfinite(pose.position.as_array()))
-            assert all(math.isfinite(s) and s > 0 for s in pose.sigma)
+        assert np.all(np.isfinite(positions))
+        assert np.all(np.isfinite(sigmas) & (sigmas > 0))
 
     def test_frames_track_truth_in_noiseless_setting(self):
         scenario = quiet_scenario(duration=6.0)
@@ -909,26 +926,47 @@ class TestPipeline:
         scenario = dataclasses.replace(scenario, uwb=scenario.uwb[:0])
         frames = collect_fusion_frames(scenario, None, None, L=10)
         assert len(frames) == 80
-        poses, observations = run_fusion(
+        (t, _, _), observations = run_fusion(
             frames, init_encoders(L=10, seed=0), init_attention_params(seed=0)
         )
-        assert len(poses) == 80
+        assert len(t) == 80
         fused = [o for o in observations if o is not None]
         assert fused, "fusion never engaged"
         for obs in fused:
             assert set(obs.ratios["x"]) == {"gpsins"}
             assert set(obs.ratios["z"]) <= {"gpsins", "baro"}
 
+    def test_modality_never_present_is_not_reported_as_dropped(self, caplog):
+        scenario = quiet_scenario(duration=4.0)
+        scenario = dataclasses.replace(scenario, uwb=scenario.uwb[:0])
+        frames = collect_fusion_frames(scenario, None, None, L=10)
+        with caplog.at_level("WARNING", logger="climbloc.fusion"):
+            run_fusion(frames, init_encoders(L=10, seed=0), init_attention_params(seed=0))
+        assert caplog.records == []
+
+    def test_modality_dropping_out_mid_run_is_reported_once(self, caplog):
+        encoders = init_encoders(L=4, d_e=8, hidden=16, seed=0)
+        frames = []
+        for k in range(8):
+            frame = dataclasses.replace(kernel_frame(random_windows(seed=k)), t=0.1 * (k + 1))
+            # UWB is ready, gone at t=0.3-0.4, back, then gone again at t=0.7
+            frames.append(without(frame, "uwb") if k in (2, 3, 6) else frame)
+        with caplog.at_level("WARNING", logger="climbloc.fusion"):
+            run_fusion(stack_frames(frames, encoders), encoders, init_attention_params(d_e=8, d_k=4, seed=0))
+        assert [r.getMessage() for r in caplog.records] == [
+            "modality uwb unavailable at t=0.300; fusing without it"
+        ]
+
     def test_amfa_pipeline_end_to_end_shape(self):
         scenario = quiet_scenario(duration=6.0)
-        poses = amfa_pipeline(
+        t, positions, sigmas = amfa_pipeline(
             scenario, None, None, init_encoders(L=10, seed=1), init_attention_params(seed=1)
         )
         # epochs at 10 Hz; the first nine cannot fuse (windows filling) and
         # are not emitted, so the trajectory runs t=1.0..6.0
-        assert len(poses) == 51
-        assert poses[0].t == pytest.approx(1.0)
-        assert poses[-1].t == pytest.approx(6.0)
+        assert len(t) == len(positions) == len(sigmas) == 51
+        assert t[0] == pytest.approx(1.0)
+        assert t[-1] == pytest.approx(6.0)
 
 
 class TestSerialization:

@@ -419,10 +419,8 @@ class TestEkfPass:
     def test_matches_per_step_svd_reference(self):
         scenario = simulate_scenario(self.SCENARIO)
         epochs = epoch_times(scenario)
-        estimates, _, _ = ekf_pass(scenario, epochs)
+        positions, sigmas, _, _ = ekf_pass(scenario, epochs)
         ref_positions, ref_sigmas = _reference_ekf_pass(scenario, epochs)
-        positions = np.array([e.position.as_array() for e in estimates])
-        sigmas = np.array([e.sigma for e in estimates])
         assert np.max(np.abs(positions - ref_positions)) <= 1e-9
         assert np.max(np.abs(sigmas - ref_sigmas)) <= 1e-12
 
