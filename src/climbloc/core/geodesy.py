@@ -40,38 +40,42 @@ class GeodeticPoint:
 
 
 def _ecef_ld(lat, lon, height) -> np.ndarray:
+    """(..., 3) ECEF coordinates of scalars or equal-length columns."""
     lat, lon, height = _LD(lat), _LD(lon), _LD(height)
     sin_lat, cos_lat = np.sin(lat), np.cos(lat)
     n = _A / np.sqrt(_LD(1.0) - _E2 * sin_lat * sin_lat)
-    return np.array(
+    return np.stack(
         [
             (n + height) * cos_lat * np.cos(lon),
             (n + height) * cos_lat * np.sin(lon),
             (n * (_LD(1.0) - _E2) + height) * sin_lat,
         ],
-        dtype=_LD,
+        axis=-1,
     )
 
 
 def _geodetic_from_ecef_ld(ecef) -> tuple:
-    x, y, z = (_LD(v) for v in ecef)
+    """(lat, lon, height) of (..., 3) ECEF coordinates.
+
+    Every point iterates until an iteration reproduces it, at most 40
+    times; a point that has converged stays put while others go on.
+    """
+    x, y, z = np.moveaxis(np.asarray(ecef, dtype=_LD), -1, 0)
     lon = np.arctan2(y, x)
     p = np.hypot(x, y)
-    if p < _LD(1e-9):
-        # on the polar axis
-        lat = _LD(math.copysign(math.pi / 2, float(z)))
-        n = _A / np.sqrt(_LD(1.0) - _E2)
-        return lat, lon, abs(z) - n * (_LD(1.0) - _E2)
     lat = np.arctan2(z, p * (_LD(1.0) - _E2))
-    height = _LD(0.0)
+    height = np.zeros_like(p)
     for _ in range(40):
         sin_lat = np.sin(lat)
         n = _A / np.sqrt(_LD(1.0) - _E2 * sin_lat * sin_lat)
         height_new = p / np.cos(lat) - n
         lat_new = np.arctan2(z, p * (_LD(1.0) - _E2 * n / (n + height_new)))
-        if lat_new == lat and height_new == height:
+        if np.array_equal(lat_new, lat) and np.array_equal(height_new, height):
             break
         lat, height = lat_new, height_new
+    polar = p < _LD(1e-9)  # on the polar axis
+    lat = np.where(polar, np.copysign(_LD(math.pi / 2), z), lat)
+    height = np.where(polar, np.abs(z) - _A / np.sqrt(_LD(1.0) - _E2) * (_LD(1.0) - _E2), height)
     return lat, lon, height
 
 
@@ -91,19 +95,27 @@ def _enu_basis_ld(origin) -> np.ndarray:
     )
 
 
-def geodetic_to_enu(fix, origin) -> Vec3Enu:
-    """Map a geodetic point (anything with lat/lon/height) into origin-anchored ENU."""
-    if not abs(fix.lat) <= math.pi / 2:
-        raise ValueError(f"latitude must satisfy |lat| <= pi/2, got {fix.lat}")
+def geodetic_to_enu(fix, origin):
+    """Map geodetic points (anything with lat/lon/height) into origin-anchored ENU.
+
+    Scalar fields give a Vec3Enu; columns of n points (a GpsStream, say)
+    give an (n, 3) array, each row equal to the one-point conversion.
+    """
+    ok = np.abs(fix.lat) <= math.pi / 2
+    if not np.all(ok):
+        raise ValueError(f"latitude must satisfy |lat| <= pi/2, got {np.asarray(fix.lat)[~ok].flat[0]}")
     delta = _ecef_ld(fix.lat, fix.lon, fix.height) - _ecef_ld(origin.lat, origin.lon, origin.height)
-    v = _enu_basis_ld(origin) @ delta
-    return Vec3Enu(float(v[0]), float(v[1]), float(v[2]))
+    v = (_enu_basis_ld(origin) @ delta[..., None])[..., 0].astype(float)
+    return Vec3Enu(*v.tolist()) if v.ndim == 1 else v
 
 
-def enu_to_geodetic(v: Vec3Enu, origin) -> GeodeticPoint:
-    """Inverse of :func:`geodetic_to_enu` for the same origin."""
-    ecef = _ecef_ld(origin.lat, origin.lon, origin.height) + _enu_basis_ld(origin).T @ np.asarray(
-        v.as_array(), dtype=_LD
-    )
-    lat, lon, height = _geodetic_from_ecef_ld(ecef)
-    return GeodeticPoint(float(lat), float(lon), float(height))
+def enu_to_geodetic(v, origin):
+    """Inverse of :func:`geodetic_to_enu` for the same origin.
+
+    A Vec3Enu gives a GeodeticPoint; an (n, 3) array gives the (lat, lon,
+    height) columns, each row equal to the one-point conversion.
+    """
+    enu = np.asarray(v.as_array() if isinstance(v, Vec3Enu) else v, dtype=_LD)
+    ecef = _ecef_ld(origin.lat, origin.lon, origin.height) + (_enu_basis_ld(origin).T @ enu[..., None])[..., 0]
+    lat, lon, height = (np.asarray(c, dtype=float) for c in _geodetic_from_ecef_ld(ecef))
+    return GeodeticPoint(float(lat), float(lon), float(height)) if enu.ndim == 1 else (lat, lon, height)

@@ -2,9 +2,11 @@
 
 `collect_fusion_frames` builds one FrameBatch, the arrays of every fusion
 epoch of a run, from three passes over whole streams. The EKF pass is the
-only sequential loop: it drives the GPS/INS filter at the IMU rate, applies
-each valid GPS fix in time order, and records the estimate, HDOP and
-innovation at every epoch. The UWB and baro passes compute one estimate per
+only sequential loop, and it runs per stop, not per IMU sample: it
+preintegrates the IMU steps between consecutive stops (each valid GPS fix,
+then each epoch) in batches, then applies each segment and each fix in time
+order and records the position, sigma, HDOP and innovation at every
+epoch into arrays. The UWB and baro passes compute one estimate per
 measurement (the classical solution until the FCNN window fills, then one
 batched FCNN pass) and hold it at each epoch up to the next measurement. A
 modality's estimate window is its last L epoch estimates, once L epochs have
@@ -31,12 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..core.geodesy import GeodeticPoint, geodetic_to_enu
+from ..core.geodesy import geodetic_to_enu
 from ..core.types import Rotation, Vec3Enu
 from ..errors import MissingInputError
 from ..models import SIGMA_MIN, baro_fcnn_infer, uwb_fcnn_infer
 from ..solvers.baro import baro_altitude
-from ..solvers.ins import GpsInsEkf, InsState, rotation_increments
+from ..solvers.ins import GpsInsEkf, InsState, preintegrate, rotation_increments
 from ..solvers.types import PoseEstimate
 from ..solvers.uwb import uwb_geometric_fixes
 from .attention import (
@@ -58,6 +60,9 @@ log = logging.getLogger("climbloc.fusion")
 DEFAULT_L = 10
 WARMUP_SIGMA_INFLATION = 3.0
 _EPS = 1e-9
+# IMU rows per preintegrated segment at most, and per preintegrate call (a multiple)
+_PIECE = 128
+_BATCH = 16 * _PIECE
 # runs start at the local origin, at rest, level
 _INITIAL_STATE = InsState(Vec3Enu(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), Rotation.identity())
 
@@ -199,50 +204,72 @@ def epoch_times(scenario) -> list:
     return times
 
 
+def _stop_schedule(step_ends: np.ndarray, gps, t: np.ndarray):
+    """(stops, ends): the GPS/INS pass's stops in time order, fix j as j and
+    epoch e as -1 - e, each epoch after its valid fixes (those up to it
+    within _EPS); a stop propagates every IMU step ending by it within _EPS,
+    so ends[k] is one past its last step (`step_ends` ascend)."""
+    fix_epoch = np.searchsorted(t + _EPS, gps.t, side="left")
+    fixes = np.flatnonzero(gps.valid & (fix_epoch < len(t)))
+    # a fix's place: the fixes and epochs before it; an epoch's: likewise
+    at_fix = np.arange(len(fixes)) + fix_epoch[fixes]
+    at_epoch = np.arange(len(t)) + np.searchsorted(fix_epoch[fixes], np.arange(len(t)), side="right")
+    stops, until = np.empty(len(fixes) + len(t), dtype=np.intp), np.empty(len(fixes) + len(t))
+    stops[at_fix], until[at_fix] = fixes, gps.t[fixes]
+    stops[at_epoch], until[at_epoch] = -1 - np.arange(len(t)), t
+    return stops, np.maximum.accumulate(np.searchsorted(step_ends, until + _EPS, side="right"))
+
+
 def ekf_pass(scenario, epochs):
     """GPS/INS filter over the epochs: (positions, sigmas, last HDOP, last innovation).
 
     Positions and sigmas are (epoch, axis) arrays, HDOP and innovation one
     value per epoch. Each valid GPS fix up to an epoch is applied after
     propagating the IMU to the fix time; the filter is then propagated to
-    the epoch itself.
+    the epoch itself. The IMU steps that end by such a stop, and after the
+    previous one, are preintegrated as one segment (as several when they
+    are more than _PIECE).
     """
-    imu = scenario.imu
+    imu, gps = scenario.imu, scenario.gps
     if len(imu) < 2:
         raise MissingInputError("fusion needs an IMU stream with at least two samples")
+    t = np.asarray(epochs, dtype=float)
     gaps = np.diff(imu.t)
     gaps = np.append(gaps, gaps[-1])
-    step_ends = (imu.t + gaps).tolist()
-    increments = rotation_increments(imu.angular_rate, gaps)
+    stops, ends = _stop_schedule(imu.t + gaps, gps, t)
+    n = ends.max(initial=0)
+    # the segments start where a stop's steps do and at every _PIECE-th row,
+    # so a long gap between stops costs neither working memory nor passes
+    cut = np.zeros(n, dtype=bool)
+    cut[ends[ends < n]] = cut[::_PIECE] = True
+    firsts = np.flatnonzero(cut)
+    pieces = np.diff(np.searchsorted(firsts, ends), prepend=0)
     ekf = GpsInsEkf(_INITIAL_STATE)
-    gps = scenario.gps
-    fixes = list(zip(gps.t.tolist(), gps.valid.tolist(), gps.lat.tolist(), gps.lon.tolist(),
-                     gps.height.tolist(), gps.hdop.tolist()))
-    i_imu = i_gps = 0
 
-    def advance_imu(until: float):
-        nonlocal i_imu
-        end = i_imu
-        while end < len(step_ends) and step_ends[end] <= until + _EPS:
-            end += 1
-        if end > i_imu:
-            ekf.propagate_run(imu.specific_force[i_imu:end], increments[i_imu:end], gaps[i_imu:end])
-            i_imu = end
+    def segments():
+        for a in range(0, n, _BATCH):
+            rows = slice(a, min(a + _BATCH, n))
+            increments = rotation_increments(imu.angular_rate[rows], gaps[rows])
+            inner = firsts[(firsts >= a) & (firsts < a + _BATCH)] - a
+            yield from preintegrate(imu.specific_force[rows], increments, gaps[rows], inner, ekf.model)
 
-    positions, sigmas = np.zeros((2, len(epochs), 3))
-    hdop, innovation = np.zeros((2, len(epochs)))
-    for e, t_k in enumerate(epochs):
-        while i_gps < len(fixes) and fixes[i_gps][0] <= t_k + _EPS:
-            t_fix, valid, lat, lon, height, fix_hdop = fixes[i_gps]
-            i_gps += 1
-            if not valid:
-                continue
-            advance_imu(t_fix)
-            ekf.update(geodetic_to_enu(GeodeticPoint(lat, lon, height), scenario.origin), fix_hdop)
-        advance_imu(t_k)
-        est = ekf.estimate(t_k)  # fails once the attitude has left SO(3)
-        positions[e], sigmas[e] = est.position.as_array(), est.sigma
+    pending = segments()
+    enu, fix_hdop = geodetic_to_enu(gps, scenario.origin).tolist(), gps.hdop.tolist()
+    positions, diag_p = np.zeros((2, len(t), 3))
+    hdop, innovation = np.zeros((2, len(t)))
+    for stop, count in zip(stops.tolist(), pieces.tolist()):
+        for _ in range(count):
+            ekf.apply(next(pending))
+        if stop >= 0:
+            ekf.update(Vec3Enu(*enu[stop]), fix_hdop[stop])
+            continue
+        e = -1 - stop
+        ekf.check_attitude(epochs[e])
+        positions[e], diag_p[e] = ekf.position, np.diagonal(ekf.model.P)[:3]
         hdop[e], innovation[e] = ekf.last_hdop, ekf.last_innovation
+    sigmas = np.sqrt(np.maximum(diag_p, 0.0))
+    if not (np.isfinite(positions).all() and np.isfinite(sigmas).all()):
+        raise ValueError("GPS/INS positions and sigmas must be finite")
     return positions, sigmas, hdop, innovation
 
 

@@ -18,6 +18,7 @@ at the spread's own scale.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,7 +76,7 @@ def _sigma_deviations(cov, alpha, kappa) -> np.ndarray:
     """Rows 0, 1..n, n+1..2n: the 0 and +/- columns of chol(alpha^2 (n+k) P)."""
     n = len(cov)
     spread = _robust_cholesky(alpha * alpha * (n + kappa) * cov)
-    return np.vstack([np.zeros(n), spread.T, -spread.T])
+    return np.concatenate([np.zeros((1, n)), spread.T, -spread.T])
 
 
 def _robust_cholesky(mat) -> np.ndarray:
@@ -95,19 +96,18 @@ def _robust_cholesky(mat) -> np.ndarray:
         ) from exc
 
 
-def _transition(dt: float) -> np.ndarray:
-    f = np.eye(6)
+@functools.lru_cache(maxsize=256)
+def _step_constants(alpha: float, beta: float, kappa: float, q: float, dt: float):
+    """Read-only covariance weights (a column), transition and process noise of one step."""
+    _, wc = merwe_weights(6, alpha, beta, kappa)
+    f, qn = np.eye(6), np.zeros((6, 6))
     f[0:3, 3:6] = dt * np.eye(3)
-    return f
-
-
-def _process_noise(q: float, dt: float) -> np.ndarray:
-    qn = np.zeros((6, 6))
     qn[0:3, 0:3] = q * dt**3 / 3.0 * np.eye(3)
-    qn[0:3, 3:6] = q * dt**2 / 2.0 * np.eye(3)
-    qn[3:6, 0:3] = q * dt**2 / 2.0 * np.eye(3)
+    qn[0:3, 3:6] = qn[3:6, 0:3] = q * dt**2 / 2.0 * np.eye(3)
     qn[3:6, 3:6] = q * dt * np.eye(3)
-    return qn
+    for a in (wc, f, qn):
+        a.flags.writeable = False
+    return wc[:, None], f, qn
 
 
 def ukf_step(state: UkfState, obs, dt: float):
@@ -121,24 +121,23 @@ def ukf_step(state: UkfState, obs, dt: float):
     variance = np.asarray(obs.variance, dtype=float)
     if np.any(variance <= 0):
         raise ValueError("observation variance components must be > 0")
-    n = 6
-    _, wc = merwe_weights(n, state.alpha, state.beta, state.kappa)
+    wc, f, qn = _step_constants(state.alpha, state.beta, state.kappa, state.q, dt)
 
     # predict: sigma points chi_i = mean + dev_i map to F mean + F dev_i;
     # the symmetric set's weighted mean is exactly the transformed center
-    f = _transition(dt)
     dev = _sigma_deviations(state.cov, state.alpha, state.kappa)
     dev_pred = dev @ f.T
     mean_pred = f @ state.mean
-    cov_pred = dev_pred.T @ (wc[:, None] * dev_pred) + _process_noise(state.q, dt)
+    cov_pred = dev_pred.T @ (wc * dev_pred) + qn
     cov_pred = (cov_pred + cov_pred.T) / 2.0
 
     # update: fresh sigma points from the predicted density; the position
     # measurement reads the first three state components
     dev_upd = _sigma_deviations(cov_pred, state.alpha, state.kappa)
     dz = dev_upd[:, 0:3]
-    s = dz.T @ (wc[:, None] * dz) + np.diag(variance)
-    c = dev_upd.T @ (wc[:, None] * dz)
+    s = dz.T @ (wc * dz)
+    s.flat[::4] += variance
+    c = dev_upd.T @ (wc * dz)
     gain = c @ np.linalg.inv(s)
     innovation = np.asarray(obs.position, dtype=float) - mean_pred[0:3]
     mean_new = mean_pred + gain @ innovation

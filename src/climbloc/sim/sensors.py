@@ -63,7 +63,7 @@ def simulate_gps(truth: TruthStream, cfg: ScenarioConfig, origin: GeodeticPoint)
     g = cfg.gps
     sigma = np.array([g.sigma_xy, g.sigma_xy, g.sigma_z])
     times = sensor_times(cfg.duration, g.rate_hz)
-    fixes = []
+    fixes, points = [], []
     for t, p_true in zip(times, truth.position_at(times)):
         noise = rng.normal(0.0, 1.0, 3) * sigma
         u_drop = rng.uniform()
@@ -78,9 +78,10 @@ def simulate_gps(truth: TruthStream, cfg: ScenarioConfig, origin: GeodeticPoint)
                 break
         if dropped:
             continue
-        geo = enu_to_geodetic(Vec3Enu.from_array(p), origin)
-        fixes.append((t, geo.lat, geo.lon, geo.height, hdop))
-    t, lat, lon, height, hdop = np.array(fixes, dtype=float).reshape(-1, 5).T
+        fixes.append((t, hdop))
+        points.append(p)
+    t, hdop = np.array(fixes, dtype=float).reshape(-1, 2).T
+    lat, lon, height = enu_to_geodetic(np.array(points).reshape(-1, 3), origin)
     return GpsStream(t=t, lat=lat, lon=lon, height=height, hdop=hdop, valid=np.ones(len(t), dtype=bool))
 
 

@@ -98,12 +98,11 @@ SHORT_CONFIG = {
 }
 
 
-@pytest.fixture(scope="session")
-def pipeline(tmp_path_factory):
-    """One short scenario taken through simulate, train x3, run x6, report."""
-    root = tmp_path_factory.mktemp("pipeline")
+def run_pipeline(root, config: dict) -> dict:
+    """The scenario of `config` taken through simulate, train x3, run x6 and
+    report in `root`, each stage asserted to exit 0; returns the paths."""
     cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps(SHORT_CONFIG))
+    cfg_path.write_text(json.dumps(config))
     data = str(root / "data")
     models = str(root / "models")
     assert main(["simulate", "--config", str(cfg_path), "--out", data]) == 0
@@ -145,6 +144,12 @@ def pipeline(tmp_path_factory):
         "trajectories": trajectories,
         "report": report,
     }
+
+
+@pytest.fixture(scope="session")
+def pipeline(tmp_path_factory):
+    """One short scenario taken through simulate, train x3, run x6, report."""
+    return run_pipeline(tmp_path_factory.mktemp("pipeline"), SHORT_CONFIG)
 
 
 class TestConfig:
@@ -517,6 +522,15 @@ class TestTrain:
 
 
 class TestRun:
+    def test_every_stage_passes_at_a_50_hz_imu(self, tmp_path):
+        # 2 IMU steps per 100 ms epoch instead of 10: shorter preintegrated segments
+        run = run_pipeline(tmp_path, {**SHORT_CONFIG, "sim": {**SHORT_CONFIG["sim"], "dt": 0.02}})
+        for algo, path in run["trajectories"].items():
+            rows, _ = read_trajectory(path)
+            assert len(rows) > 0 and np.all(np.isfinite(rows)), algo
+        with open(os.path.join(run["report"], "report.json")) as fh:
+            assert sorted(row["algorithm"] for row in json.load(fh)["rows"]) == sorted(ALGORITHMS)
+
     def test_all_six_trajectories_cover_the_same_epochs_after_warmup(self, pipeline):
         doc = load_config(pipeline["config"])
         k = doc["fcnn"]["k"]

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -11,14 +13,18 @@ from hypothesis import strategies as st
 from climbloc.core import (
     AnchorPose,
     GeodeticPoint,
+    GpsStream,
     ImuSample,
+    ImuStream,
     Rotation,
     UwbMeasurement,
     Vec3Enu,
     geodetic_to_enu,
     skew,
 )
+from climbloc.errors import MissingInputError
 from climbloc.fusion import ekf_pass, epoch_times
+from climbloc.fusion.pipeline import _stop_schedule
 from climbloc.sim import (
     GpsNoise,
     OcclusionWindow,
@@ -28,6 +34,7 @@ from climbloc.sim import (
     simulate_scenario,
 )
 from climbloc.solvers import (
+    GRAVITY_ENU,
     BaroReference,
     GpsInsEkf,
     InsErrorModel,
@@ -39,7 +46,7 @@ from climbloc.solvers import (
     uwb_inverse,
     uwb_local_direction,
 )
-from climbloc.solvers.ins import rotation_increments
+from climbloc.solvers.ins import preintegrate, rotation_increments
 
 IDENTITY_ANCHOR = AnchorPose(position=Vec3Enu(0.0, 0.0, 0.0), orientation=Rotation.identity())
 
@@ -433,3 +440,169 @@ class TestEkfPass:
         r = ekf.state.attitude.matrix
         assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-12
         assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+
+
+def _per_step_propagation(ekf: GpsInsEkf, specific_force, increments, dt):
+    """(attitude, velocity, position, P) after the per-IMU-step recurrence:
+    an Euler step of the nominal state and P <- phi P phi^T + Q dt with
+    phi = I + F dt, one step at a time."""
+    model = ekf.model
+    q = np.diag(np.repeat([model.q_pos, model.q_vel, model.q_att], 3))
+    r, v, p, cov = ekf.attitude, ekf.velocity, ekf.position, model.P
+    for f_b, d_r, step in zip(specific_force, increments, dt):
+        f_n = r @ f_b
+        r = r @ d_r
+        v = v + (f_n + GRAVITY_ENU) * step
+        p = p + v * step
+        phi = np.eye(9)
+        phi[0:3, 3:6] = np.eye(3) * step
+        phi[3:6, 6:9] = skew(f_n * step)
+        cov = phi @ cov @ phi.T + q * step
+        cov = (cov + cov.T) / 2.0
+    return r, v, p, cov
+
+
+def _random_filter(rng) -> GpsInsEkf:
+    """A filter in a random state, with a random full covariance and position process noise."""
+    attitude = Rotation(_rotvec_matrix(rng.normal(0.0, 1.0, 3)))
+    state = InsState(Vec3Enu(*rng.normal(0.0, 5.0, 3)), tuple(rng.normal(0.0, 1.0, 3)), attitude)
+    a = rng.normal(0.0, 1.0, (9, 9))
+    return GpsInsEkf(state, InsErrorModel(P=(a @ a.T + (a @ a.T).T) / 18.0, q_pos=1e-3))
+
+
+def _random_imu(rng, n):
+    """n intervals: specific force near 1 g, angular rates up to 2 rad/s, non-uniform dt."""
+    direction = rng.normal(0.0, 1.0, (n, 3))
+    rates = direction / np.linalg.norm(direction, axis=1, keepdims=True) * rng.uniform(0.0, 2.0, (n, 1))
+    dt = rng.uniform(0.001, 0.05, n)
+    return rng.normal(0.0, 3.0, (n, 3)) + [0.0, 0.0, 9.8], rotation_increments(rates, dt), dt
+
+
+class TestPreintegration:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_step_recurrence(self, n, seed):
+        rng = np.random.default_rng(seed)
+        force, increments, dt = _random_imu(rng, n)
+        one, split = _random_filter(np.random.default_rng(seed)), _random_filter(np.random.default_rng(seed))
+        r, v, p, cov = _per_step_propagation(one, force, increments, dt)
+        one.propagate_run(force, increments, dt)
+        starts = np.flatnonzero(np.append(True, rng.uniform(size=n - 1) < 0.3))
+        for segment in preintegrate(force, increments, dt, starts, split.model):
+            split.apply(segment)
+        for ekf in (one, split):
+            assert np.max(np.abs(ekf.model.P - cov)) <= 1e-12 * np.max(np.abs(cov))
+            assert np.max(np.abs(ekf.position - p)) <= 1e-9
+            assert np.max(np.abs(ekf.velocity - v)) <= 1e-9
+            assert np.max(np.abs(ekf.attitude - r)) <= 1e-12
+            assert np.max(np.abs(ekf.attitude.T @ ekf.attitude - np.eye(3))) <= 1e-12
+
+    def test_one_step_segment_is_one_euler_step(self):
+        rng = np.random.default_rng(11)
+        ekf = _random_filter(rng)
+        force, increments, dt = _random_imu(rng, 1)
+        r, v, p, cov, h = ekf.attitude, ekf.velocity, ekf.position, ekf.model.P, dt[0]
+        ekf.propagate_run(force, increments, dt)
+        f_n = r @ force[0]
+        phi = np.eye(9)
+        phi[0:3, 3:6] = h * np.eye(3)
+        phi[3:6, 6:9] = skew(f_n) * h
+        q = np.diag(np.repeat([ekf.model.q_pos, ekf.model.q_vel, ekf.model.q_att], 3))
+        np.testing.assert_allclose(ekf.attitude, r @ increments[0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ekf.velocity, v + (f_n + GRAVITY_ENU) * h, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(ekf.position, p + (v + (f_n + GRAVITY_ENU) * h) * h, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(ekf.model.P, phi @ cov @ phi.T + q * h, rtol=1e-13, atol=1e-15)
+
+
+def _advance_imu_schedule(step_ends, gps, epochs):
+    """(stops, ends) of a per-stop loop: at each epoch, every valid fix up to
+    it (within 1e-9), then the epoch; each stop advances the IMU while the
+    next step ends by it (within 1e-9). Fix j is j, epoch e is -1 - e."""
+    step_ends = step_ends.tolist()
+    stops, ends = [], []
+    i_imu = i_gps = 0
+
+    def advance(until):
+        nonlocal i_imu
+        while i_imu < len(step_ends) and step_ends[i_imu] <= until + 1e-9:
+            i_imu += 1
+        ends.append(i_imu)
+
+    for e, t_k in enumerate(epochs):
+        while i_gps < len(gps) and gps.t[i_gps] <= t_k + 1e-9:
+            i_gps += 1
+            if gps.valid[i_gps - 1]:
+                stops.append(i_gps - 1)
+                advance(gps.t[i_gps - 1])
+        stops.append(-1 - e)
+        advance(t_k)
+    return stops, ends
+
+
+def _fixes(times, valid=None) -> GpsStream:
+    n = len(times)
+    return GpsStream(
+        t=times, lat=np.full(n, 0.48), lon=np.full(n, 0.3), height=np.full(n, 50.0), hdop=np.ones(n),
+        valid=np.ones(n, dtype=bool) if valid is None else valid,
+    )
+
+
+def _imu_stream(t) -> ImuStream:
+    """Level and at rest, with a slow yaw."""
+    n = len(t)
+    return ImuStream(t=t, specific_force=np.tile([0.0, 0.0, 9.80665], (n, 1)), angular_rate=np.tile([0.0, 0.0, 0.1], (n, 1)))
+
+
+def _pass_scenario(imu_t, gps) -> types.SimpleNamespace:
+    return types.SimpleNamespace(imu=_imu_stream(imu_t), gps=gps, origin=GeodeticPoint(0.48, 0.3, 50.0))
+
+
+class TestStopSchedule:
+    EPOCHS = np.arange(1, 6) * 0.1
+
+    @pytest.mark.parametrize(
+        "imu_end, fix_times, valid",
+        [
+            pytest.param(1.0, [0.2, 0.3], None, id="fix-at-an-epoch"),
+            pytest.param(1.0, [0.2 + 5e-10, 0.3 + 2e-9], None, id="fix-within-eps-after-an-epoch"),
+            pytest.param(1.0, [0.15, 0.25, 0.35], [True, False, True], id="invalid-fix"),
+            pytest.param(1.0, [0.25, 0.55, 0.7, 0.9], None, id="fixes-after-the-last-epoch"),
+            pytest.param(0.32, [0.15, 0.45], None, id="imu-ends-before-the-last-epoch"),
+            pytest.param(1.0, [], None, id="no-fix"),
+        ],
+    )
+    def test_matches_a_per_stop_advance(self, imu_end, fix_times, valid):
+        t = np.arange(0.0, imu_end, 0.01)
+        gaps = np.append(np.diff(t), t[-1] - t[-2])
+        gps = _fixes(fix_times, None if valid is None else np.array(valid))
+        stops, ends = _stop_schedule(t + gaps, gps, self.EPOCHS)
+        assert (stops.tolist(), ends.tolist()) == _advance_imu_schedule(t + gaps, gps, self.EPOCHS)
+
+    def test_nonpositive_dt_raises_inside_the_propagated_range_only(self):
+        t = np.arange(100) * 0.01
+        inside, past = t.copy(), t.copy()
+        inside[50] = inside[49]
+        past[95] = past[94]
+        with pytest.raises(ValueError, match=r"dt must be > 0, got 0\.0"):
+            ekf_pass(_pass_scenario(inside, _fixes([0.3])), [0.5, 0.8])
+        positions, _, _, _ = ekf_pass(_pass_scenario(past, _fixes([0.3])), [0.5, 0.8])
+        assert np.all(np.isfinite(positions))
+
+    def test_too_few_imu_samples_is_missing_input(self):
+        with pytest.raises(MissingInputError, match="at least two samples"):
+            ekf_pass(_pass_scenario(np.array([0.0]), _fixes([])), [0.5])
+
+    def test_a_long_epoch_gap_keeps_the_working_memory(self):
+        # fixes would split the gap into short segments, so they stop before it
+        scenario = _pass_scenario(np.arange(6000) * 0.01, _fixes(np.arange(1, 10) * 1.0))
+        epochs = np.arange(1, 600) * 0.1
+
+        def peak(epochs):
+            tracemalloc.start()
+            try:
+                ekf_pass(scenario, epochs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(epochs[(epochs <= 10.0) | (epochs >= 40.0)]) <= 1.5 * peak(epochs)
