@@ -276,7 +276,7 @@ def cmd_report(est_paths, truth_path, out_dir, config_path=None):
             }
         )
 
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows, include_reference=True)
+    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     write_cdf_csv(os.path.join(out_dir, "cdf.csv"), ev["cdf_thresholds"], cdf_table)
     write_boxplot_csv(os.path.join(out_dir, "boxplot.csv"), summaries)
     report = {

@@ -9,6 +9,8 @@ The trainer takes the fusible ground-truth rows of one frame batch, and each
 minibatch is one pass of the attention kernel (`attend`) forward plus one
 batched backward pass over its rows; `nnet.sgd` draws the minibatches, steps
 and checkpoints. Only the gradient pass keeps the encoders' activations.
+The trained values are packed into one vector θ in the order `_trained`
+fixes; the working encoders and attention parameters are views into θ.
 
 Training runs after the sensor models are fitted: frames are collected with
 the trained models in the loop, so the encoders see the same estimate
@@ -18,13 +20,15 @@ distributions the application phase produces.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from ..errors import NumericalFailureError
-from ..nnet import TrainConfig, _backward, _forward_trace, fit_standardization, sgd
+from ..nnet import TrainConfig, _backward, _forward_trace, fit_standardization, pack, sgd
 from .attention import (
     AXES,
+    AXIS_MODALITIES,
     MODALITIES,
     AttentionParams,
     attend,
@@ -101,16 +105,19 @@ def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weight
     return loss, grads
 
 
-def _copy(params: AttentionParams, scalar) -> AttentionParams:
-    """A deep copy with `scalar` applied to each `beta` and `b_prior` value."""
-    return AttentionParams(
-        w_q={s: w.copy() for s, w in params.w_q.items()},
-        w_k=params.w_k.copy(),
-        beta={s: scalar(b) for s, b in params.beta.items()},
-        w_r={s: w.copy() for s, w in params.w_r.items()},
-        b_prior={key: scalar(b) for key, b in params.b_prior.items()},
-        d_k=params.d_k,
-    )
+def _trained(tree: dict, leaf) -> dict:
+    """`tree`, laid out like the gradients `fusion_loss_and_grads` returns, with
+    `leaf` applied to each trained value in the one order θ packs them. A
+    prior on an axis that cannot weigh its modality (the barometer on x and y)
+    keeps its value: it is masked out of that softmax, so its gradient is 0."""
+    return {
+        **{name: {s: leaf(tree[name][s]) for s in AXES} for name in ("w_q", "beta", "w_r")},
+        "w_k": leaf(tree["w_k"]),
+        "b_prior": {
+            (m, s): leaf(b) if m in AXIS_MODALITIES[s] else b for (m, s), b in sorted(tree["b_prior"].items())
+        },
+        **{name: {m: [leaf(a) for a in tree[name][m]] for m in MODALITIES} for name in ("enc_w", "enc_b")},
+    }
 
 
 def _mean_loss(batch: dict, encoders, params, weights) -> float:
@@ -142,11 +149,20 @@ def train_fusion(
     if len(usable) < 2:
         raise NumericalFailureError("not enough fusible ground-truth epochs to train on")
 
-    encoders = {m: net.copy() for m, net in (encoders or init_encoders(L, seed=cfg.seed)).items()}
+    encoders = encoders or init_encoders(L, seed=cfg.seed)
     params = params if params is not None else init_attention_params(seed=cfg.seed)
-    params = _copy(params, lambda b: np.array(b, dtype=float))  # 0-d arrays, so sgd steps them in place
+    given = {**vars(params), "enc_w": {m: net.weights for m, net in encoders.items()}}
+    given["enc_b"] = {m: net.biases for m, net in encoders.items()}
+    values = []
+    _trained(given, values.append)
+    theta, views = pack(values)
+    views = iter(views)  # the working copy: each trained value a view into theta
+    work = _trained(given, lambda _: next(views))
+    enc_w, enc_b = work.pop("enc_w"), work.pop("enc_b")
+    encoders = {m: replace(net, weights=enc_w[m], biases=enc_b[m]) for m, net in encoders.items()}
+    params = replace(params, **work)
 
-    n_train = min(len(usable) - 1, max(1, int(round(len(usable) * cfg.split))))
+    n_train = cfg.n_train(len(usable))
     stacked = _rows(frames.arrays(), usable)
     del frames  # the usable rows replace the batch; freeing it keeps peak memory down
     train_set, val_set = _rows(stacked, slice(None, n_train)), _rows(stacked, slice(n_train, None))
@@ -155,16 +171,15 @@ def train_fusion(
             fit_standardization(encoders[m], train_set[m][train_set["ready"][:, j]])
     weights = tuple(cfg.output_weights(3))
 
-    def grads_of(rows):
+    def grad_of(rows):
         _, grads = fusion_loss_and_grads(_rows(train_set, rows), encoders, params, weights)
-        return cfg.learning_rate / len(rows), grads
+        g = []
+        _trained(grads, g.append)
+        return cfg.learning_rate / len(rows), np.concatenate(g, axis=None)
 
     def losses():
         return tuple(_mean_loss(split, encoders, params, weights) for split in (train_set, val_set))
 
-    # the layout of the gradients fusion_loss_and_grads returns
-    tree = {key: getattr(params, key) for key in ("w_q", "w_k", "beta", "w_r", "b_prior")}
-    tree["enc_w"] = {m: encoders[m].weights for m in MODALITIES}
-    tree["enc_b"] = {m: encoders[m].biases for m in MODALITIES}
-    history = sgd(tree, n_train, cfg, grads_of, losses)
-    return encoders, _copy(params, float), history
+    history = sgd(theta, n_train, cfg, grad_of, losses)
+    floats = {name: {key: float(v) for key, v in getattr(params, name).items()} for name in ("beta", "b_prior")}
+    return encoders, replace(params, **floats), history

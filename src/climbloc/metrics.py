@@ -236,27 +236,22 @@ def boxplot_summary(magnitudes, algorithm: str = "") -> BoxplotSummary:
     )
 
 
-def write_metrics_csv(path, rows, include_reference: bool = False) -> None:
-    """Write metrics.csv. With include_reference, append the hardware
-    reference footer row (mae and epoch columns left blank)."""
+def write_metrics_csv(path, rows) -> None:
+    """Write metrics.csv: one row per algorithm, then the hardware reference
+    footer row (mae and epoch columns left blank, the writer's `restval`)."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
         writer.writeheader()
         for row in rows:
             writer.writerow(row.csv_record())
-        if include_reference:
-            writer.writerow(
-                {
-                    "algorithm": REFERENCE_LABEL,
-                    "rmse": repr(REFERENCE_RMSE_M),
-                    "std": repr(REFERENCE_STD_M),
-                    "max": repr(REFERENCE_MAX_M),
-                    "mae_x": "",
-                    "mae_y": "",
-                    "mae_z": "",
-                    "matched_epochs": "",
-                }
-            )
+        writer.writerow(
+            {
+                "algorithm": REFERENCE_LABEL,
+                "rmse": repr(REFERENCE_RMSE_M),
+                "std": repr(REFERENCE_STD_M),
+                "max": repr(REFERENCE_MAX_M),
+            }
+        )
 
 
 def write_cdf_csv(path, thresholds, fractions_by_algorithm: dict) -> None:

@@ -7,14 +7,16 @@ error averaged over the batch:
 
     L = mean_batch sum_s w_s (out_s - target_s)^2
 
-Everything is deterministic given seeds, and models serialize to plain JSON
-dicts whose floats survive a dump/load round trip bit-exactly.
+A trainer packs what it trains into one vector θ (`pack`), which `sgd` steps,
+and works on a copy of its model whose arrays are views into θ. Everything is
+deterministic given seeds, and models serialize to plain JSON dicts whose
+floats survive a dump/load round trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,16 +65,6 @@ class DenseNetwork:
     def activations(self) -> tuple[str, ...]:
         return ("relu",) * (len(self.layer_sizes) - 2) + ("identity",)
 
-    def copy(self) -> "DenseNetwork":
-        return DenseNetwork(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            input_mean=self.input_mean.copy(),
-            input_std=self.input_std.copy(),
-            metadata=dict(self.metadata),
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -101,6 +93,10 @@ class TrainConfig:
 
     def output_weights(self, n_out: int) -> np.ndarray:
         return np.resize(np.asarray(self.axis_weights, dtype=float), n_out)
+
+    def n_train(self, n: int) -> int:
+        """Rows in the training split of `n` time-ordered rows; at least one row is left for validation."""
+        return min(n - 1, max(1, int(round(n * self.split))))
 
 
 @dataclass(frozen=True)
@@ -219,41 +215,36 @@ def fit_standardization(net: DenseNetwork, x: np.ndarray) -> None:
     net.input_std = np.maximum(x.std(axis=0), _STD_FLOOR)
 
 
-def _leaves(tree) -> list:
-    """The arrays of a tree of dicts and lists, in one fixed order (dict keys sorted)."""
-    if isinstance(tree, dict):
-        return [leaf for key in sorted(tree) for leaf in _leaves(tree[key])]
-    if isinstance(tree, (list, tuple)):
-        return [leaf for branch in tree for leaf in _leaves(branch)]
-    return [tree]
+def pack(arrays) -> tuple[np.ndarray, list]:
+    """One float64 vector θ holding `arrays` (floats allowed) end to end, in
+    order, and one view into θ per array with that array's shape (0-d for a float)."""
+    theta = np.concatenate(arrays, axis=None, dtype=float)
+    parts = np.split(theta, np.cumsum([np.size(a) for a in arrays])[:-1])
+    return theta, [part.reshape(np.shape(a)) for part, a in zip(parts, arrays)]
 
 
-def sgd(params, n_train: int, cfg: TrainConfig, grads_of, losses) -> list:
-    """Mini-batch SGD over training rows 0..n_train-1, stepping `params` in place.
+def sgd(theta: np.ndarray, n_train: int, cfg: TrainConfig, grad_of, losses) -> list:
+    """Mini-batch SGD over training rows 0..n_train-1, stepping the vector `theta` in place.
 
-    `params` is a tree of dicts and lists of float arrays; `grads_of(rows)`
-    returns (step, grads), grads in the same layout, and each array takes
-    `p -= step * g`. After each epoch `losses()` gives the (train, validation)
-    loss; the first non-finite one restores every array to its value after
+    `grad_of(rows)` returns (step, g), g laid out like θ, and each minibatch takes
+    `theta -= step * g`, scaling g in place. After each epoch `losses()` gives the
+    (train, validation) loss; the first non-finite one restores θ to its value after
     the last finite epoch and stops. Returns one loss pair per finite epoch.
     """
-    arrays = _leaves(params)
-    checkpoint = [p.copy() for p in arrays]
+    checkpoint = theta.copy()
     rng = np.random.default_rng(cfg.seed)
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n_train)
         for start in range(0, n_train, cfg.batch_size):
-            step, grads = grads_of(order[start : start + cfg.batch_size])
-            for p, g in zip(arrays, _leaves(grads), strict=True):
-                np.subtract(p, step * g, out=p)  # in place: a Python float leaf raises
+            step, g = grad_of(order[start : start + cfg.batch_size])
+            theta -= np.multiply(step, g, out=g)  # scales g in place: no θ-sized temporary
         train_loss, val_loss = losses()
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            for p, saved in zip(arrays, checkpoint):
-                p[...] = saved
+            theta[...] = checkpoint
             break
         history.append((train_loss, val_loss))
-        checkpoint = [p.copy() for p in arrays]
+        checkpoint[...] = theta
     return history
 
 
@@ -267,21 +258,23 @@ def train(net: DenseNetwork, dataset: Dataset, cfg: TrainConfig):
     n = len(dataset)
     if n < 2:
         raise ValueError("need at least two examples to split")
-    n_train = min(n - 1, max(1, int(round(n * cfg.split))))
+    n_train = cfg.n_train(n)
     x_train, t_train = dataset.inputs[:n_train], dataset.targets[:n_train]
     x_val, t_val = dataset.inputs[n_train:], dataset.targets[n_train:]
 
-    out = net.copy()
+    theta, views = pack([*net.weights, *net.biases])
+    out = replace(net, weights=views[: len(net.weights)], biases=views[len(net.weights) :])
     fit_standardization(out, x_train)
     w_out = cfg.output_weights(out.layer_sizes[-1])
 
-    def grads_of(rows):
-        return cfg.learning_rate, _loss_and_grads(out, x_train[rows], t_train[rows], w_out)[1:]
+    def grad_of(rows):
+        _, grads_w, grads_b = _loss_and_grads(out, x_train[rows], t_train[rows], w_out)
+        return cfg.learning_rate, np.concatenate([*grads_w, *grads_b], axis=None)
 
     def losses():
         return _evaluate(out, x_train, t_train, w_out), _evaluate(out, x_val, t_val, w_out)
 
-    history = sgd([out.weights, out.biases], n_train, cfg, grads_of, losses)
+    history = sgd(theta, n_train, cfg, grad_of, losses)
     if len(history) < cfg.epochs:
         raise NumericalFailureError(f"training diverged at epoch {len(history)}: non-finite loss")
     out.metadata = dict(out.metadata, epochs=cfg.epochs, train_seed=cfg.seed)

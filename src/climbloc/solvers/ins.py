@@ -88,7 +88,7 @@ class InsErrorModel:
     `q_*` are continuous-time white-noise intensities feeding the position,
     velocity, and attitude error blocks. `gps_sigma` is the 1-sigma ENU
     measurement noise of a position fix at HDOP 1; the measurement
-    covariance is scaled by hdop^2 when `scale_r_by_hdop` is set.
+    covariance is scaled by hdop^2.
     """
 
     P: np.ndarray = field(default_factory=_default_p0)
@@ -96,7 +96,6 @@ class InsErrorModel:
     q_vel: float = 4e-4         # (m/s^2)^2/Hz, accelerometer noise
     q_att: float = 4e-6         # (rad/s)^2/Hz, gyro noise
     gps_sigma: tuple[float, float, float] = (0.8, 0.8, 1.5)
-    scale_r_by_hdop: bool = True
 
     def __post_init__(self):
         self.P = np.array(self.P, dtype=float)
@@ -235,9 +234,7 @@ class GpsInsEkf:
         H P H^T is P's position block and P H^T is -P[:, :3].
         """
         p = self.model.P
-        r = np.square(np.asarray(self.model.gps_sigma, dtype=float))  # the diagonal of R
-        if self.model.scale_r_by_hdop:
-            r = r * max(hdop, 1e-6) ** 2
+        r = np.square(self.model.gps_sigma) * max(hdop, 1e-6) ** 2  # the diagonal of R
         nu = position.as_array() - self.position
         s = p[:3, :3].copy()
         s.flat[::4] += r

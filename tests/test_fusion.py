@@ -34,9 +34,10 @@ from climbloc.fusion import (
 from climbloc.fusion import attention
 from climbloc.fusion.attention import AXIS_MODALITIES, MODALITIES
 from climbloc.fusion.pipeline import WARMUP_SIGMA_INFLATION, _recent_spread, stack_frames
+from climbloc.fusion.train import _mean_loss, _rows
 from climbloc.fusion.ukf import _robust_cholesky
 from climbloc.models import SIGMA_MIN
-from climbloc.nnet import TrainConfig, net_forward
+from climbloc.nnet import TrainConfig, fit_standardization, net_forward, net_from_dict, net_to_dict
 from climbloc.sim import (
     BaroNoise,
     GpsNoise,
@@ -46,6 +47,7 @@ from climbloc.sim import (
     UwbNoise,
     simulate_scenario,
 )
+from test_nnet import per_array_sgd
 
 
 def quiet_scenario(duration=14.0, seed=3, **overrides):
@@ -711,6 +713,50 @@ class TestBatchedKernel:
                 assert variance[i, k] == pytest.approx(var, rel=1e-12, abs=1e-12), (i, s)
 
 
+def _tree_leaves(tree) -> list:
+    """The arrays of a tree of dicts and lists, dict keys sorted."""
+    if isinstance(tree, dict):
+        return [leaf for key in sorted(tree) for leaf in _tree_leaves(tree[key])]
+    if isinstance(tree, list):
+        return [leaf for branch in tree for leaf in _tree_leaves(branch)]
+    return [tree]
+
+
+def reference_train_fusion(batch, encoders, params, cfg):
+    """`train_fusion` on deep copies whose arrays, every prior bias among them
+    as a 0-d array, are stepped one at a time by `per_array_sgd`."""
+    usable = np.flatnonzero(batch.fusible & (batch.truth is not None))
+    encoders = {m: net_from_dict(net_to_dict(net)) for m, net in encoders.items()}
+    params = AttentionParams(
+        w_q={s: w.copy() for s, w in params.w_q.items()},
+        w_k=params.w_k.copy(),
+        beta={s: np.array(b, dtype=float) for s, b in params.beta.items()},
+        w_r={s: w.copy() for s, w in params.w_r.items()},
+        b_prior={key: np.array(b, dtype=float) for key, b in params.b_prior.items()},
+        d_k=params.d_k,
+    )
+    n_train = min(len(usable) - 1, max(1, int(round(len(usable) * cfg.split))))
+    stacked = _rows(batch.arrays(), usable)
+    train_set, val_set = _rows(stacked, slice(None, n_train)), _rows(stacked, slice(n_train, None))
+    for j, m in enumerate(MODALITIES):
+        if train_set["ready"][:, j].any():
+            fit_standardization(encoders[m], train_set[m][train_set["ready"][:, j]])
+    weights = tuple(cfg.output_weights(3))
+
+    def grads_of(rows):
+        _, grads = fusion_loss_and_grads(_rows(train_set, rows), encoders, params, weights)
+        return cfg.learning_rate / len(rows), _tree_leaves(grads)
+
+    def losses():
+        return tuple(_mean_loss(split, encoders, params, weights) for split in (train_set, val_set))
+
+    tree = {key: getattr(params, key) for key in ("w_q", "w_k", "beta", "w_r", "b_prior")}
+    tree["enc_w"] = {m: encoders[m].weights for m in MODALITIES}
+    tree["enc_b"] = {m: encoders[m].biases for m in MODALITIES}
+    history = per_array_sgd(_tree_leaves(tree), n_train, cfg, grads_of, losses)
+    return encoders, params, history
+
+
 class TestFusionTraining:
     def test_gradients_match_finite_differences(self):
         for seed in range(6):
@@ -814,6 +860,55 @@ class TestFusionTraining:
         )
         assert rerun[2] == history
         assert fusion_to_dict(rerun[0], rerun[1]) == doc
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrainConfig(learning_rate=0.05, epochs=3, batch_size=8, seed=2),
+            TrainConfig(learning_rate=0.02, epochs=2, batch_size=5, seed=6, split=0.6),
+            TrainConfig(learning_rate=1e300, epochs=10, batch_size=8, seed=1),  # diverges in epoch 1
+        ],
+    )
+    def test_equals_the_per_array_reference(self, cfg):
+        batch = toy_batch(mixed_frames(seed=3, n=30))
+        encoders, params = random_model(5)
+        got_enc, got, history = train_fusion(None, None, None, encoders, params, cfg, L=4, frames=batch)
+        want_enc, want, want_history = reference_train_fusion(batch, encoders, params, cfg)
+        assert history == want_history
+        for m in MODALITIES:
+            got_arrays, want_arrays = (
+                [*net.weights, *net.biases, net.input_mean, net.input_std] for net in (got_enc[m], want_enc[m])
+            )
+            for a, b in zip(got_arrays, want_arrays, strict=True):
+                assert np.array_equal(a, b), m
+        assert np.array_equal(got.w_k, want.w_k)
+        for s in AXES:
+            assert np.array_equal(got.w_q[s], want.w_q[s]) and np.array_equal(got.w_r[s], want.w_r[s]), s
+            assert np.array_equal(got.beta[s], want.beta[s]), s
+        for key in want.b_prior:
+            assert np.array_equal(got.b_prior[key], want.b_prior[key]), key
+
+    def test_inputs_are_untouched_and_untrainable_priors_keep_their_values(self):
+        frames = toy_frames(n=30, L=4, seed=4)
+        encoders = init_encoders(L=4, d_e=8, hidden=16, seed=2)
+        params = init_attention_params(d_e=8, d_k=4, seed=2)
+        params.b_prior[("baro", "x")], params.b_prior[("baro", "y")] = 0.25, -1.5
+        before = fusion_to_dict(encoders, params)
+        _, trained, _ = train_fusion(
+            None,
+            None,
+            None,
+            encoders=encoders,
+            params=params,
+            cfg=TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=2),
+            L=4,
+            frames=toy_batch(frames),
+        )
+        assert fusion_to_dict(encoders, params) == before
+        for s, want in (("x", 0.25), ("y", -1.5)):
+            assert isinstance(trained.b_prior[("baro", s)], float)
+            assert trained.b_prior[("baro", s)] == want
 
     def test_short_run_steps_every_scalar_parameter(self):
         frames = toy_frames(n=30, L=4, seed=4)

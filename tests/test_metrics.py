@@ -245,7 +245,7 @@ class TestCsvOutputs:
             compute_metrics(series_from_errors(np.zeros((3, 3))), algorithm="amfa"),
         ]
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, rows, include_reference=True)
+        write_metrics_csv(path, rows)
         with open(path, newline="") as fh:
             records = list(csv.reader(fh))
         assert tuple(records[0]) == METRICS_COLUMNS

@@ -1,6 +1,7 @@
 """Dense network engine tests, including the finite-difference gradient oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,15 +10,19 @@ from hypothesis import strategies as st
 
 from climbloc.errors import ConfigError, NumericalFailureError
 from climbloc.nnet import (
+    _evaluate,
     _forward_trace,
+    _loss_and_grads,
     Dataset,
     DenseNetwork,
     TrainConfig,
+    fit_standardization,
     net_forward,
     net_from_dict,
     net_gradient,
     net_init,
     net_to_dict,
+    pack,
     sgd,
     train,
 )
@@ -226,57 +231,129 @@ class TestTraining:
             TrainConfig(axis_weights=(2.0, 1.0, 1.0))  # w_z < w_x
 
 
-class TestSgd:
-    def tree(self):
-        return {"b": [np.zeros(()), np.ones(2)], "a": np.zeros((2, 2))}
+def per_array_sgd(arrays, n_train, cfg, grads_of, losses):
+    """The SGD loop that steps each array on its own, kept as the reference for `sgd`.
 
+    `grads_of(rows)` returns (step, one gradient per array); each array takes
+    `p -= step * g` in place, and the checkpoint is one copy per array.
+    """
+    checkpoint = [p.copy() for p in arrays]
+    rng = np.random.default_rng(cfg.seed)
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_train)
+        for start in range(0, n_train, cfg.batch_size):
+            step, grads = grads_of(order[start : start + cfg.batch_size])
+            for p, g in zip(arrays, grads, strict=True):
+                np.subtract(p, step * g, out=p)
+        train_loss, val_loss = losses()
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            for p, saved in zip(arrays, checkpoint):
+                p[...] = saved
+            break
+        history.append((train_loss, val_loss))
+        checkpoint = [p.copy() for p in arrays]
+    return history
+
+
+def reference_train(net, dataset, cfg):
+    """`train` on a deep copy of `net` stepped one array at a time by `per_array_sgd`."""
+    n = len(dataset)
+    n_train = min(n - 1, max(1, int(round(n * cfg.split))))
+    x_train, t_train = dataset.inputs[:n_train], dataset.targets[:n_train]
+    x_val, t_val = dataset.inputs[n_train:], dataset.targets[n_train:]
+    out = net_from_dict(net_to_dict(net))
+    fit_standardization(out, x_train)
+    w_out = cfg.output_weights(out.layer_sizes[-1])
+
+    def grads_of(rows):
+        _, grads_w, grads_b = _loss_and_grads(out, x_train[rows], t_train[rows], w_out)
+        return cfg.learning_rate, [*grads_w, *grads_b]
+
+    def losses():
+        return _evaluate(out, x_train, t_train, w_out), _evaluate(out, x_val, t_val, w_out)
+
+    return out, per_array_sgd([*out.weights, *out.biases], n_train, cfg, grads_of, losses)
+
+
+class TestPack:
+    def test_views_hold_the_values_in_order(self):
+        arrays = [np.arange(6.0).reshape(2, 3), 6.0, np.array([7.0, 8.0, 9.0])]
+        theta, views = pack(arrays)
+        assert theta.dtype == np.float64
+        np.testing.assert_array_equal(theta, np.arange(10.0))
+        assert [v.shape for v in views] == [(2, 3), (), (3,)]
+        for view, array in zip(views, arrays):
+            np.testing.assert_array_equal(view, array)
+            assert np.shares_memory(view, theta)
+
+    def test_a_step_on_theta_moves_every_view_and_no_input(self):
+        arrays = [np.ones((2, 2)), 0.5]
+        theta, (w, b) = pack(arrays)
+        theta -= 1.0
+        np.testing.assert_array_equal(w, np.zeros((2, 2)))
+        assert b == -0.5
+        np.testing.assert_array_equal(arrays[0], np.ones((2, 2)))
+
+
+class TestSgd:
     def test_non_finite_epoch_restores_the_last_finite_epoch(self):
-        params = self.tree()
-        arrays = [params["a"], *params["b"]]
+        theta, views = pack([np.zeros((2, 2)), 0.0, np.ones(2)])
         epoch_losses = iter([(1.0, 2.0), (0.5, 1.5), (float("nan"), 1.0), (0.1, 0.1)])
-        # every step subtracts 1 from each entry: two minibatches of 2 rows per epoch
+        # every step adds 1 to each entry: two minibatches of 2 rows per epoch
         history = sgd(
-            params,
+            theta,
             4,
             TrainConfig(epochs=4, batch_size=2),
-            lambda rows: (1.0, {"a": -np.ones((2, 2)), "b": [-1.0, -np.ones(2)]}),
+            lambda rows: (1.0, -np.ones(7)),
             lambda: next(epoch_losses),
         )
         assert history == [(1.0, 2.0), (0.5, 1.5)]
-        # restored in place: the same array objects hold their epoch-2 values
-        assert [params["a"], *params["b"]] == arrays
-        np.testing.assert_array_equal(params["a"], np.full((2, 2), 4.0))
-        assert params["b"][0] == 4.0
-        np.testing.assert_array_equal(params["b"][1], [5.0, 5.0])
+        # restored in place: the views still read theta, which holds its epoch-2 values
+        np.testing.assert_array_equal(theta, [4.0, 4.0, 4.0, 4.0, 4.0, 5.0, 5.0])
+        np.testing.assert_array_equal(views[0], np.full((2, 2), 4.0))
+        assert views[1] == 4.0
+        np.testing.assert_array_equal(views[2], [5.0, 5.0])
 
     def test_non_finite_first_epoch_restores_the_initial_values(self):
-        params = self.tree()
+        theta, _ = pack([np.zeros((2, 2)), 0.0, np.ones(2)])
         history = sgd(
-            params,
+            theta,
             3,
             TrainConfig(epochs=2, batch_size=2),
-            lambda rows: (0.5, {"a": np.ones((2, 2)), "b": [1.0, np.ones(2)]}),
+            lambda rows: (0.5, np.ones(7)),
             lambda: (1.0, float("inf")),
         )
         assert history == []
-        for got, want in zip([params["a"], *params["b"]], [np.zeros((2, 2)), np.zeros(()), np.ones(2)]):
-            np.testing.assert_array_equal(got, want)
-
-    def test_a_python_float_parameter_is_rejected(self):
-        # it could not step in place, so it must not pass silently
-        with pytest.raises((AttributeError, TypeError)):
-            sgd([1.0], 2, TrainConfig(epochs=1), lambda rows: (1.0, [1.0]), lambda: (0.0, 0.0))
+        np.testing.assert_array_equal(theta, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
 
     def test_minibatches_cover_every_row_once_per_epoch(self):
         seen = []
 
-        def grads_of(rows):
+        def grad_of(rows):
             seen.extend(rows.tolist())
-            return 0.0, [np.zeros(1)]
+            return 0.0, np.zeros(1)
 
-        sgd([np.zeros(1)], 7, TrainConfig(epochs=2, batch_size=3, seed=4), grads_of, lambda: (0.0, 0.0))
+        sgd(np.zeros(1), 7, TrainConfig(epochs=2, batch_size=3, seed=4), grad_of, lambda: (0.0, 0.0))
         assert sorted(seen[:7]) == sorted(seen[7:]) == list(range(7))
         assert seen[:7] != seen[7:]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrainConfig(learning_rate=0.01, epochs=6, batch_size=16, seed=3, axis_weights=(1.0,)),
+            TrainConfig(learning_rate=0.2, epochs=3, batch_size=5, seed=8, axis_weights=(1.0,), split=0.6),
+        ],
+    )
+    def test_train_equals_the_per_array_reference(self, cfg):
+        net, data = net_init([1, 8, 4, 1], seed=2), _linear_dataset(n=90)
+        trained, history = train(net, data, cfg)
+        want, want_history = reference_train(net, data, cfg)
+        assert history == want_history
+        for got, ref in zip([*trained.weights, *trained.biases], [*want.weights, *want.biases], strict=True):
+            assert np.array_equal(got, ref)
+        assert np.array_equal(trained.input_mean, want.input_mean)
+        assert np.array_equal(trained.input_std, want.input_std)
 
 
 class TestSerialization:

@@ -369,7 +369,7 @@ def _rotvec_matrix(v: np.ndarray) -> np.ndarray:
 
 def _reference_ekf_pass(scenario, epochs):
     """(positions, sigmas) per epoch from a per-sample filter that projects the
-    attitude back onto SO(3) by SVD after every IMU step."""
+    attitude back onto SO(3) by SVD after every IMU step; it skips invalid fixes."""
     model = InsErrorModel()
     p, v, r, cov = np.zeros(3), np.zeros(3), np.eye(3), model.P.copy()
     q = np.diag([model.q_pos] * 3 + [model.q_vel] * 3 + [model.q_att] * 3)
@@ -396,6 +396,9 @@ def _reference_ekf_pass(scenario, epochs):
     positions, sigmas = [], []
     for t_k in epochs:
         while i_gps < len(gps) and gps.t[i_gps] <= t_k + 1e-9:
+            if not gps.valid[i_gps]:
+                i_gps += 1
+                continue
             advance(gps.t[i_gps])
             z = geodetic_to_enu(
                 GeodeticPoint(gps.lat[i_gps], gps.lon[i_gps], gps.height[i_gps]), scenario.origin
@@ -425,6 +428,16 @@ class TestEkfPass:
 
     def test_matches_per_step_svd_reference(self):
         scenario = simulate_scenario(self.SCENARIO)
+        epochs = epoch_times(scenario)
+        positions, sigmas, _, _ = ekf_pass(scenario, epochs)
+        ref_positions, ref_sigmas = _reference_ekf_pass(scenario, epochs)
+        assert np.max(np.abs(positions - ref_positions)) <= 1e-9
+        assert np.max(np.abs(sigmas - ref_sigmas)) <= 1e-12
+
+    def test_invalid_fixes_are_skipped_as_in_the_reference(self):
+        scenario = simulate_scenario(self.SCENARIO)
+        valid = np.random.default_rng(11).random(len(scenario.gps)) < 0.6
+        scenario = dataclasses.replace(scenario, gps=dataclasses.replace(scenario.gps, valid=valid))
         epochs = epoch_times(scenario)
         positions, sigmas, _, _ = ekf_pass(scenario, epochs)
         ref_positions, ref_sigmas = _reference_ekf_pass(scenario, epochs)
