@@ -37,7 +37,6 @@ from ..metrics import (
     REFERENCE_RMSE_M,
     REFERENCE_STD_M,
     boxplot_summary,
-    composite_objective,
     compute_cdf,
     compute_metrics,
     match_series,
@@ -68,13 +67,6 @@ def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, separators=(",", ":"))
         fh.write("\n")
-
-
-def _read_json(path):
-    if not os.path.exists(path):
-        raise MissingInputError(f"file not found: {path}")
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _write_history_csv(path, history) -> None:
@@ -111,11 +103,27 @@ def cmd_simulate(config_path, out_dir) -> dict:
     return manifest
 
 
+def _read_model(path, from_dict):
+    """from_dict(the JSON document at `path`); a document that is not an
+    object, lacks a key, or holds a value of the wrong type is a ConfigError
+    naming the file."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    try:
+        return from_dict(doc)
+    except KeyError as err:
+        raise ConfigError(f"{path}: missing key {err.args[0]!r}") from None
+    except TypeError as err:
+        raise ConfigError(f"{path}: a value has the wrong type ({err})") from None
+
+
 def _load_sensor_model(models_dir, which):
     path = os.path.join(models_dir, MODEL_FILES[which])
     if not os.path.exists(path):
         raise MissingInputError(f"missing {which} model: {path} (run train --model {which} first)")
-    model = model_from_dict(_read_json(path))
+    model = _read_model(path, model_from_dict)
     expected = {"uwb": UwbFcnnModel, "baro": BaroFcnnModel}[which]
     if not isinstance(model, expected):
         raise ConfigError(f"{path}: not a {which} sensor model")
@@ -219,7 +227,7 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
             raise MissingInputError(
                 f"missing fusion bundle: {bundle_path} (run train --model fusion first)"
             )
-        encoders, params, ukf, L, lam = fusion_from_dict(_read_json(bundle_path))
+        encoders, params, ukf, L, lam = _read_model(bundle_path, fusion_from_dict)
         uwb_model = _load_sensor_model(models_dir, "uwb")
         baro_model = _load_sensor_model(models_dir, "baro")
         track = amfa_pipeline(scenario, uwb_model, baro_model, encoders, params, ukf, L=L, lam=lam)
@@ -242,45 +250,30 @@ def cmd_run(data_dir, models_dir, algo, out_path, config_path=None):
 
 
 def cmd_report(est_paths, truth_path, out_dir, config_path=None):
-    """Metric/CDF/boxplot CSVs plus a comparison table on stdout."""
+    """Metric/CDF/boxplot CSVs plus a comparison table on stdout, all from
+    the report.json rows of `compute_metrics`."""
     doc = cfgmod.load_config(config_path)
     ev = cfgmod.eval_options(doc)
-    truth, _ = records.read_stream_table(truth_path, "truth", ("t", "x", "y", "z"))
+    truth = records.read_stream(truth_path, "truth")
     os.makedirs(out_dir, exist_ok=True)
 
-    rows, cdf_table, summaries, report_rows = [], {}, [], []
+    rows, cdf_table, summaries = [], {}, []
     for path in est_paths:
         est, algo = records.read_trajectory(path)
-        series = match_series(
-            est[:, 0], est[:, 1:4], truth[:, 0], truth[:, 1:4],
-            est_sigma=est[:, 4:7], tolerance=ev["match_tolerance"],
-        )
-        if series.matched == 0:
+        i, j, excluded = match_series(est[:, 0], truth.t, ev["match_tolerance"])
+        if not len(i):
             raise NumericalFailureError(f"{path}: no epochs matched the truth timeline")
-        row = compute_metrics(series, algorithm=algo)
-        rows.append(row)
-        cdf_table[algo] = compute_cdf(series.magnitudes, ev["cdf_thresholds"])
-        summaries.append(boxplot_summary(series.magnitudes, algorithm=algo))
-        report_rows.append(
-            {
-                "algorithm": algo,
-                "rmse": row.rmse,
-                "std": row.std,
-                "max": row.max_error,
-                "mean_error": row.mean_error,
-                "mae": list(row.mae_axes),
-                "rmse_axes": list(row.rmse_axes),
-                "composite": composite_objective(row, ev["k1"], ev["k2"]),
-                "matched_epochs": row.matched_epochs,
-                "excluded_epochs": row.excluded_epochs,
-            }
-        )
+        errors = est[i, 1:4] - truth.position[j]
+        rows.append(compute_metrics(errors, est[i, 4:7], algo, excluded, ev["k1"], ev["k2"]))
+        magnitudes = np.linalg.norm(errors, axis=1)
+        cdf_table[algo] = compute_cdf(magnitudes, ev["cdf_thresholds"])
+        summaries.append(boxplot_summary(magnitudes))
 
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     write_cdf_csv(os.path.join(out_dir, "cdf.csv"), ev["cdf_thresholds"], cdf_table)
-    write_boxplot_csv(os.path.join(out_dir, "boxplot.csv"), summaries)
+    write_boxplot_csv(os.path.join(out_dir, "boxplot.csv"), rows, summaries)
     report = {
-        "rows": report_rows,
+        "rows": rows,
         "cdf_thresholds": ev["cdf_thresholds"],
         "trade_off": {"k1": ev["k1"], "k2": ev["k2"]},
         "reference": {
@@ -299,8 +292,8 @@ def cmd_report(est_paths, truth_path, out_dir, config_path=None):
     print("-" * len(header))
     for row in rows:
         print(
-            f"{row.algorithm:<28}{row.rmse:>9.3f}{row.std:>9.3f}{row.max_error:>9.3f}"
-            f"{row.matched_epochs:>9d}{row.excluded_epochs:>9d}"
+            f"{row['algorithm']:<28}{row['rmse']:>9.3f}{row['std']:>9.3f}{row['max']:>9.3f}"
+            f"{row['matched_epochs']:>9d}{row['excluded_epochs']:>9d}"
         )
     print(
         f"{REFERENCE_LABEL:<28}{REFERENCE_RMSE_M:>9.3f}{REFERENCE_STD_M:>9.3f}{REFERENCE_MAX_M:>9.3f}"

@@ -155,23 +155,17 @@ def _stored_table(path, name):
     return None
 
 
-def read_stream_table(path, name, keys):
-    """What `read_table(path, keys, tag=<the stream's flag>)` returns for a
-    file of stream `name`, loaded from its column file when one carries the
-    SHA-256 of the file's bytes; any other case parses the JSONL."""
-    flag = _STREAMS[name][2]
+def read_stream(path, name):
+    """The stream `name` (a key of SCENARIO_FILES) held in the JSONL file
+    `path`, loaded from its column file when one carries the SHA-256 of the
+    file's bytes and parsed otherwise; a value that breaks a stream rule is
+    a ValueError naming the file, line and field."""
+    cls, columns, flag = _STREAMS[name]
     table = _stored_table(path, name)
     if table is None:
-        return read_table(path, keys, tag=flag)
-    stored = _numeric_keys(name)
-    flags = (table[:, -1] != 0).tolist() if flag else []
-    return table[:, [stored.index(k) for k in keys]], flags
-
-
-def _read_stream(directory, name):
-    cls, columns, flag = _STREAMS[name]
-    path = os.path.join(directory, SCENARIO_FILES[name])
-    table, flags = read_stream_table(path, name, _numeric_keys(name))
+        table, flags = read_table(path, _numeric_keys(name), tag=flag)
+    elif flag:
+        flags = table[:, -1] != 0
     fields, j = {}, 0
     for column, keys in columns.items():
         width = len(keys.split())
@@ -187,6 +181,13 @@ def _read_stream(directory, name):
         raise ValueError(f"{path}:{_line_of(path, err.row)}: field {key!r}: {err.detail}") from None
 
 
+def _bad_trajectory_values(table):
+    """Mask of the values no trajectory may hold: non-finite ones and negative sigmas."""
+    bad = ~np.isfinite(table)
+    bad[:, 4:] |= table[:, 4:] < 0
+    return bad
+
+
 def write_trajectory(path, t, positions, sigmas, algo: str) -> int:
     """Write one trajectory record per epoch; returns the number written.
 
@@ -195,7 +196,7 @@ def write_trajectory(path, t, positions, sigmas, algo: str) -> int:
     before the file is opened.
     """
     table = np.column_stack([t, positions, sigmas]).astype(float)
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1) | (table[:, 4:] < 0).any(axis=1))
+    bad = np.flatnonzero(_bad_trajectory_values(table).any(axis=1))
     if len(bad):
         t_k, *values = table[bad[0]].tolist()
         raise ValueError(
@@ -207,10 +208,18 @@ def write_trajectory(path, t, positions, sigmas, algo: str) -> int:
 
 def read_trajectory(path):
     """-> (values, algo): an (n, 7) array of TRAJECTORY_KEYS columns and the
-    one algo tag every row must carry."""
+    one algo tag every row must carry. A value `write_trajectory` refuses
+    is a ValueError naming the file, line and field."""
     values, algos = read_table(path, TRAJECTORY_KEYS, tag="algo")
     if not algos:
         raise ValueError(f"{path}: empty trajectory")
+    refused = _bad_trajectory_values(values)
+    if refused.any():
+        row, col = np.argwhere(refused)[0]
+        rule = "must be finite and >= 0" if col >= 4 else "must be finite"
+        raise ValueError(
+            f"{path}:{_line_of(path, row)}: field {TRAJECTORY_KEYS[col]!r}: {rule}, got {values[row, col].item()!r}"
+        )
     bad = next((i for i, algo in enumerate(algos) if type(algo) is not str), None)
     if bad is not None:
         raise ValueError(f"{path}:{_line_of(path, bad)}: field 'algo': must be a string, got {algos[bad]!r}")
@@ -361,7 +370,7 @@ def _read_anchor(directory):
 def read_scenario(directory) -> ScenarioData:
     anchor, origin, reference = _read_anchor(directory)
     # each stream is parsed into columns as it is read; no record list is kept
-    streams = {name: _read_stream(directory, name) for name in SCENARIO_FILES}
+    streams = {name: read_stream(os.path.join(directory, file), name) for name, file in SCENARIO_FILES.items()}
     return ScenarioData(**streams, anchor=anchor, baro_reference=reference, origin=origin)
 
 

@@ -1,9 +1,11 @@
 """Trajectory accuracy metrics and plot-ready CSV reports.
 
-Errors are per-epoch vectors estimate - truth after nearest-neighbor
-timestamp matching. Every summary statistic is computed from Euclidean
-per-epoch magnitudes, not from axis-averaged errors, so RMSE here equals
-sqrt(sum of per-axis mean squared errors).
+`match_series` pairs estimate epochs with truth epochs in one array pass.
+`compute_metrics` reduces the matched errors estimate - truth to one report
+row: the dict `report` writes into report.json, of which metrics.csv and
+the printed table are projections. Every summary statistic is computed
+from Euclidean per-epoch magnitudes, not from axis-averaged errors, so RMSE
+here equals sqrt(sum of per-axis mean squared errors).
 
 CSV column orders are part of the public contract:
     metrics.csv  algorithm, rmse, std, max, mae_x, mae_y, mae_z, matched_epochs
@@ -14,7 +16,6 @@ CSV column orders are part of the public contract:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .errors import NumericalFailureError
 # Field accuracy of the fused stack measured on the original climbing-robot
 # hardware (RMSE / STD / MAX, meters). Shown in reports for context only;
 # simulated runs are never asserted against these.
-REFERENCE_ALGORITHM = "amfa"
 REFERENCE_RMSE_M = 0.48
 REFERENCE_STD_M = 0.43
 REFERENCE_MAX_M = 1.50
@@ -33,31 +33,6 @@ METRICS_COLUMNS = ("algorithm", "rmse", "std", "max", "mae_x", "mae_y", "mae_z",
 BOXPLOT_COLUMNS = ("algorithm", "min", "q1", "median", "q3", "max", "n_outliers")
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
-    """Matched per-epoch errors for one estimated trajectory.
-
-    times/errors/magnitudes/cov_traces are aligned arrays over the matched
-    epochs; excluded counts estimate epochs that found no truth sample
-    within the matching tolerance.
-    """
-
-    times: np.ndarray
-    errors: np.ndarray  # (n, 3), estimate - truth
-    magnitudes: np.ndarray
-    cov_traces: np.ndarray  # trace of the reported covariance per epoch
-    excluded: int
-    tolerance: float
-
-    def __post_init__(self):
-        if self.errors.shape != (len(self.times), 3):
-            raise ValueError(f"errors must be (n, 3), got {self.errors.shape}")
-
-    @property
-    def matched(self) -> int:
-        return len(self.times)
-
-
 def _default_tolerance(truth_t: np.ndarray) -> float:
     # half the truth epoch spacing; a lone truth sample only matches exactly
     if len(truth_t) < 2:
@@ -65,116 +40,76 @@ def _default_tolerance(truth_t: np.ndarray) -> float:
     return float(np.median(np.diff(truth_t))) / 2.0
 
 
-def match_series(est_t, est_xyz, truth_t, truth_xyz, est_sigma=None, tolerance=None) -> ErrorSeries:
-    """Pair estimate epochs with truth epochs and return the error series.
+def match_series(est_t, truth_t, tolerance=None):
+    """-> (est_rows, truth_rows, excluded): the matched epoch pairs as index
+    arrays, and the number of estimate epochs left unmatched.
 
-    Each estimate epoch is assigned its nearest truth timestamp; pairs
-    further apart than `tolerance` (default: half the median truth spacing)
-    are excluded and counted. Matching is one-to-one: when two estimates
-    land on the same truth sample only the closer one survives.
-
-    est_sigma, if given, holds per-axis standard deviations (n, 3) used for
-    the reported-covariance traces; otherwise traces are zero.
+    Each estimate epoch takes its nearest truth time, the earlier one on a
+    tie; pairs further apart than `tolerance` (default: half the median
+    truth spacing) are excluded. Matching is one-to-one: among estimates
+    that land on the same truth sample the smallest gap wins, the earliest
+    estimate on a tie, and the others are excluded. Rows come back in
+    estimate order; truth rows index `truth_t` as given, sorted or not.
     """
     est_t = np.asarray(est_t, dtype=float)
-    est_xyz = np.asarray(est_xyz, dtype=float)
     truth_t = np.asarray(truth_t, dtype=float)
-    truth_xyz = np.asarray(truth_xyz, dtype=float)
     if len(truth_t) == 0:
         raise NumericalFailureError("no truth epochs to match against")
 
     order = np.argsort(truth_t, kind="stable")
-    truth_t, truth_xyz = truth_t[order], truth_xyz[order]
+    sorted_t = truth_t[order]
     if tolerance is None:
-        tolerance = _default_tolerance(truth_t)
+        tolerance = _default_tolerance(sorted_t)
+    # Both neighbours come from the one insertion point: deriving `left` from
+    # an already clipped `right` would, past the last truth time, compare two
+    # duplicate last times and take the earlier instead of the last one.
+    after = np.searchsorted(sorted_t, est_t)
+    left = np.maximum(after - 1, 0)
+    right = np.minimum(after, len(sorted_t) - 1)
+    gap_left = np.abs(sorted_t[left] - est_t)
+    gap_right = np.abs(sorted_t[right] - est_t)
+    take_right = gap_right < gap_left
+    nearest = np.where(take_right, right, left)
+    gap = np.where(take_right, gap_right, gap_left)
 
-    right = np.searchsorted(truth_t, est_t)
-    best = {}  # truth index -> (gap, estimate index)
-    excluded = 0
-    for i, t in enumerate(est_t):
-        candidates = [j for j in (right[i] - 1, right[i]) if 0 <= j < len(truth_t)]
-        j = min(candidates, key=lambda j: abs(truth_t[j] - t))
-        gap = abs(truth_t[j] - t)
-        if gap > tolerance:
-            excluded += 1
-            continue
-        if j in best and best[j][0] <= gap:
-            excluded += 1
-            continue
-        if j in best:
-            excluded += 1  # the previous, farther claimant loses its slot
-        best[j] = (gap, i)
-
-    rows = sorted((i, j) for j, (_, i) in best.items())
-    idx_est = np.array([i for i, _ in rows], dtype=int)
-    idx_truth = np.array([j for _, j in rows], dtype=int)
-    errors = est_xyz[idx_est] - truth_xyz[idx_truth] if rows else np.zeros((0, 3))
-    if est_sigma is not None and rows:
-        sig = np.asarray(est_sigma, dtype=float)[idx_est]
-        traces = np.sum(sig * sig, axis=1)
-    else:
-        traces = np.zeros(len(rows))
-    return ErrorSeries(
-        times=est_t[idx_est] if rows else np.zeros(0),
-        errors=errors,
-        magnitudes=np.linalg.norm(errors, axis=1),
-        cov_traces=traces,
-        excluded=excluded,
-        tolerance=float(tolerance),
-    )
+    within = np.flatnonzero(gap <= tolerance)
+    # claimants grouped by truth sample, closest (then earliest) first
+    ranked = within[np.lexsort((within, gap[within], nearest[within]))]
+    _, first = np.unique(nearest[ranked], return_index=True)
+    est_rows = np.sort(ranked[first])
+    return est_rows, order[nearest[est_rows]], len(est_t) - len(est_rows)
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """Summary statistics for one algorithm on one scenario (meters)."""
-
-    algorithm: str
-    rmse: float
-    std: float
-    max_error: float
-    mean_error: float
-    mae_axes: tuple  # (x, y, z)
-    rmse_axes: tuple
-    mean_cov_trace: float
-    matched_epochs: int
-    excluded_epochs: int = 0
-
-    def csv_record(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "rmse": repr(self.rmse),
-            "std": repr(self.std),
-            "max": repr(self.max_error),
-            "mae_x": repr(self.mae_axes[0]),
-            "mae_y": repr(self.mae_axes[1]),
-            "mae_z": repr(self.mae_axes[2]),
-            "matched_epochs": str(self.matched_epochs),
-        }
-
-
-def compute_metrics(series: ErrorSeries, algorithm: str = "") -> MetricsRow:
-    """Reduce an error series to its headline statistics.
+def compute_metrics(errors, sigmas, algorithm: str, excluded: int, k1: float, k2: float) -> dict:
+    """One report row from matched errors (n, 3), estimate - truth, and the
+    estimate's per-axis sigmas (n, 3) at the same epochs.
 
     RMSE is sqrt(mean squared Euclidean magnitude); STD is the population
     standard deviation of the magnitudes; MAX is their maximum; MAE is the
-    per-axis mean absolute error.
+    per-axis mean absolute error. `composite` is the weighted accuracy-plus-
+    uncertainty diagnostic k1 * mean error + k2 * mean reported covariance
+    trace; nothing in the pipeline optimizes it.
     """
-    if series.matched == 0:
+    if k1 < 0 or k2 < 0:
+        raise ValueError(f"weights must be non-negative, got k1={k1}, k2={k2}")
+    errors = np.asarray(errors, dtype=float)
+    if len(errors) == 0:
         raise NumericalFailureError("no matched epochs: cannot compute metrics")
-    mags = series.magnitudes
-    errs = series.errors
-    return MetricsRow(
-        algorithm=algorithm,
-        rmse=float(np.sqrt(np.mean(mags**2))),
-        std=float(np.std(mags)),
-        max_error=float(np.max(mags)),
-        mean_error=float(np.mean(mags)),
-        mae_axes=tuple(float(v) for v in np.mean(np.abs(errs), axis=0)),
-        rmse_axes=tuple(float(v) for v in np.sqrt(np.mean(errs**2, axis=0))),
-        mean_cov_trace=float(np.mean(series.cov_traces)),
-        matched_epochs=series.matched,
-        excluded_epochs=series.excluded,
-    )
+    sigmas = np.asarray(sigmas, dtype=float)
+    mags = np.linalg.norm(errors, axis=1)
+    mean_error = float(np.mean(mags))
+    return {
+        "algorithm": algorithm,
+        "rmse": float(np.sqrt(np.mean(mags**2))),
+        "std": float(np.std(mags)),
+        "max": float(np.max(mags)),
+        "mean_error": mean_error,
+        "mae": [float(v) for v in np.mean(np.abs(errors), axis=0)],
+        "rmse_axes": [float(v) for v in np.sqrt(np.mean(errors**2, axis=0))],
+        "composite": k1 * mean_error + k2 * float(np.mean(np.sum(sigmas * sigmas, axis=1))),
+        "matched_epochs": len(errors),
+        "excluded_epochs": int(excluded),
+    }
 
 
 def compute_cdf(magnitudes, thresholds):
@@ -194,30 +129,9 @@ def compute_cdf(magnitudes, thresholds):
     return [float(np.searchsorted(mags, thr, side="right")) / n for thr in thresholds]
 
 
-def composite_objective(row: MetricsRow, k1: float, k2: float) -> float:
-    """Weighted accuracy-plus-uncertainty diagnostic.
-
-    k1 scales the mean Euclidean error, k2 the mean reported covariance
-    trace. Diagnostic only; nothing in the pipeline optimizes it.
-    """
-    if k1 < 0 or k2 < 0:
-        raise ValueError(f"weights must be non-negative, got k1={k1}, k2={k2}")
-    return k1 * row.mean_error + k2 * row.mean_cov_trace
-
-
-@dataclass(frozen=True)
-class BoxplotSummary:
-    algorithm: str
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    outliers: tuple = field(default=())
-
-
-def boxplot_summary(magnitudes, algorithm: str = "") -> BoxplotSummary:
-    """Five-number summary with Tukey outliers (beyond 1.5 IQR)."""
+def boxplot_summary(magnitudes) -> tuple:
+    """(min, q1, median, q3, max, outliers): the five-number summary with
+    the sorted Tukey outliers (beyond 1.5 IQR)."""
     mags = np.asarray(magnitudes, dtype=float)
     if len(mags) == 0:
         raise NumericalFailureError("no magnitudes: cannot summarize")
@@ -225,33 +139,21 @@ def boxplot_summary(magnitudes, algorithm: str = "") -> BoxplotSummary:
     iqr = q3 - q1
     lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     outliers = tuple(float(v) for v in np.sort(mags[(mags < lo) | (mags > hi)]))
-    return BoxplotSummary(
-        algorithm=algorithm,
-        minimum=float(mags.min()),
-        q1=q1,
-        median=med,
-        q3=q3,
-        maximum=float(mags.max()),
-        outliers=outliers,
-    )
+    return float(mags.min()), q1, med, q3, float(mags.max()), outliers
 
 
 def write_metrics_csv(path, rows) -> None:
-    """Write metrics.csv: one row per algorithm, then the hardware reference
-    footer row (mae and epoch columns left blank, the writer's `restval`)."""
+    """Write metrics.csv: one line per report row, then the hardware reference
+    footer (mae and epoch columns left blank). csv writes a float as its
+    repr, so every number keeps its report.json digits."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_COLUMNS)
         for row in rows:
-            writer.writerow(row.csv_record())
-        writer.writerow(
-            {
-                "algorithm": REFERENCE_LABEL,
-                "rmse": repr(REFERENCE_RMSE_M),
-                "std": repr(REFERENCE_STD_M),
-                "max": repr(REFERENCE_MAX_M),
-            }
-        )
+            writer.writerow(
+                [row["algorithm"], row["rmse"], row["std"], row["max"], *row["mae"], row["matched_epochs"]]
+            )
+        writer.writerow([REFERENCE_LABEL, REFERENCE_RMSE_M, REFERENCE_STD_M, REFERENCE_MAX_M, "", "", "", ""])
 
 
 def write_cdf_csv(path, thresholds, fractions_by_algorithm: dict) -> None:
@@ -267,19 +169,10 @@ def write_cdf_csv(path, thresholds, fractions_by_algorithm: dict) -> None:
             writer.writerow([repr(float(thr)), *(repr(fractions_by_algorithm[a][i]) for a in algos)])
 
 
-def write_boxplot_csv(path, summaries) -> None:
+def write_boxplot_csv(path, rows, summaries) -> None:
+    """Write boxplot.csv: one line per report row and its `boxplot_summary`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(BOXPLOT_COLUMNS)
-        for s in summaries:
-            writer.writerow(
-                [
-                    s.algorithm,
-                    repr(s.minimum),
-                    repr(s.q1),
-                    repr(s.median),
-                    repr(s.q3),
-                    repr(s.maximum),
-                    str(len(s.outliers)),
-                ]
-            )
+        for row, (*five, outliers) in zip(rows, summaries, strict=True):
+            writer.writerow([row["algorithm"], *five, len(outliers)])

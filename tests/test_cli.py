@@ -339,6 +339,11 @@ class TestRecords:
             pytest.param("imu.jsonl", lambda r: json.dumps({**r, "wy": True}), "wy", id="stream-json-true"),
             pytest.param("traj_baro.jsonl", lambda r: json.dumps({**r, "algo": ["baro"]}), "algo",
                          id="trajectory-algo-not-a-string"),
+            pytest.param("truth.jsonl", lambda r: json.dumps({**r, "x": math.nan}), "x", id="truth-nan"),
+            pytest.param("traj_baro.jsonl", lambda r: json.dumps({**r, "z": math.inf}), "z",
+                         id="trajectory-infinity"),
+            pytest.param("traj_baro.jsonl", lambda r: json.dumps({**r, "sx": -1}), "sx",
+                         id="trajectory-negative-sigma"),
         ],
     )
     def test_malformed_record_exits_2_naming_its_line(self, pipeline, tmp_path, filename, edit, field):
@@ -556,6 +561,24 @@ class TestRun:
              "--out", str(tmp_path / "t.jsonl"), "--config", pipeline["config"]]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "filename, key, algo",
+        [("uwb.json", "network", "uwb-fcnn"), ("fusion.json", "attention", "amfa")],
+    )
+    def test_model_file_missing_a_key_exits_2_naming_it(self, pipeline, tmp_path, filename, key, algo):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["models"], models)
+        doc = json.loads((models / filename).read_text())
+        del doc[key]
+        (models / filename).write_text(json.dumps(doc))
+        out = tmp_path / "out.jsonl"
+        proc = run_cli(["run", "--data", pipeline["data"], "--models", str(models), "--algo", algo,
+                        "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{models / filename}: missing key {key!r}" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo, window", [("amfa", "L"), ("uwb-fcnn", "k"), ("baro-fcnn", "k")])
     def test_run_shorter_than_one_window_exits_3_naming_it(self, pipeline, tmp_path, algo, window):

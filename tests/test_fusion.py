@@ -827,39 +827,30 @@ class TestFusionTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_returns_last_good_checkpoint(self):
         # step size large enough to overflow float64 in the forward pass;
-        # a merely-large rate only saturates the softmax (loss stays bounded)
+        # a merely-large rate only saturates the softmax (loss stays bounded).
+        # This fit is non-finite in epoch 1, so the last good checkpoint is
+        # the input; a restore in the middle of a run is pinned by
+        # tests/test_nnet.py::TestSgd.
         frames = toy_frames(n=30, L=4, seed=6)
-        encoders, params, history = train_fusion(
+        encoders, params = random_model(5)
+        given = fusion_to_dict(encoders, params)
+        got_encoders, got_params, history = train_fusion(
             None,
             None,
             None,
+            encoders,
+            params,
             cfg=TrainConfig(learning_rate=1e300, epochs=10, batch_size=8, seed=1),
             L=4,
             frames=toy_batch(frames),
         )
-        doc = fusion_to_dict(encoders, params)
-        flat = []
-        for m in doc["encoders"]:
-            for layer in doc["encoders"][m]["weights"]:
-                flat.extend(np.asarray(layer).ravel())
-        att = doc["attention"]
-        for s in AXES:
-            flat.extend([*np.ravel(att["w_q"][s]), att["beta"][s], *att["w_r"][s]])
-            flat.extend(att["b_prior"][m][s] for m in MODALITIES)
-        flat.extend(np.ravel(att["w_k"]))
-        assert all(math.isfinite(v) for v in flat)
-        assert len(history) < 10
-        # the restored checkpoint is exactly the state after the last finite epoch
-        rerun = train_fusion(
-            None,
-            None,
-            None,
-            cfg=TrainConfig(learning_rate=1e300, epochs=len(history), batch_size=8, seed=1),
-            L=4,
-            frames=toy_batch(frames),
-        )
-        assert rerun[2] == history
-        assert fusion_to_dict(rerun[0], rerun[1]) == doc
+        assert history == []
+        got = fusion_to_dict(got_encoders, got_params)
+        assert got["attention"] == given["attention"]
+        for m in MODALITIES:
+            # the input standardization is fitted to the frames, not trained
+            for key in ("weights", "biases"):
+                assert got["encoders"][m][key] == given["encoders"][m][key]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
