@@ -257,7 +257,7 @@ def cmd_report(est_paths, truth_path, out_dir, config_path=None):
     truth = records.read_stream(truth_path, "truth")
     os.makedirs(out_dir, exist_ok=True)
 
-    rows, cdf_table, summaries = [], {}, []
+    rows, cdf_columns, summaries = [], [], []
     for path in est_paths:
         est, algo = records.read_trajectory(path)
         i, j, excluded = match_series(est[:, 0], truth.t, ev["match_tolerance"])
@@ -266,11 +266,11 @@ def cmd_report(est_paths, truth_path, out_dir, config_path=None):
         errors = est[i, 1:4] - truth.position[j]
         rows.append(compute_metrics(errors, est[i, 4:7], algo, excluded, ev["k1"], ev["k2"]))
         magnitudes = np.linalg.norm(errors, axis=1)
-        cdf_table[algo] = compute_cdf(magnitudes, ev["cdf_thresholds"])
+        cdf_columns.append(compute_cdf(magnitudes, ev["cdf_thresholds"]))
         summaries.append(boxplot_summary(magnitudes))
 
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
-    write_cdf_csv(os.path.join(out_dir, "cdf.csv"), ev["cdf_thresholds"], cdf_table)
+    write_cdf_csv(os.path.join(out_dir, "cdf.csv"), ev["cdf_thresholds"], rows, cdf_columns)
     write_boxplot_csv(os.path.join(out_dir, "boxplot.csv"), rows, summaries)
     report = {
         "rows": rows,

@@ -8,9 +8,15 @@ One file configures the whole pipeline, split into sections:
     ukf     sigma-point filter tuning
     eval    report thresholds and the accuracy/uncertainty trade-off weights
 
-Unknown keys are rejected with their full dotted path, so typos fail loudly
-instead of silently running on defaults. `config_digest` hashes the merged
-document; the digest is stamped into the run manifest.
+The sim defaults live only in the `climbloc.sim` dataclasses: `sim` is the
+JSON form of `ScenarioConfig()` (objects for dataclasses, lists for tuples),
+less the fixed standard atmosphere and anchor boresight; the anchor is set by
+its east/north/up `anchor_position`.
+
+Unknown keys and sections of the wrong JSON type are rejected with their
+full dotted path, so typos fail loudly instead of silently running on
+defaults. `config_digest` hashes the merged document; the digest is stamped
+into the run manifest.
 """
 
 from __future__ import annotations
@@ -19,82 +25,37 @@ import copy
 import hashlib
 import json
 import os
+from dataclasses import fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
-from ..core import GeodeticPoint, Rotation, Vec3Enu
-from ..core.types import AnchorPose
+from ..core import Vec3Enu
 from ..errors import ConfigError, MissingInputError
 from ..fusion import UkfState
 from ..nnet import TrainConfig
-from ..sim import (
-    BaroNoise,
-    GpsNoise,
-    ImuNoise,
-    NlosWindow,
-    OcclusionWindow,
-    PauseSegment,
-    ScenarioConfig,
-    TrajectoryProfile,
-    UwbNoise,
-)
-from ..solvers import BaroReference
+from ..sim import ScenarioConfig
+from ..sim.scenario import DEFAULT_ANCHOR_POSITION
+
+
+def _document(value):
+    """A sim dataclass value as JSON: dataclasses become objects, tuples lists."""
+    if is_dataclass(value):
+        return {f.name: _document(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_document(v) for v in value]
+    return value
+
+
+def _sim_defaults() -> dict:
+    # the field defaults of ScenarioConfig(); its default anchor is not built
+    # here, since the boresight's SVD would add about 1 MB to every stage's RSS
+    sim = {f.name: _document(f.default) for f in fields(ScenarioConfig) if f.name != "anchor"}
+    del sim["baro"]["reference"]
+    sim["anchor_position"] = list(_document(DEFAULT_ANCHOR_POSITION).values())
+    return sim
+
 
 DEFAULT_CONFIG = {
-    "sim": {
-        "duration": 120.0,
-        "dt": 0.01,
-        "seed": 7,
-        "profile": {
-            "vertical_amplitude": 10.0,
-            "vertical_period": 120.0,
-            "horizontal_amplitude": 0.8,
-            "horizontal_period": 20.0,
-            "yaw_amplitude": 0.1,
-            "pauses": [
-                {"start": 40.0, "end": 50.0, "ramp": 2.0},
-                {"start": 80.0, "end": 90.0, "ramp": 2.0},
-            ],
-        },
-        "imu": {
-            "accel_sigma": 0.02,
-            "gyro_sigma": 0.002,
-            "accel_bias": [0.05, -0.03, 0.08],
-            "gyro_bias": [0.001, -0.0005, 0.0008],
-        },
-        "gps": {
-            "sigma_xy": 0.8,
-            "sigma_z": 1.5,
-            "rate_hz": 10.0,
-            "base_hdop": 1.0,
-            "occlusions": [
-                {
-                    "start": 50.0,
-                    "end": 95.0,
-                    "bias": [2.5, -1.5, 2.0],
-                    "hdop_inflation": 4.0,
-                    "dropout": 0.35,
-                }
-            ],
-        },
-        "uwb": {
-            "range_sigma": 0.1,
-            "angle_sigma": 0.01,
-            "rate_hz": 10.0,
-            "nlos_windows": [
-                {"start": 30.0, "end": 45.0, "range_bias": 1.5},
-                {"start": 100.0, "end": 110.0, "range_bias": 2.0},
-            ],
-            "nlos_confidence": 0.9,
-            "los_confidence": 0.05,
-            "confidence_sigma": 0.0,
-        },
-        "baro": {
-            "pressure_sigma": 5.0,
-            "drift_rate": 0.05,
-            "rate_hz": 10.0,
-        },
-        "anchor_position": [0.0, 15.0, 5.0],
-        "origin": {"lat": 0.48, "lon": 0.3, "height": 50.0},
-    },
+    "sim": _sim_defaults(),
     "nnet": {
         "learning_rate": 1e-3,
         "epochs": 100,
@@ -135,14 +96,19 @@ _TRAIN_KEYS = {"learning_rate", "epochs", "batch_size", "seed", "axis_weights", 
 
 
 def _merge(base, override, path=""):
-    """Deep merge override into a copy of base; unknown keys are fatal."""
+    """Deep merge override into a copy of base; unknown keys are fatal, and
+    where the default is an object or a list the override must be one too."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         dotted = f"{path}{key}"
         if key not in base:
             raise ConfigError(f"{dotted}: unknown configuration key")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{dotted}: must be an object, got {value!r}")
             out[key] = _merge(base[key], value, path=f"{dotted}.")
+        elif isinstance(base[key], list) and not isinstance(value, list):
+            raise ConfigError(f"{dotted}: must be a list, got {value!r}")
         else:
             out[key] = value
     return out
@@ -176,67 +142,30 @@ def _build(section: str, factory, kwargs):
         raise ConfigError(f"{section}: {err}") from err
 
 
+def _dataclass(cls, doc, section: str):
+    """Build `cls` from its config object: a field typed as a dataclass from
+    its sub-object, a `tuple[Dataclass, ...]` field from its list."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section}: must be an object, got {doc!r}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in doc.items():
+        hint = hints.get(key)
+        if is_dataclass(hint):
+            value = _dataclass(hint, value, f"{section}.{key}")
+        elif get_origin(hint) is tuple and is_dataclass(get_args(hint)[0]):
+            item = get_args(hint)[0]
+            value = tuple(_dataclass(item, v, f"{section}.{key}[{i}]") for i, v in enumerate(value))
+        kwargs[key] = value
+    return _build(section, cls, kwargs)
+
+
 def scenario_config(doc: dict) -> ScenarioConfig:
-    sim = doc["sim"]
-    profile = _build(
-        "sim.profile",
-        TrajectoryProfile,
-        {
-            **{k: v for k, v in sim["profile"].items() if k != "pauses"},
-            "pauses": tuple(
-                _build(f"sim.profile.pauses[{i}]", PauseSegment, p)
-                for i, p in enumerate(sim["profile"]["pauses"])
-            ),
-        },
-    )
-    gps = _build(
-        "sim.gps",
-        GpsNoise,
-        {
-            **{k: v for k, v in sim["gps"].items() if k != "occlusions"},
-            "occlusions": tuple(
-                _build(f"sim.gps.occlusions[{i}]", OcclusionWindow, w)
-                for i, w in enumerate(sim["gps"]["occlusions"])
-            ),
-        },
-    )
-    uwb = _build(
-        "sim.uwb",
-        UwbNoise,
-        {
-            **{k: v for k, v in sim["uwb"].items() if k != "nlos_windows"},
-            "nlos_windows": tuple(
-                _build(f"sim.uwb.nlos_windows[{i}]", NlosWindow, w)
-                for i, w in enumerate(sim["uwb"]["nlos_windows"])
-            ),
-        },
-    )
-    baro = _build("sim.baro", BaroNoise, {**sim["baro"], "reference": BaroReference()})
-    # the anchor keeps the default boresight (level, pointing at the wall);
-    # only its mount position is configurable
-    anchor = AnchorPose(
-        position=_build("sim.anchor_position", Vec3Enu.from_array, {"a": sim["anchor_position"]}),
-        orientation=Rotation.orthonormalized(
-            [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
-        ),
-    )
-    origin = _build("sim.origin", GeodeticPoint, sim["origin"])
-    return _build(
-        "sim",
-        ScenarioConfig,
-        {
-            "duration": sim["duration"],
-            "dt": sim["dt"],
-            "seed": sim["seed"],
-            "profile": profile,
-            "imu": _build("sim.imu", ImuNoise, sim["imu"]),
-            "gps": gps,
-            "uwb": uwb,
-            "baro": baro,
-            "anchor": anchor,
-            "origin": origin,
-        },
-    )
+    sim = dict(doc["sim"])
+    position = _build("sim.anchor_position", Vec3Enu.from_array, {"a": sim.pop("anchor_position")})
+    cfg = _dataclass(ScenarioConfig, sim, "sim")
+    # the anchor keeps the default boresight; only its mount position is configurable
+    return replace(cfg, anchor=replace(cfg.anchor, position=position))
 
 
 def sensor_train_config(doc: dict, which: str, seed=None, epochs=None) -> TrainConfig:

@@ -164,6 +164,11 @@ def read_stream(path, name):
     table = _stored_table(path, name)
     if table is None:
         table, flags = read_table(path, _numeric_keys(name), tag=flag)
+        bad = next((i for i, v in enumerate(flags) if type(v) is not bool), None)
+        if bad is not None:
+            raise ValueError(
+                f"{path}:{_line_of(path, bad)}: field {flag!r}: must be true or false, got {flags[bad]!r}"
+            )
     elif flag:
         flags = table[:, -1] != 0
     fields, j = {}, 0

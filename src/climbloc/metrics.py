@@ -9,7 +9,7 @@ here equals sqrt(sum of per-axis mean squared errors).
 
 CSV column orders are part of the public contract:
     metrics.csv  algorithm, rmse, std, max, mae_x, mae_y, mae_z, matched_epochs
-    cdf.csv      threshold, then one fraction column per algorithm
+    cdf.csv      threshold, then one fraction column per report row
     boxplot.csv  algorithm, min, q1, median, q3, max, n_outliers
 """
 
@@ -156,17 +156,17 @@ def write_metrics_csv(path, rows) -> None:
         writer.writerow([REFERENCE_LABEL, REFERENCE_RMSE_M, REFERENCE_STD_M, REFERENCE_MAX_M, "", "", "", ""])
 
 
-def write_cdf_csv(path, thresholds, fractions_by_algorithm: dict) -> None:
-    """Write cdf.csv: threshold column, then one column per algorithm."""
-    algos = list(fractions_by_algorithm)
-    for algo in algos:
-        if len(fractions_by_algorithm[algo]) != len(thresholds):
-            raise ValueError(f"{algo}: fraction count does not match threshold count")
+def write_cdf_csv(path, thresholds, rows, fractions) -> None:
+    """Write cdf.csv: threshold column, then one column per report row and
+    its `compute_cdf` fractions."""
+    for row, column in zip(rows, fractions, strict=True):
+        if len(column) != len(thresholds):
+            raise ValueError(f"{row['algorithm']}: fraction count does not match threshold count")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["threshold", *algos])
+        writer.writerow(["threshold", *(row["algorithm"] for row in rows)])
         for i, thr in enumerate(thresholds):
-            writer.writerow([repr(float(thr)), *(repr(fractions_by_algorithm[a][i]) for a in algos)])
+            writer.writerow([repr(float(thr)), *(repr(column[i]) for column in fractions)])
 
 
 def write_boxplot_csv(path, rows, summaries) -> None:

@@ -183,12 +183,15 @@ class BaroNoise:
             raise ConfigError("baro rate must be > 0")
 
 
+# anchor north of the wall at half height, boresight pointing south at it
+DEFAULT_ANCHOR_POSITION = Vec3Enu(0.0, 15.0, 5.0)
+
+
 def _default_anchor() -> AnchorPose:
-    # anchor north of the wall at half height, boresight pointing south at it
     boresight_south = Rotation.orthonormalized(
         np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     )
-    return AnchorPose(position=Vec3Enu(0.0, 15.0, 5.0), orientation=boresight_south)
+    return AnchorPose(position=DEFAULT_ANCHOR_POSITION, orientation=boresight_south)
 
 
 @dataclass(frozen=True)

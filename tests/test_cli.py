@@ -1,5 +1,6 @@
 """Tests for the file-based pipeline: config, record IO, and the commands."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -33,7 +34,7 @@ from climbloc.cli.commands import run_algorithm
 from climbloc.cli.records import COLUMNS_DIR, write_scenario, write_trajectory
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import model_from_dict, uwb_fcnn_infer
-from climbloc.sim import simulate_scenario
+from climbloc.sim import ScenarioConfig, simulate_scenario
 from climbloc.solvers import uwb_geometric_fixes
 
 
@@ -187,6 +188,36 @@ class TestConfig:
     def test_missing_config_file_exits_missing_input(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "d")])
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "override, dotted",
+        [
+            pytest.param({"nnet": 3}, "nnet", id="section-not-an-object"),
+            pytest.param({"sim": {"profile": 3}}, "sim.profile", id="sim-part-not-an-object"),
+            pytest.param({"sim": {"gps": {"occlusions": 5}}}, "sim.gps.occlusions", id="windows-not-a-list"),
+            pytest.param({"sim": {"gps": {"occlusions": [5]}}}, "sim.gps.occlusions[0]", id="window-not-an-object"),
+        ],
+    )
+    def test_section_of_the_wrong_json_type_exits_2_naming_it(self, tmp_path, override, dotted):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(override))
+        proc = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "d")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error: {dotted}: must be"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_default_digest_is_pinned(self):
+        # the manifest stamps this digest: a moved default changes it
+        digest = "476dd9e3da99d25dd59d88da9dc5a24f951532790267a80951d89338405719a8"
+        assert config_digest(load_config(None)) == digest
+
+    def test_default_document_builds_the_default_scenario(self):
+        built, default = scenario_config(load_config(None)), ScenarioConfig()
+        for f in dataclasses.fields(ScenarioConfig):
+            if f.name != "anchor":
+                assert getattr(built, f.name) == getattr(default, f.name), f.name
+        assert built.anchor.position == default.anchor.position
+        assert np.array_equal(built.anchor.orientation.matrix, default.anchor.orientation.matrix)
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +375,8 @@ class TestRecords:
                          id="trajectory-infinity"),
             pytest.param("traj_baro.jsonl", lambda r: json.dumps({**r, "sx": -1}), "sx",
                          id="trajectory-negative-sigma"),
+            pytest.param("gps.jsonl", lambda r: json.dumps({**r, "valid": "false"}), "valid",
+                         id="stream-valid-flag-a-string"),
         ],
     )
     def test_malformed_record_exits_2_naming_its_line(self, pipeline, tmp_path, filename, edit, field):
@@ -695,6 +728,17 @@ class TestReport:
             doc = json.load(fh)
         assert doc["rows"][0]["rmse"] == 0.0
         assert doc["rows"][0]["max"] == 0.0
+
+    def test_trajectories_sharing_a_tag_keep_one_cdf_column_each(self, pipeline, tmp_path):
+        traj = str(pipeline["trajectories"]["amfa"])
+        out = tmp_path / "report"
+        rc = main(["report", "--est", traj, traj, "--truth", os.path.join(pipeline["data"], "truth.jsonl"),
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out / "cdf.csv") as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "threshold,amfa,amfa"
+        assert all(cells[1] == cells[2] for cells in (line.split(",") for line in lines[1:]))
 
     def test_disjoint_timelines_fail_numerically(self, pipeline, tmp_path):
         est_path = tmp_path / "far.jsonl"

@@ -295,21 +295,20 @@ class TestCsvOutputs:
 
     def test_cdf_csv_layout(self, tmp_path):
         thresholds = [0.5, 1.0, 2.0]
-        table = {
-            "amfa": compute_cdf([0.2, 0.7, 1.5], thresholds),
-            "uwb-geo": compute_cdf([0.9, 1.8, 3.0], thresholds),
-        }
+        rows = [row_of(np.zeros((1, 3)), algorithm="amfa"), row_of(np.zeros((1, 3)), algorithm="uwb-geo")]
+        fractions = [compute_cdf([0.2, 0.7, 1.5], thresholds), compute_cdf([0.9, 1.8, 3.0], thresholds)]
         path = tmp_path / "cdf.csv"
-        write_cdf_csv(path, thresholds, table)
+        write_cdf_csv(path, thresholds, rows, fractions)
         with open(path, newline="") as fh:
             records = list(csv.reader(fh))
         assert records[0] == ["threshold", "amfa", "uwb-geo"]
         assert len(records) == 1 + len(thresholds)
-        assert float(records[1][1]) == table["amfa"][0]
+        assert float(records[1][1]) == fractions[0][0]
 
     def test_cdf_csv_rejects_ragged_table(self, tmp_path):
+        rows = [row_of(np.zeros((1, 3)), algorithm="amfa")]
         with pytest.raises(ValueError):
-            write_cdf_csv(tmp_path / "cdf.csv", [0.5, 1.0], {"amfa": [0.1]})
+            write_cdf_csv(tmp_path / "cdf.csv", [0.5, 1.0], rows, [[0.1]])
 
     def test_boxplot_csv(self, tmp_path):
         rows = [row_of(np.zeros((1, 3)), algorithm="baro"), row_of(np.zeros((1, 3)), algorithm="amfa")]
