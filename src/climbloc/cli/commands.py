@@ -130,31 +130,27 @@ def _load_sensor_model(models_dir, which):
     return model
 
 
-def cmd_train(model, data_dir, out_path, config_path=None, seed=None, epochs=None, models_dir=None):
-    """Fit one stage and write its JSON file plus a loss-history CSV."""
+def cmd_train(model, data_dir, out_path, config_path=None):
+    """Fit one stage and write its JSON file plus a loss-history CSV.
+
+    The fusion stage reads the sensor models beside `out_path`."""
     doc = cfgmod.load_config(config_path)
     scenario = records.read_scenario(data_dir)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
 
-    if model == "uwb":
-        opts = cfgmod.fcnn_options(doc, "uwb")
-        trained, history = train_uwb_model(
-            scenario, cfgmod.sensor_train_config(doc, "uwb", seed, epochs), **opts
-        )
-        _write_json(out_path, model_to_dict(trained))
-    elif model == "baro":
-        opts = cfgmod.fcnn_options(doc, "baro")
-        trained, history = train_baro_model(
-            scenario, cfgmod.sensor_train_config(doc, "baro", seed, epochs), **opts
+    sensor_trainers = {"uwb": train_uwb_model, "baro": train_baro_model}
+    if model in sensor_trainers:
+        trained, history = sensor_trainers[model](
+            scenario, cfgmod.sensor_train_config(doc, model), **cfgmod.fcnn_options(doc, model)
         )
         _write_json(out_path, model_to_dict(trained))
     elif model == "fusion":
         # staged order: both sensor models must already exist
-        models_dir = models_dir or os.path.dirname(out_path) or "."
+        models_dir = os.path.dirname(out_path) or "."
         uwb_model = _load_sensor_model(models_dir, "uwb")
         baro_model = _load_sensor_model(models_dir, "baro")
         fu = doc["fusion"]
-        train_cfg = cfgmod.fusion_train_config(doc, seed, epochs)
+        train_cfg = cfgmod.fusion_train_config(doc)
         encoders = init_encoders(
             L=fu["window"], d_e=fu["embed_dim"], hidden=fu["hidden"], seed=train_cfg.seed
         )
@@ -321,9 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="scenario directory")
     p.add_argument("--out", required=True, help="output model JSON path")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--models", help="directory holding prerequisite sensor models (fusion stage)")
 
     p = sub.add_parser("run", help="produce one algorithm's trajectory")
     p.add_argument("--data", required=True, help="scenario directory")
@@ -346,15 +339,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             cmd_simulate(args.config, args.out)
         elif args.command == "train":
-            cmd_train(
-                args.model,
-                args.data,
-                args.out,
-                config_path=args.config,
-                seed=args.seed,
-                epochs=args.epochs,
-                models_dir=args.models,
-            )
+            cmd_train(args.model, args.data, args.out, config_path=args.config)
         elif args.command == "run":
             cmd_run(args.data, args.models or ".", args.algo, args.out, config_path=args.config)
         elif args.command == "report":

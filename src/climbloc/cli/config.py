@@ -2,8 +2,8 @@
 
 One file configures the whole pipeline, split into sections:
     sim     scenario generation (trajectory, sensor noise, outage windows)
-    nnet    shared training-engine defaults (SGD rate, epochs, split)
-    fcnn    sensor-model architecture plus per-model training overrides
+    nnet    shared training-engine defaults (SGD rate, epochs, split, seed)
+    fcnn    sensor-model architecture plus per-model rate and epoch overrides
     fusion  attention fusion dimensions and its training run
     ukf     sigma-point filter tuning
     eval    report thresholds and the accuracy/uncertainty trade-off weights
@@ -11,7 +11,9 @@ One file configures the whole pipeline, split into sections:
 The sim defaults live only in the `climbloc.sim` dataclasses: `sim` is the
 JSON form of `ScenarioConfig()` (objects for dataclasses, lists for tuples),
 less the fixed standard atmosphere and anchor boresight; the anchor is set by
-its east/north/up `anchor_position`.
+its east/north/up `anchor_position`. Likewise `nnet` is the JSON form of
+`TrainConfig()`. The document is the only way to set a seed or an epoch
+count.
 
 Unknown keys and sections of the wrong JSON type are rejected with their
 full dotted path, so typos fail loudly instead of silently running on
@@ -24,6 +26,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 from dataclasses import fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
@@ -37,7 +40,7 @@ from ..sim.scenario import DEFAULT_ANCHOR_POSITION
 
 
 def _document(value):
-    """A sim dataclass value as JSON: dataclasses become objects, tuples lists."""
+    """A dataclass value as JSON: dataclasses become objects, tuples lists."""
     if is_dataclass(value):
         return {f.name: _document(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
@@ -56,14 +59,7 @@ def _sim_defaults() -> dict:
 
 DEFAULT_CONFIG = {
     "sim": _sim_defaults(),
-    "nnet": {
-        "learning_rate": 1e-3,
-        "epochs": 100,
-        "batch_size": 32,
-        "seed": 0,
-        "axis_weights": [1.0, 1.0, 2.0],
-        "split": 0.75,
-    },
+    "nnet": _document(TrainConfig()),
     "fcnn": {
         "k": 10,
         "hidden": [64, 64],
@@ -90,10 +86,6 @@ DEFAULT_CONFIG = {
         "match_tolerance": None,
     },
 }
-
-# per-model training overrides allowed under fcnn.uwb / fcnn.baro
-_TRAIN_KEYS = {"learning_rate", "epochs", "batch_size", "seed", "axis_weights", "split"}
-
 
 def _merge(base, override, path=""):
     """Deep merge override into a copy of base; unknown keys are fatal, and
@@ -168,56 +160,50 @@ def scenario_config(doc: dict) -> ScenarioConfig:
     return replace(cfg, anchor=replace(cfg.anchor, position=position))
 
 
-def sensor_train_config(doc: dict, which: str, seed=None, epochs=None) -> TrainConfig:
-    """nnet defaults overlaid with fcnn.<which> overrides, then CLI flags."""
-    merged = dict(doc["nnet"])
-    overrides = {k: v for k, v in doc["fcnn"].get(which, {}).items() if k in _TRAIN_KEYS}
-    merged.update(overrides)
-    if seed is not None:
-        merged["seed"] = seed
-    if epochs is not None:
-        merged["epochs"] = epochs
-    merged["axis_weights"] = tuple(merged["axis_weights"])
+def sensor_train_config(doc: dict, which: str) -> TrainConfig:
+    """nnet defaults overlaid with the training keys of fcnn.<which>."""
+    merged = {**doc["nnet"], **doc["fcnn"][which]}
+    merged.pop("include_geometric", None)
     return _build(f"fcnn.{which}", TrainConfig, merged)
 
 
 def fcnn_options(doc: dict, which: str) -> dict:
     out = {"k": int(doc["fcnn"]["k"]), "hidden": tuple(doc["fcnn"]["hidden"])}
     if which == "uwb":
-        out["include_geometric"] = bool(doc["fcnn"]["uwb"].get("include_geometric", True))
+        out["include_geometric"] = bool(doc["fcnn"]["uwb"]["include_geometric"])
     return out
 
 
-def fusion_train_config(doc: dict, seed=None, epochs=None) -> TrainConfig:
+def fusion_train_config(doc: dict) -> TrainConfig:
     fu = doc["fusion"]
-    return _build(
-        "fusion",
-        TrainConfig,
-        {
-            "learning_rate": fu["learning_rate"],
-            "epochs": epochs if epochs is not None else fu["epochs"],
-            "batch_size": fu["batch_size"],
-            "seed": seed if seed is not None else fu["seed"],
-            "split": fu["split"],
-        },
-    )
+    keys = ("learning_rate", "epochs", "batch_size", "seed", "split")
+    return _build("fusion", TrainConfig, {k: fu[k] for k in keys})
 
 
 def ukf_state(doc: dict) -> UkfState:
     return _build("ukf", UkfState, doc["ukf"])
 
 
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{key}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 def eval_options(doc: dict) -> dict:
     ev = doc["eval"]
-    thresholds = [float(v) for v in ev["cdf_thresholds"]]
+    thresholds = [_number("eval.cdf_thresholds", v) for v in ev["cdf_thresholds"]]
+    k1, k2 = _number("eval.k1", ev["k1"]), _number("eval.k2", ev["k2"])
+    tolerance = ev["match_tolerance"]
+    if tolerance is not None:
+        tolerance = _number("eval.match_tolerance", tolerance)
     if any(b < a for a, b in zip(thresholds, thresholds[1:])):
         raise ConfigError("eval.cdf_thresholds: must be sorted ascending")
-    if ev["k1"] < 0 or ev["k2"] < 0:
+    if k1 < 0 or k2 < 0:
         raise ConfigError("eval.k1/k2: trade-off weights must be >= 0")
-    tolerance = ev["match_tolerance"]
     return {
         "cdf_thresholds": thresholds,
-        "k1": float(ev["k1"]),
-        "k2": float(ev["k2"]),
-        "match_tolerance": None if tolerance is None else float(tolerance),
+        "k1": k1,
+        "k2": k2,
+        "match_tolerance": tolerance,
     }

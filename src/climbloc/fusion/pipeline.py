@@ -29,6 +29,7 @@ import logging
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -450,8 +451,8 @@ def run_fusion(
     t = batch.t.tolist()
     for i in fused_rows.tolist():
         dt = t[i] - t[i - 1] if i else 0.1
-        state, est = ukf_step(state, FusedObservation(t=t[i], position=fused[i], variance=measured[i]), dt)
-        positions[i], sigmas[i] = est.position.as_array(), est.sigma
+        state, sigmas[i] = ukf_step(state, SimpleNamespace(position=fused[i], variance=measured[i]), dt)
+        positions[i] = state.mean[:3]
     return (batch.t, positions, sigmas), FusedObservations(batch, gamma, fused, variance)
 
 

@@ -23,9 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core.types import Vec3Enu
 from ..errors import NumericalFailureError
-from ..solvers.types import PoseEstimate
 
 
 def _default_cov() -> np.ndarray:
@@ -111,10 +109,12 @@ def _step_constants(alpha: float, beta: float, kappa: float, q: float, dt: float
 
 
 def ukf_step(state: UkfState, obs, dt: float):
-    """One predict + position update; returns (new state, smoothed PoseEstimate).
+    """One predict + position update; returns (new state, position sigmas).
 
-    `obs` needs fields t, position (length-3) and variance (length-3 diagonal
-    of the measurement covariance, all > 0).
+    `obs` needs fields position (length-3) and variance (length-3 diagonal
+    of the measurement covariance, all > 0). The smoothed position is
+    `new_state.mean[:3]`, and its sigmas are the square roots of the
+    matching covariance diagonal.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -144,9 +144,5 @@ def ukf_step(state: UkfState, obs, dt: float):
     cov_new = cov_pred - gain @ s @ gain.T
     cov_new = (cov_new + cov_new.T) / 2.0
 
-    new_state = replace(state, mean=mean_new, cov=cov_new)
-    sigma = tuple(float(v) for v in np.sqrt(np.maximum(np.diag(cov_new)[0:3], 0.0)))
-    est = PoseEstimate(
-        t=obs.t, position=Vec3Enu(*mean_new[0:3]), sigma=sigma, source="amfa"
-    )
-    return new_state, est
+    sigma = np.sqrt(np.maximum(np.diag(cov_new)[0:3], 0.0))
+    return replace(state, mean=mean_new, cov=cov_new), sigma

@@ -38,7 +38,6 @@ import numpy as np
 
 from ..core.types import _ORTHO_TOL, GRAVITY, ImuSample, Rotation, Vec3Enu, nearest_rotation, skew
 from ..errors import NumericalFailureError
-from .types import PoseEstimate
 
 GRAVITY_ENU = np.array([0.0, 0.0, -GRAVITY])
 
@@ -266,9 +265,3 @@ class GpsInsEkf:
             or abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL
         ):
             raise NumericalFailureError(f"INS attitude is no longer a rotation at t={t}")
-
-    def estimate(self, t: float) -> PoseEstimate:
-        """Position estimate at t; fails if the attitude has left SO(3) by more than 1e-9."""
-        self.check_attitude(t)
-        sigma = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(self.model.P)[0:3], 0.0)))
-        return PoseEstimate(t=t, position=Vec3Enu.from_array(self.position), sigma=sigma, source="gpsins-ekf")

@@ -29,11 +29,12 @@ from climbloc.cli import (
     read_trajectory,
 )
 from climbloc.cli import records
-from climbloc.cli.config import scenario_config
+from climbloc.cli.config import scenario_config, sensor_train_config
 from climbloc.cli.commands import run_algorithm
 from climbloc.cli.records import COLUMNS_DIR, write_scenario, write_trajectory
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.models import model_from_dict, uwb_fcnn_infer
+from climbloc.nnet import TrainConfig
 from climbloc.sim import ScenarioConfig, simulate_scenario
 from climbloc.solvers import uwb_geometric_fixes
 
@@ -204,6 +205,45 @@ class TestConfig:
         proc = run_cli(["simulate", "--config", str(path), "--out", str(tmp_path / "d")])
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"config error: {dotted}: must be"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_sensor_overrides_reach_only_their_model(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"fcnn": {"uwb": {"learning_rate": 0.5, "epochs": 3}}}))
+        doc = load_config(str(path))
+        shared = TrainConfig(**doc["nnet"])
+        baro = doc["fcnn"]["baro"]
+        assert sensor_train_config(doc, "uwb") == dataclasses.replace(shared, learning_rate=0.5, epochs=3)
+        assert sensor_train_config(doc, "baro") == dataclasses.replace(shared, **baro)
+
+    def test_sensor_override_of_a_shared_key_exits_2_naming_it(self, pipeline, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"fcnn": {"uwb": {"batch_size": 8}}}))
+        proc = run_cli(["train", "--model", "uwb", "--data", pipeline["data"],
+                        "--out", str(tmp_path / "uwb.json"), "--config", str(path)])
+        assert proc.returncode == 2, proc.stderr
+        assert "fcnn.uwb.batch_size" in proc.stderr
+        assert not os.path.exists(tmp_path / "uwb.json")
+
+    @pytest.mark.parametrize(
+        "override, dotted",
+        [
+            pytest.param({"k1": "a"}, "eval.k1", id="k1"),
+            pytest.param({"k2": None}, "eval.k2", id="k2"),
+            pytest.param({"match_tolerance": "a"}, "eval.match_tolerance", id="match_tolerance"),
+            pytest.param({"cdf_thresholds": [0.1, "a"]}, "eval.cdf_thresholds", id="cdf_thresholds"),
+            pytest.param({"k1": math.nan}, "eval.k1", id="k1-nan"),
+            pytest.param({"cdf_thresholds": [0.1, math.inf]}, "eval.cdf_thresholds", id="cdf_thresholds-inf"),
+        ],
+    )
+    def test_eval_value_that_is_not_a_finite_number_exits_2_naming_it(self, pipeline, tmp_path, override, dotted):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"eval": override}))
+        proc = run_cli(["report", "--est", pipeline["trajectories"]["amfa"],
+                        "--truth", os.path.join(pipeline["data"], "truth.jsonl"),
+                        "--out", str(tmp_path / "report"), "--config", str(path)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error: {dotted}: must be a finite number"), proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_default_digest_is_pinned(self):

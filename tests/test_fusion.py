@@ -349,11 +349,11 @@ class TestUkf:
         state = UkfState()
         # measurement placed exactly at the predicted position (zero motion)
         obs = FusedObservation(t=0.1, position=np.zeros(3), variance=np.full(3, 0.5))
-        new, est = ukf_step(state, obs, dt=0.1)
+        new, sigma = ukf_step(state, obs, dt=0.1)
         assert np.allclose(new.mean, 0.0, atol=1e-9)
         assert np.trace(new.cov) < np.trace(state.cov)
-        assert est.source == "amfa"
-        assert all(s > 0 for s in est.sigma)
+        np.testing.assert_array_equal(sigma, np.sqrt(np.diag(new.cov)[0:3]))
+        assert np.all(sigma > 0)
 
     def test_matches_linear_kalman_filter(self):
         rng = np.random.default_rng(11)

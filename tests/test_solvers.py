@@ -334,13 +334,6 @@ class TestGpsInsEkf:
             p_scalar = (1.0 - k) * p_scalar
             assert ekf.model.P[0, 0] == pytest.approx(p_scalar, rel=1e-9)
 
-    def test_estimate_reports_position_sigma(self):
-        ekf = self._static_filter()
-        est = ekf.estimate(3.0)
-        assert est.source == "gpsins-ekf"
-        assert est.t == 3.0
-        np.testing.assert_allclose(est.sigma, np.sqrt(np.diag(ekf.model.P)[0:3]))
-
     def test_model_rejects_bad_covariance(self):
         with pytest.raises(ValueError):
             InsErrorModel(P=np.eye(8))
