@@ -146,11 +146,11 @@ def cmd_train(model, data_dir, out_path, config_path=None):
         _write_json(out_path, model_to_dict(trained))
     elif model == "fusion":
         # staged order: both sensor models must already exist
+        fu = cfgmod.fusion_options(doc)
+        train_cfg = cfgmod.fusion_train_config(doc)
         models_dir = os.path.dirname(out_path) or "."
         uwb_model = _load_sensor_model(models_dir, "uwb")
         baro_model = _load_sensor_model(models_dir, "baro")
-        fu = doc["fusion"]
-        train_cfg = cfgmod.fusion_train_config(doc)
         encoders = init_encoders(
             L=fu["window"], d_e=fu["embed_dim"], hidden=fu["hidden"], seed=train_cfg.seed
         )

@@ -15,10 +15,11 @@ its east/north/up `anchor_position`. Likewise `nnet` is the JSON form of
 `TrainConfig()`. The document is the only way to set a seed or an epoch
 count.
 
-Unknown keys and sections of the wrong JSON type are rejected with their
-full dotted path, so typos fail loudly instead of silently running on
-defaults. `config_digest` hashes the merged document; the digest is stamped
-into the run manifest.
+Unknown keys, sections of the wrong JSON type, and a count, width, seed or
+switch that is not a JSON integer or boolean are rejected naming their
+dotted path, so typos fail loudly instead of silently running on defaults.
+`config_digest` hashes the merged document; the digest is stamped into the
+run manifest.
 """
 
 from __future__ import annotations
@@ -161,16 +162,38 @@ def scenario_config(doc: dict) -> ScenarioConfig:
 
 
 def sensor_train_config(doc: dict, which: str) -> TrainConfig:
-    """nnet defaults overlaid with the training keys of fcnn.<which>."""
-    merged = {**doc["nnet"], **doc["fcnn"][which]}
-    merged.pop("include_geometric", None)
-    return _build(f"fcnn.{which}", TrainConfig, merged)
+    """nnet defaults overlaid with the training keys of fcnn.<which>; an
+    invalid value is reported under the section that holds it."""
+    shared = _build("nnet", TrainConfig, doc["nnet"])
+    own = {key: value for key, value in doc["fcnn"][which].items() if key != "include_geometric"}
+    return _build(f"fcnn.{which}", lambda **changes: replace(shared, **changes), own)
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    return value
 
 
 def fcnn_options(doc: dict, which: str) -> dict:
-    out = {"k": int(doc["fcnn"]["k"]), "hidden": tuple(doc["fcnn"]["hidden"])}
+    fc = doc["fcnn"]
+    out = {
+        "k": _integer("fcnn.k", fc["k"]),
+        "hidden": tuple(_integer(f"fcnn.hidden[{i}]", n) for i, n in enumerate(fc["hidden"])),
+    }
     if which == "uwb":
-        out["include_geometric"] = bool(doc["fcnn"]["uwb"]["include_geometric"])
+        geometric = fc["uwb"]["include_geometric"]
+        if not isinstance(geometric, bool):
+            raise ConfigError(f"fcnn.uwb.include_geometric: must be true or false, got {geometric!r}")
+        out["include_geometric"] = geometric
+    return out
+
+
+def fusion_options(doc: dict) -> dict:
+    """The fusion architecture: window length, embedding and key widths, encoder hidden width, lambda."""
+    fu = doc["fusion"]
+    out = {key: _integer(f"fusion.{key}", fu[key]) for key in ("window", "embed_dim", "key_dim", "hidden")}
+    out["lambda"] = _number("fusion.lambda", fu["lambda"])
     return out
 
 

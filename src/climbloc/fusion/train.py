@@ -9,8 +9,9 @@ The trainer takes the fusible ground-truth rows of one frame batch, and each
 minibatch is one pass of the attention kernel (`attend`) forward plus one
 batched backward pass over its rows; `nnet.sgd` draws the minibatches, steps
 and checkpoints. Only the gradient pass keeps the encoders' activations.
-The trained values are packed into one vector θ in the order `_trained`
-fixes; the working encoders and attention parameters are views into θ.
+The trained values are packed into one vector θ in the order `_packed`
+fixes; the working encoders and attention parameters are views into θ, and
+each minibatch writes its gradient into one buffer laid out the same way.
 
 Training runs after the sensor models are fitted: frames are collected with
 the trained models in the loop, so the encoders see the same estimate
@@ -63,7 +64,35 @@ def fusion_loss(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.
     return _weighted_error(batch, encode(batch, encoders), params, weights)[0]
 
 
-def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0)):
+# θ's order of the trained prior biases: every (modality, axis) pair an axis's
+# softmax may weigh, sorted. The barometer's priors on x and y are masked out of
+# their softmax, so their gradient is always 0 and they keep their values.
+_PRIORS = tuple(sorted((m, s) for s in AXES for m in AXIS_MODALITIES[s]))
+# where each entry of _PRIORS sits in an (axis, modality) array
+_PRIOR_CELLS = tuple(zip(*((AXES.index(s), MODALITIES.index(m)) for m, s in _PRIORS)))
+
+
+def _packed(encoders: dict, params: AttentionParams) -> tuple[np.ndarray, dict]:
+    """θ, the trained values in one vector, and its views by group, in θ's order:
+    "w_q" (axis, d_k, 3 d_e), "beta" (axis,), "w_r" (axis, N_RELIABILITY),
+    "w_k", "b_prior" (one entry per `_PRIORS` pair), then the encoders'
+    "weights" and "biases", each {modality: one view per layer}."""
+    head = {
+        "w_q": np.stack([params.w_q[s] for s in AXES]),
+        "beta": [params.beta[s] for s in AXES],
+        "w_r": np.stack([params.w_r[s] for s in AXES]),
+        "w_k": params.w_k,
+        "b_prior": [params.b_prior[key] for key in _PRIORS],
+    }
+    layers = [a for key in ("weights", "biases") for m in MODALITIES for a in getattr(encoders[m], key)]
+    theta, views = pack([*head.values(), *layers])
+    groups, views = dict(zip(head, views)), iter(views[len(head) :])
+    for key in ("weights", "biases"):
+        groups[key] = {m: [next(views) for _ in getattr(encoders[m], key)] for m in MODALITIES}
+    return theta, groups
+
+
+def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.0, 2.0), out=None):
     """Summed loss plus its exact gradient for every trainable fusion parameter.
 
     `batch` is a minibatch of `FrameBatch.arrays` rows or one FusionFrame.
@@ -72,6 +101,8 @@ def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weight
     encoders, whose every layer's activations the forward pass keeps.
     Gradients come in the nested layout of the parameters: `w_q[s]`, `w_k`,
     `beta[s]`, `w_r[s]`, `b_prior[(m, s)]`, `enc_w[m][i]`, `enc_b[m][i]`.
+    Given `out`, the group views `_packed` returns for a vector laid out like
+    θ, they are written into that vector instead, and `out` is returned.
     """
     batch = _as_batch(batch, encoders)
     z, traces = np.zeros((len(batch["ready"]), len(MODALITIES), encoders[MODALITIES[0]].layer_sizes[-1])), {}
@@ -79,6 +110,7 @@ def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weight
         traces[m] = rows, _forward_trace(encoders[m], windows)
         z[rows, j] = traces[m][1][-1]
     loss, d_fused, gamma, c = _weighted_error(batch, z, params, weights)
+    g = out if out is not None else _packed(encoders, params)[1]
     n, d_k = len(batch["truth"]), params.d_k
     d_gamma = d_fused[..., None] * batch["estimates"].transpose(0, 2, 1)
     d_logit = gamma * (d_gamma - np.sum(gamma * d_gamma, axis=2, keepdims=True))
@@ -86,37 +118,27 @@ def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weight
     d_queries = np.einsum("nsm,nmk->nsk", d_score, c["keys"]).reshape(n, -1)
     d_keys = np.einsum("nsm,nsk->nmk", d_score, c["queries"])
     d_z = (d_queries @ c["w_q"]).reshape(c["z"].shape) + d_keys @ params.w_k
-    g_w_q = (d_queries.T @ c["zc"]).reshape(len(AXES), d_k, -1)
+    np.matmul(d_queries.T, c["zc"], out=g["w_q"].reshape(len(AXES) * d_k, -1))
+    g["beta"][...] = np.einsum("nsm,nsm->s", d_logit, c["rel"])
+    np.multiply(c["beta"][:, None], np.einsum("nsm,nmr->sr", d_logit, batch["reliability"]), out=g["w_r"])
+    g["w_k"][...] = np.einsum("nmk,nme->ke", d_keys, c["z"])
     g_prior = d_logit.sum(axis=0)
-    grads = {
-        "w_q": dict(zip(AXES, g_w_q)),
-        "w_k": np.einsum("nmk,nme->ke", d_keys, c["z"]),
-        "beta": dict(zip(AXES, np.einsum("nsm,nsm->s", d_logit, c["rel"]).tolist())),
-        "w_r": dict(zip(AXES, c["beta"][:, None] * np.einsum("nsm,nmr->sr", d_logit, batch["reliability"]))),
+    g["b_prior"][...] = g_prior[_PRIOR_CELLS]
+    for j, m in enumerate(MODALITIES):
+        rows, trace = traces[m]
+        _backward(encoders[m], trace, d_z[rows, j], g["weights"][m], g["biases"][m])
+    if out is not None:
+        return loss, out
+    return loss, {
+        "w_q": dict(zip(AXES, g["w_q"])),
+        "w_k": g["w_k"],
+        "beta": dict(zip(AXES, g["beta"].tolist())),
+        "w_r": dict(zip(AXES, g["w_r"])),
         "b_prior": {
             (m, s): float(g_prior[k, j]) for j, m in enumerate(MODALITIES) for k, s in enumerate(AXES)
         },
-        "enc_w": {},
-        "enc_b": {},
-    }
-    for j, m in enumerate(MODALITIES):
-        rows, trace = traces[m]
-        grads["enc_w"][m], grads["enc_b"][m], _ = _backward(encoders[m], trace, d_z[rows, j])
-    return loss, grads
-
-
-def _trained(tree: dict, leaf) -> dict:
-    """`tree`, laid out like the gradients `fusion_loss_and_grads` returns, with
-    `leaf` applied to each trained value in the one order θ packs them. A
-    prior on an axis that cannot weigh its modality (the barometer on x and y)
-    keeps its value: it is masked out of that softmax, so its gradient is 0."""
-    return {
-        **{name: {s: leaf(tree[name][s]) for s in AXES} for name in ("w_q", "beta", "w_r")},
-        "w_k": leaf(tree["w_k"]),
-        "b_prior": {
-            (m, s): leaf(b) if m in AXIS_MODALITIES[s] else b for (m, s), b in sorted(tree["b_prior"].items())
-        },
-        **{name: {m: [leaf(a) for a in tree[name][m]] for m in MODALITIES} for name in ("enc_w", "enc_b")},
+        "enc_w": g["weights"],
+        "enc_b": g["biases"],
     }
 
 
@@ -151,16 +173,19 @@ def train_fusion(
 
     encoders = encoders or init_encoders(L, seed=cfg.seed)
     params = params if params is not None else init_attention_params(seed=cfg.seed)
-    given = {**vars(params), "enc_w": {m: net.weights for m, net in encoders.items()}}
-    given["enc_b"] = {m: net.biases for m, net in encoders.items()}
-    values = []
-    _trained(given, values.append)
-    theta, views = pack(values)
-    views = iter(views)  # the working copy: each trained value a view into theta
-    work = _trained(given, lambda _: next(views))
-    enc_w, enc_b = work.pop("enc_w"), work.pop("enc_b")
-    encoders = {m: replace(net, weights=enc_w[m], biases=enc_b[m]) for m, net in encoders.items()}
-    params = replace(params, **work)
+    theta, group = _packed(encoders, params)
+    # the working copy: each trained value a view into theta
+    encoders = {
+        m: replace(encoders[m], weights=group["weights"][m], biases=group["biases"][m]) for m in MODALITIES
+    }
+    params = replace(
+        params,
+        w_q=dict(zip(AXES, group["w_q"])),
+        beta={s: group["beta"][k, ...] for k, s in enumerate(AXES)},
+        w_r=dict(zip(AXES, group["w_r"])),
+        w_k=group["w_k"],
+        b_prior={**params.b_prior, **{key: group["b_prior"][i, ...] for i, key in enumerate(_PRIORS)}},
+    )
 
     n_train = cfg.n_train(len(usable))
     stacked = _rows(frames.arrays(), usable)
@@ -171,11 +196,11 @@ def train_fusion(
             fit_standardization(encoders[m], train_set[m][train_set["ready"][:, j]])
     weights = tuple(cfg.output_weights(3))
 
+    g, g_groups = _packed(encoders, params)  # the gradient buffer, rewritten every minibatch
+
     def grad_of(rows):
-        _, grads = fusion_loss_and_grads(_rows(train_set, rows), encoders, params, weights)
-        g = []
-        _trained(grads, g.append)
-        return cfg.learning_rate / len(rows), np.concatenate(g, axis=None)
+        fusion_loss_and_grads(_rows(train_set, rows), encoders, params, weights, out=g_groups)
+        return cfg.learning_rate / len(rows), g
 
     def losses():
         return tuple(_mean_loss(split, encoders, params, weights) for split in (train_set, val_set))

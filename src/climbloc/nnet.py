@@ -8,7 +8,8 @@ error averaged over the batch:
     L = mean_batch sum_s w_s (out_s - target_s)^2
 
 A trainer packs what it trains into one vector θ (`pack`), which `sgd` steps,
-and works on a copy of its model whose arrays are views into θ. Everything is
+works on a copy of its model whose arrays are views into θ, and writes each
+minibatch's gradient into one buffer laid out like θ. Everything is
 deterministic given seeds, and models serialize to plain JSON dicts whose
 floats survive a dump/load round trip bit-exactly.
 """
@@ -16,6 +17,7 @@ floats survive a dump/load round trip bit-exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,6 +80,10 @@ class TrainConfig:
     split: float = 0.75
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.learning_rate < 0:
             raise ConfigError("learning rate must be >= 0")
         if self.epochs < 0 or self.batch_size <= 0:
@@ -133,10 +139,8 @@ def net_init(layer_sizes, seed: int) -> DenseNetwork:
     return DenseNetwork(sizes, weights, biases, metadata={"seed": int(seed)})
 
 
-def _activations(net: DenseNetwork, x: np.ndarray):
-    """Yield the standardized input, then each layer's activation, for a batch (rows = examples)."""
-    a = (x - net.input_mean) / net.input_std
-    yield a
+def _layers(net: DenseNetwork, a: np.ndarray):
+    """Yield each layer's activation for a batch of standardized inputs (rows = examples)."""
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w.T + b
@@ -144,50 +148,49 @@ def _activations(net: DenseNetwork, x: np.ndarray):
         yield a
 
 
-def _forward_trace(net: DenseNetwork, x: np.ndarray):
-    """Activations per layer for a batch, all kept for backprop."""
-    return list(_activations(net, x))
+def _standardize(net: DenseNetwork, x: np.ndarray) -> np.ndarray:
+    return (x - net.input_mean) / net.input_std
+
+
+def _output(net: DenseNetwork, a: np.ndarray) -> np.ndarray:
+    """Network output for standardized rows; holds one layer's activations at a time."""
+    for a in _layers(net, a):
+        pass
+    return a
+
+
+def _forward_trace(net: DenseNetwork, x: np.ndarray) -> list:
+    """The standardized input, then every layer's activation, for a batch: all kept for backprop."""
+    a = _standardize(net, x)
+    return [a, *_layers(net, a)]
 
 
 def net_forward(net: DenseNetwork, x) -> np.ndarray:
-    """Network output for one input or a batch; holds one layer's activations at a time."""
+    """Network output for one input or a batch."""
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
     if x.shape[1] != net.layer_sizes[0]:
         raise ValueError(f"input width {x.shape[1]} != network input size {net.layer_sizes[0]}")
-    for out in _activations(net, x):
-        pass
+    out = _output(net, _standardize(net, x))
     return out[0] if squeeze else out
 
 
-def _backward(net: DenseNetwork, trace: list, delta: np.ndarray):
-    """Backprop an output cotangent through a forward trace.
-
-    Returns (weight grads, bias grads, input grads) where the input grads
-    are taken w.r.t. the raw (unstandardized) input.
-    """
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
+def _backward(net: DenseNetwork, trace: list, delta: np.ndarray, grads_w: list, grads_b: list) -> None:
+    """Backprop an output cotangent through a forward trace, writing each layer's
+    weight and bias gradient into `grads_w[i]` and `grads_b[i]`."""
     for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = delta.T @ trace[i]
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(delta.T, trace[i], out=grads_w[i])
+        delta.sum(axis=0, out=grads_b[i])
         if i > 0:
             # ReLU gate: trace[i] is the post-activation of hidden layer i
             delta = (delta @ net.weights[i]) * (trace[i] > 0.0)
-        else:
-            delta = delta @ net.weights[i]
-    return grads_w, grads_b, delta / net.input_std
 
 
-def _loss_and_grads(net: DenseNetwork, x: np.ndarray, t: np.ndarray, w_out: np.ndarray):
-    trace = _forward_trace(net, x)
-    err = trace[-1] - t
-    n = len(x)
-    loss = float(np.sum(w_out * err * err) / n)
-    grads_w, grads_b, _ = _backward(net, trace, 2.0 * w_out * err / n)
-    return loss, grads_w, grads_b
+def _weighted_loss(y: np.ndarray, t: np.ndarray, w_out: np.ndarray) -> float:
+    err = y - t
+    return float(np.sum(w_out * err * err) / len(y))
 
 
 def net_gradient(net: DenseNetwork, x, target, axis_weights):
@@ -201,12 +204,10 @@ def net_gradient(net: DenseNetwork, x, target, axis_weights):
     w_out = np.asarray(axis_weights, dtype=float)
     if w_out.shape != (net.layer_sizes[-1],):
         raise ValueError("axis_weights must have one entry per output")
-    return _loss_and_grads(net, x, t, w_out)
-
-
-def _evaluate(net, x, t, w_out) -> float:
-    err = net_forward(net, x) - t
-    return float(np.sum(w_out * err * err) / len(x))
+    trace = _forward_trace(net, x)
+    grads_w, grads_b = [np.empty_like(w) for w in net.weights], [np.empty_like(b) for b in net.biases]
+    _backward(net, trace, 2.0 * w_out * (trace[-1] - t), grads_w, grads_b)
+    return _weighted_loss(trace[-1], t, w_out), grads_w, grads_b
 
 
 def fit_standardization(net: DenseNetwork, x: np.ndarray) -> None:
@@ -259,20 +260,29 @@ def train(net: DenseNetwork, dataset: Dataset, cfg: TrainConfig):
     if n < 2:
         raise ValueError("need at least two examples to split")
     n_train = cfg.n_train(n)
-    x_train, t_train = dataset.inputs[:n_train], dataset.targets[:n_train]
-    x_val, t_val = dataset.inputs[n_train:], dataset.targets[n_train:]
+    t_train, t_val = dataset.targets[:n_train], dataset.targets[n_train:]
 
     theta, views = pack([*net.weights, *net.biases])
-    out = replace(net, weights=views[: len(net.weights)], biases=views[len(net.weights) :])
-    fit_standardization(out, x_train)
+    depth = len(net.weights)
+    out = replace(net, weights=views[:depth], biases=views[depth:])
+    fit_standardization(out, dataset.inputs[:n_train])
+    # standardized once per fit: elementwise, so every row is bit-identical to
+    # standardizing it in its minibatch
+    x_train, x_val = (_standardize(out, x) for x in (dataset.inputs[:n_train], dataset.inputs[n_train:]))
     w_out = cfg.output_weights(out.layer_sizes[-1])
+    two_w = 2.0 * w_out
+    g, g_views = pack(views)  # one gradient buffer laid out like θ, rewritten every minibatch
+    g_w, g_b = g_views[:depth], g_views[depth:]
 
     def grad_of(rows):
-        _, grads_w, grads_b = _loss_and_grads(out, x_train[rows], t_train[rows], w_out)
-        return cfg.learning_rate, np.concatenate([*grads_w, *grads_b], axis=None)
+        a = x_train[rows]
+        trace = [a, *_layers(out, a)]
+        _backward(out, trace, two_w * (trace[-1] - t_train[rows]) / len(rows), g_w, g_b)
+        return cfg.learning_rate, g
 
     def losses():
-        return _evaluate(out, x_train, t_train, w_out), _evaluate(out, x_val, t_val, w_out)
+        splits = ((x_train, t_train), (x_val, t_val))
+        return tuple(_weighted_loss(_output(out, x), t, w_out) for x, t in splits)
 
     history = sgd(theta, n_train, cfg, grad_of, losses)
     if len(history) < cfg.epochs:

@@ -226,6 +226,40 @@ class TestConfig:
         assert not os.path.exists(tmp_path / "uwb.json")
 
     @pytest.mark.parametrize(
+        "model, override, message",
+        [
+            pytest.param("baro", {"nnet": {"batch_size": 2.5}}, "nnet: batch_size must be an integer", id="nnet-batch"),
+            pytest.param("baro", {"nnet": {"seed": 1.5}}, "nnet: seed must be an integer", id="nnet-seed"),
+            pytest.param("uwb", {"nnet": {"epochs": "3"}}, "nnet: epochs must be an integer", id="nnet-epochs"),
+            pytest.param("baro", {"nnet": {"seed": True}}, "nnet: seed must be an integer", id="nnet-seed-bool"),
+            pytest.param("baro", {"fcnn": {"baro": {"epochs": 2.0}}}, "fcnn.baro: epochs must be an integer",
+                         id="fcnn-epochs"),
+            pytest.param("fusion", {"fusion": {"batch_size": 1.5}}, "fusion: batch_size must be an integer",
+                         id="fusion-batch"),
+            pytest.param("uwb", {"fcnn": {"k": 2.5}}, "fcnn.k: must be an integer", id="k"),
+            pytest.param("baro", {"fcnn": {"k": "a"}}, "fcnn.k: must be an integer", id="k-string"),
+            pytest.param("baro", {"fcnn": {"hidden": [64, 2.7]}}, "fcnn.hidden[1]: must be an integer", id="hidden"),
+            pytest.param("uwb", {"fcnn": {"uwb": {"include_geometric": "no"}}},
+                         "fcnn.uwb.include_geometric: must be true or false", id="include-geometric"),
+            pytest.param("fusion", {"fusion": {"window": 2.5}}, "fusion.window: must be an integer", id="window"),
+            pytest.param("fusion", {"fusion": {"embed_dim": 32.0}}, "fusion.embed_dim: must be an integer",
+                         id="embed-dim"),
+            pytest.param("fusion", {"fusion": {"key_dim": "16"}}, "fusion.key_dim: must be an integer", id="key-dim"),
+            pytest.param("fusion", {"fusion": {"hidden": 6.4}}, "fusion.hidden: must be an integer", id="hidden-fusion"),
+        ],
+    )
+    def test_training_value_of_the_wrong_json_type_exits_2_naming_it(
+        self, pipeline, tmp_path, capsys, model, override, message
+    ):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(override))
+        out = tmp_path / f"{model}.json"
+        rc = main(["train", "--model", model, "--data", pipeline["data"], "--out", str(out), "--config", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}, got ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "override, dotted",
         [
             pytest.param({"k1": "a"}, "eval.k1", id="k1"),

@@ -37,7 +37,7 @@ from climbloc.fusion.pipeline import WARMUP_SIGMA_INFLATION, _recent_spread, sta
 from climbloc.fusion.train import _mean_loss, _rows
 from climbloc.fusion.ukf import _robust_cholesky
 from climbloc.models import SIGMA_MIN
-from climbloc.nnet import TrainConfig, fit_standardization, net_forward, net_from_dict, net_to_dict
+from climbloc.nnet import TrainConfig, fit_standardization, net_forward, net_from_dict, net_to_dict, pack, sgd
 from climbloc.sim import (
     BaroNoise,
     GpsNoise,
@@ -757,6 +757,54 @@ def reference_train_fusion(batch, encoders, params, cfg):
     return encoders, params, history
 
 
+def _trained(tree: dict, leaf) -> dict:
+    """`tree`, laid out like the nested gradients, with `leaf` applied to each
+    trained value in θ's order; the barometer's priors on x and y keep their value."""
+    return {
+        **{name: {s: leaf(tree[name][s]) for s in AXES} for name in ("w_q", "beta", "w_r")},
+        "w_k": leaf(tree["w_k"]),
+        "b_prior": {
+            (m, s): leaf(b) if m in AXIS_MODALITIES[s] else b for (m, s), b in sorted(tree["b_prior"].items())
+        },
+        **{name: {m: [leaf(a) for a in tree[name][m]] for m in MODALITIES} for name in ("enc_w", "enc_b")},
+    }
+
+
+def concatenated_train_fusion(batch, encoders, params, cfg):
+    """`train_fusion` as it stepped θ before minibatches wrote one gradient buffer:
+    θ packed through `_trained`, each minibatch's nested gradients flattened by
+    `_trained` and joined by `np.concatenate`. Returns (θ, history)."""
+    usable = np.flatnonzero(batch.fusible & (batch.truth is not None))
+    given = {**vars(params), "enc_w": {m: net.weights for m, net in encoders.items()}}
+    given["enc_b"] = {m: net.biases for m, net in encoders.items()}
+    values = []
+    _trained(given, values.append)
+    theta, views = pack(values)
+    views = iter(views)
+    work = _trained(given, lambda _: next(views))
+    enc_w, enc_b = work.pop("enc_w"), work.pop("enc_b")
+    encoders = {m: dataclasses.replace(net, weights=enc_w[m], biases=enc_b[m]) for m, net in encoders.items()}
+    params = dataclasses.replace(params, **work)
+    n_train = cfg.n_train(len(usable))
+    stacked = _rows(batch.arrays(), usable)
+    train_set, val_set = _rows(stacked, slice(None, n_train)), _rows(stacked, slice(n_train, None))
+    for j, m in enumerate(MODALITIES):
+        if train_set["ready"][:, j].any():
+            fit_standardization(encoders[m], train_set[m][train_set["ready"][:, j]])
+    weights = tuple(cfg.output_weights(3))
+
+    def grad_of(rows):
+        _, grads = fusion_loss_and_grads(_rows(train_set, rows), encoders, params, weights)
+        g = []
+        _trained(grads, g.append)
+        return cfg.learning_rate / len(rows), np.concatenate(g, axis=None)
+
+    def losses():
+        return tuple(_mean_loss(split, encoders, params, weights) for split in (train_set, val_set))
+
+    return theta, sgd(theta, n_train, cfg, grad_of, losses)
+
+
 class TestFusionTraining:
     def test_gradients_match_finite_differences(self):
         for seed in range(6):
@@ -879,6 +927,21 @@ class TestFusionTraining:
             assert np.array_equal(got.beta[s], want.beta[s]), s
         for key in want.b_prior:
             assert np.array_equal(got.b_prior[key], want.b_prior[key]), key
+
+    # 22 training rows: two full minibatches of 11, or two of 8 and a last one of 6
+    @pytest.mark.parametrize("batch_size", [11, 8])
+    def test_equals_the_concatenated_gradient_reference(self, batch_size):
+        batch = toy_batch(mixed_frames(seed=3, n=30))
+        encoders, params = random_model(5)
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=2)
+        got_enc, got, history = train_fusion(None, None, None, encoders, params, cfg, L=4, frames=batch)
+        want_theta, want_history = concatenated_train_fusion(batch, encoders, params, cfg)
+        assert history == want_history and len(history) == 3
+        trained = {**vars(got), "enc_w": {m: net.weights for m, net in got_enc.items()}}
+        trained["enc_b"] = {m: net.biases for m, net in got_enc.items()}
+        values = []
+        _trained(trained, values.append)
+        assert np.array_equal(np.concatenate(values, axis=None), want_theta)
 
     def test_inputs_are_untouched_and_untrainable_priors_keep_their_values(self):
         frames = toy_frames(n=30, L=4, seed=4)

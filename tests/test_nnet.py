@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from climbloc.errors import ConfigError, NumericalFailureError
 from climbloc.nnet import (
-    _evaluate,
     _forward_trace,
-    _loss_and_grads,
     Dataset,
     DenseNetwork,
     TrainConfig,
@@ -256,8 +254,33 @@ def per_array_sgd(arrays, n_train, cfg, grads_of, losses):
     return history
 
 
+def reference_loss_and_grads(net, x, t, w_out):
+    """One minibatch's (loss, weight grads, bias grads) computed the way `train`
+    did before it standardized each split once: the rows standardized here,
+    every activation kept, each gradient a fresh array."""
+    trace = [(x - net.input_mean) / net.input_std]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = trace[-1] @ w.T + b
+        trace.append(z if i == len(net.weights) - 1 else np.maximum(z, 0.0))
+    err = trace[-1] - t
+    n = len(x)
+    delta = 2.0 * w_out * err / n
+    grads_w, grads_b = [None] * len(net.weights), [None] * len(net.biases)
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads_w[i] = delta.T @ trace[i]
+        grads_b[i] = delta.sum(axis=0)
+        delta = (delta @ net.weights[i]) * (trace[i] > 0.0) if i > 0 else delta @ net.weights[i]
+    return float(np.sum(w_out * err * err) / n), grads_w, grads_b
+
+
+def reference_loss(net, x, t, w_out) -> float:
+    err = net_forward(net, x) - t
+    return float(np.sum(w_out * err * err) / len(x))
+
+
 def reference_train(net, dataset, cfg):
-    """`train` on a deep copy of `net` stepped one array at a time by `per_array_sgd`."""
+    """`train` on a deep copy of `net` stepped one array at a time by `per_array_sgd`,
+    each minibatch through `reference_loss_and_grads`."""
     n = len(dataset)
     n_train = min(n - 1, max(1, int(round(n * cfg.split))))
     x_train, t_train = dataset.inputs[:n_train], dataset.targets[:n_train]
@@ -267,11 +290,11 @@ def reference_train(net, dataset, cfg):
     w_out = cfg.output_weights(out.layer_sizes[-1])
 
     def grads_of(rows):
-        _, grads_w, grads_b = _loss_and_grads(out, x_train[rows], t_train[rows], w_out)
+        _, grads_w, grads_b = reference_loss_and_grads(out, x_train[rows], t_train[rows], w_out)
         return cfg.learning_rate, [*grads_w, *grads_b]
 
     def losses():
-        return _evaluate(out, x_train, t_train, w_out), _evaluate(out, x_val, t_val, w_out)
+        return reference_loss(out, x_train, t_train, w_out), reference_loss(out, x_val, t_val, w_out)
 
     return out, per_array_sgd([*out.weights, *out.biases], n_train, cfg, grads_of, losses)
 
@@ -343,6 +366,10 @@ class TestSgd:
         [
             TrainConfig(learning_rate=0.01, epochs=6, batch_size=16, seed=3, axis_weights=(1.0,)),
             TrainConfig(learning_rate=0.2, epochs=3, batch_size=5, seed=8, axis_weights=(1.0,), split=0.6),
+            # of the 68 training rows at the default split: a last minibatch of 2 rows,
+            # then one minibatch larger than the split
+            TrainConfig(learning_rate=0.05, epochs=4, batch_size=33, seed=1, axis_weights=(1.0,)),
+            TrainConfig(learning_rate=0.05, epochs=4, batch_size=128, seed=1, axis_weights=(1.0,)),
         ],
     )
     def test_train_equals_the_per_array_reference(self, cfg):
