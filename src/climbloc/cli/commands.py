@@ -55,7 +55,7 @@ from ..models import (
     uwb_fcnn_infer,
 )
 from ..sim import simulate_scenario
-from ..solvers import UwbSigmaModel, baro_altitude, uwb_geometric_fixes
+from ..solvers import baro_altitude, uwb_geometric_fixes
 from . import config as cfgmod
 from . import records
 
@@ -185,14 +185,13 @@ def _altitude_only(t, altitudes, sigmas_z):
     return t, np.column_stack([zeros, altitudes]), np.column_stack([zeros, sigmas_z])
 
 
-def run_algorithm(scenario, algo, models_dir=None, doc=None):
+def run_algorithm(scenario, algo, models_dir=None):
     """Trajectory for one algorithm: (t, positions, sigmas), one row per epoch.
 
     An algorithm that yields no row raises MissingInputError naming what ran
     short: an empty stream, or a run too short to fill an FCNN's window (k)
     or the fusion estimate window (L).
     """
-    doc = doc if doc is not None else cfgmod.load_config(None)
     if algo == "baro":
         ref = scenario.baro_reference
         altitudes = [baro_altitude(p, ref) for p in scenario.baro.pressure.tolist()]
@@ -204,11 +203,7 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
         track = _altitude_only(scenario.baro.t[model.k - 1 :], altitudes, sigmas)
         short = f"baro-fcnn: {len(scenario.baro)} baro samples never fill the FCNN window (k = {model.k})"
     elif algo == "uwb-geo":
-        sigma_model = UwbSigmaModel(
-            range_sigma=doc["sim"]["uwb"]["range_sigma"],
-            angle_sigma=doc["sim"]["uwb"]["angle_sigma"],
-        )
-        track = (scenario.uwb.t, *uwb_geometric_fixes(scenario.uwb, scenario.anchor, sigma_model))
+        track = (scenario.uwb.t, *uwb_geometric_fixes(scenario.uwb, scenario.anchor))
         short = "uwb-geo: the UWB stream has no measurements"
     elif algo == "uwb-fcnn":
         model = _load_sensor_model(models_dir, "uwb")
@@ -236,9 +231,9 @@ def run_algorithm(scenario, algo, models_dir=None, doc=None):
 
 
 def cmd_run(data_dir, models_dir, algo, out_path, config_path=None):
-    doc = cfgmod.load_config(config_path)
+    cfgmod.load_config(config_path)  # a bad document exits 2 before any work
     scenario = records.read_scenario(data_dir)
-    track = run_algorithm(scenario, algo, models_dir=models_dir, doc=doc)
+    track = run_algorithm(scenario, algo, models_dir=models_dir)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     n = records.write_trajectory(out_path, *track, algo)
     print(f"wrote {out_path} ({n} epochs)")

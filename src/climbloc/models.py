@@ -115,8 +115,10 @@ def build_training_set(scenario, which: str, k: int = DEFAULT_K, include_geometr
         if len(stream) < k:
             raise ValueError(f"need at least k={k} UWB measurements, got {len(stream)}")
         inputs = uwb_inputs(stream, scenario.anchor, k, include_geometric)
+        # with the geometric input, the inputs already end with the fixes the targets need
+        fixes = inputs[:, -3:] if include_geometric else uwb_geometric_fixes(stream[k - 1 :], scenario.anchor)[0]
         p_true = scenario.truth.position_at(stream.t[k - 1 :])
-        targets = np.hstack([p_true, p_true - uwb_geometric_fixes(stream[k - 1 :], scenario.anchor)[0]])
+        targets = np.hstack([p_true, p_true - fixes])
     elif which == "baro":
         stream = scenario.baro
         if len(stream) < k:

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..core.geodesy import GeodeticPoint, enu_to_geodetic
 from ..core.types import GRAVITY, BaroStream, GpsStream, ImuStream, TruthStream, UwbStream, Vec3Enu
-from ..errors import NumericalFailureError
+from ..errors import ConfigError, NumericalFailureError
 from ..solvers.baro import baro_altitude, baro_inverse
 from ..solvers.uwb import uwb_inverse
 from .scenario import (
@@ -94,7 +94,10 @@ def simulate_uwb(truth: TruthStream, anchor, cfg: ScenarioConfig) -> UwbStream:
         n_range, n_alpha, n_beta = rng.normal(0.0, 1.0, 3)
         n_conf = rng.normal(0.0, 1.0)
         target = Vec3Enu.from_array(p_true)
-        d, alpha, beta = uwb_inverse(target, anchor)
+        try:
+            d, alpha, beta = uwb_inverse(target, anchor)
+        except ValueError as err:
+            raise ConfigError(f"sim.anchor_position: {err} at t={t:.3f} s") from None
         d += n_range * u.range_sigma
         alpha += n_alpha * u.angle_sigma
         beta += n_beta * u.angle_sigma

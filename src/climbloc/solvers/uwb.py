@@ -34,37 +34,32 @@ class UwbSigmaModel:
             raise ValueError("noise sigmas must be >= 0")
 
 
-def uwb_local_direction(d: float, alpha: float, beta: float) -> np.ndarray:
-    """Local-frame target offset for a (d, alpha, beta) measurement."""
-    return np.array(
-        [
-            d * math.sin(alpha),
-            d * math.sin(beta),
-            d * math.cos(alpha) * math.cos(beta),
-        ]
-    )
+def uwb_local_direction(d, alpha, beta) -> np.ndarray:
+    """Local-frame target offset of (d, alpha, beta): (3,) for scalars, (n, 3) for columns."""
+    d, alpha, beta = (np.asarray(x, dtype=float) for x in (d, alpha, beta))
+    return np.stack([d * np.sin(alpha), d * np.sin(beta), d * np.cos(alpha) * np.cos(beta)], axis=-1)
 
 
-def _geometric_fix(d: float, alpha: float, beta: float, anchor: AnchorPose, sigma_model: UwbSigmaModel):
-    """(ENU position, per-axis sigma) of one (d, alpha, beta) measurement."""
-    local = uwb_local_direction(d, alpha, beta)
-    position = anchor.position.as_array() + anchor.orientation.apply(local)
+def _closed_form(d, alpha, beta, anchor: AnchorPose, sigma_model: UwbSigmaModel):
+    """(positions, sigmas), each (n, 3): the fix of every row of the columns d, alpha, beta.
 
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    sb, cb = math.sin(beta), math.cos(beta)
-    jac = np.array(
-        [
-            [sa, d * ca, 0.0],
-            [sb, 0.0, d * cb],
-            [ca * cb, -d * sa * cb, -d * ca * sb],
-        ]
-    )
-    meas_cov = np.diag(
-        [sigma_model.range_sigma**2, sigma_model.angle_sigma**2, sigma_model.angle_sigma**2]
-    )
+    Each row is rotated by its own matrix-vector product and its sigmas come
+    from the batched rot @ J @ C @ J^T @ rot^T, so a row has the bits of a
+    one-row call.
+    """
+    d, alpha, beta = (np.asarray(x, dtype=float).reshape(-1) for x in (d, alpha, beta))
     rot = anchor.orientation.matrix
-    nav_cov = rot @ jac @ meas_cov @ jac.T @ rot.T
-    return position, np.sqrt(np.maximum(np.diag(nav_cov), 0.0))
+    local = uwb_local_direction(d, alpha, beta)
+    positions = anchor.position.as_array() + np.matmul(rot, local[..., None])[..., 0]
+
+    sa, ca, sb, cb = np.sin(alpha), np.cos(alpha), np.sin(beta), np.cos(beta)
+    zero = np.zeros_like(d)
+    jac = np.stack([sa, d * ca, zero,
+                    sb, zero, d * cb,
+                    ca * cb, -d * sa * cb, -d * ca * sb], axis=-1).reshape(-1, 3, 3)
+    meas_cov = np.diag([sigma_model.range_sigma**2, sigma_model.angle_sigma**2, sigma_model.angle_sigma**2])
+    nav_cov = rot @ jac @ meas_cov @ np.swapaxes(jac, 1, 2) @ rot.T
+    return positions, np.sqrt(np.maximum(np.diagonal(nav_cov, axis1=1, axis2=2), 0.0))
 
 
 def uwb_geometric_solve(
@@ -77,19 +72,13 @@ def uwb_geometric_solve(
     Per-axis sigma comes from propagating the (range, angle) noise of
     `sigma_model` through the geometry to first order.
     """
-    position, sigma = _geometric_fix(m.range, m.alpha, m.beta, anchor, sigma_model)
-    return PoseEstimate(t=m.t, position=Vec3Enu.from_array(position), sigma=sigma, source="uwb-geo")
+    positions, sigmas = _closed_form(m.range, m.alpha, m.beta, anchor, sigma_model)
+    return PoseEstimate(t=m.t, position=Vec3Enu.from_array(positions[0]), sigma=sigmas[0], source="uwb-geo")
 
 
 def uwb_geometric_fixes(stream, anchor: AnchorPose, sigma_model: UwbSigmaModel = UwbSigmaModel()):
     """(positions, sigmas), each (n, 3): the closed-form fix of every row of a UWB stream."""
-    fixes = [
-        _geometric_fix(d, a, b, anchor, sigma_model)
-        for d, a, b in zip(stream.range.tolist(), stream.alpha.tolist(), stream.beta.tolist())
-    ]
-    positions = np.array([p for p, _ in fixes], dtype=float).reshape(-1, 3)
-    sigmas = np.array([s for _, s in fixes], dtype=float).reshape(-1, 3)
-    return positions, sigmas
+    return _closed_form(stream.range, stream.alpha, stream.beta, anchor, sigma_model)
 
 
 def uwb_inverse(target: Vec3Enu, anchor: AnchorPose) -> tuple[float, float, float]:

@@ -570,6 +570,15 @@ class TestSimulate:
         digests = {name: file_sha(tmp_path / "data" / name) for name in self.GOLDEN}
         assert digests == self.GOLDEN
 
+    def test_anchor_behind_the_climb_exits_2_naming_the_key_and_time(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"sim": {"anchor_position": [0, -15, 5]}}))
+        result = run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "data")])
+        assert result.returncode == 2
+        assert "config error: sim.anchor_position:" in result.stderr
+        assert "behind the array plane" in result.stderr and "at t=0.100 s" in result.stderr
+        assert not (tmp_path / "data").exists()
+
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         again = str(tmp_path / "again")
         assert main(["simulate", "--config", pipeline["config"], "--out", again]) == 0
@@ -741,9 +750,23 @@ class TestRun:
         monkeypatch.setattr("climbloc.fusion.pipeline.FusionFrame", refuse)
         monkeypatch.setattr("climbloc.fusion.pipeline.ReliabilityScores", refuse)
         scenario = read_scenario(pipeline["data"])
-        t, positions, sigmas = run_algorithm(scenario, "amfa", pipeline["models"], load_config(pipeline["config"]))
+        t, positions, sigmas = run_algorithm(scenario, "amfa", pipeline["models"])
         expected, _ = read_trajectory(pipeline["trajectories"]["amfa"])
         np.testing.assert_array_equal(np.column_stack([t, positions, sigmas]), expected)
+
+    def test_uwb_geo_sigmas_do_not_read_the_simulated_noise(self, pipeline, tmp_path):
+        # uwb-geo propagates UwbSigmaModel(), as AMFA's warm-up fixes do, not
+        # the sim.uwb noise of the config it is run with
+        noisy = tmp_path / "noisy.json"
+        noisy.write_text(json.dumps({"sim": {"uwb": {"range_sigma": 0.5, "angle_sigma": 0.05}}}))
+        trajectories = []
+        for name, config in (("noisy", ["--config", str(noisy)]), ("default", [])):
+            out = tmp_path / f"{name}.jsonl"
+            rc = main(["run", "--data", pipeline["data"], "--models", pipeline["models"], "--algo", "uwb-geo",
+                       "--out", str(out), *config])
+            assert rc == 0
+            trajectories.append(out.read_bytes())
+        assert trajectories[0] == trajectories[1]
 
     def test_unordered_uwb_stream_exits_2(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data"

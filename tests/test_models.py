@@ -32,7 +32,7 @@ from climbloc.sim import (
     UwbNoise,
     simulate_scenario,
 )
-from climbloc.solvers import baro_altitude, uwb_geometric_solve
+from climbloc.solvers import baro_altitude, uwb_geometric_fixes, uwb_geometric_solve
 
 K = 4  # small window keeps these tests quick
 
@@ -169,6 +169,22 @@ class TestTrainingSet:
             for i in range(K - 1, len(uwb))
         ]
         np.testing.assert_array_equal(np.array(rows), ds.inputs)
+
+    def test_uwb_set_solves_its_fixes_once(self, monkeypatch):
+        data = vertical_quiet_scenario(duration=5.0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return uwb_geometric_fixes(*args, **kwargs)
+
+        monkeypatch.setattr("climbloc.models.uwb_geometric_fixes", counted)
+        targets = []
+        for include_geometric in (True, False):
+            calls.clear()
+            targets.append(build_training_set(data, "uwb", k=K, include_geometric=include_geometric).targets)
+            assert len(calls) == 1, include_geometric
+        np.testing.assert_array_equal(targets[0], targets[1])
 
     def test_too_few_samples(self):
         data = vertical_quiet_scenario()

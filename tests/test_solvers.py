@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from climbloc.core import (
     AnchorPose,
@@ -18,6 +19,7 @@ from climbloc.core import (
     ImuStream,
     Rotation,
     UwbMeasurement,
+    UwbStream,
     Vec3Enu,
     geodetic_to_enu,
     skew,
@@ -42,6 +44,7 @@ from climbloc.solvers import (
     UwbSigmaModel,
     baro_altitude,
     baro_inverse,
+    uwb_geometric_fixes,
     uwb_geometric_solve,
     uwb_inverse,
     uwb_local_direction,
@@ -138,6 +141,95 @@ class TestUwbGeometry:
         err = float(np.linalg.norm(got - target.as_array()))
         bound = math.sin(abs(alpha)) * math.sin(abs(beta)) * d
         assert err <= bound + 1e-9 * max(1.0, d)
+
+
+def _reference_fix(d: float, alpha: float, beta: float, anchor: AnchorPose, sigma_model: UwbSigmaModel):
+    """(ENU position, per-axis sigma) of one (d, alpha, beta) measurement, one row at a time.
+
+    The scalar closed form the array kernel replaced; the kernel must give
+    its bits on every row.
+    """
+    local = np.array([d * math.sin(alpha), d * math.sin(beta), d * math.cos(alpha) * math.cos(beta)])
+    position = anchor.position.as_array() + anchor.orientation.apply(local)
+
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    jac = np.array(
+        [
+            [sa, d * ca, 0.0],
+            [sb, 0.0, d * cb],
+            [ca * cb, -d * sa * cb, -d * ca * sb],
+        ]
+    )
+    meas_cov = np.diag(
+        [sigma_model.range_sigma**2, sigma_model.angle_sigma**2, sigma_model.angle_sigma**2]
+    )
+    rot = anchor.orientation.matrix
+    nav_cov = rot @ jac @ meas_cov @ jac.T @ rot.T
+    return position, np.sqrt(np.maximum(np.diag(nav_cov), 0.0))
+
+
+@st.composite
+def uwb_fix_cases(draw):
+    """(UWB stream of 0-60 rows, anchor with a random proper rotation, sigma model)."""
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    position = draw(arrays(float, 3, elements=st.floats(-50.0, 50.0)))
+    anchor = AnchorPose(position=Vec3Enu.from_array(position), orientation=Rotation(q))
+    sigma_model = UwbSigmaModel(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 0.5)))
+    n = draw(st.integers(0, 60))
+    angle = st.floats(-math.pi / 2, math.pi / 2, exclude_min=True, exclude_max=True)
+    stream = UwbStream(
+        t=np.arange(n, dtype=float),
+        range=draw(arrays(float, n, elements=st.floats(0.0, 40.0))),
+        alpha=draw(arrays(float, n, elements=angle)),
+        beta=draw(arrays(float, n, elements=angle)),
+        nlos=np.zeros(n),
+    )
+    return stream, anchor, sigma_model
+
+
+class TestUwbArrayKernel:
+    @given(case=uwb_fix_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_every_row_has_the_bits_of_the_per_row_reference(self, case):
+        stream, anchor, sigma_model = case
+        positions, sigmas = uwb_geometric_fixes(stream, anchor, sigma_model)
+        assert positions.shape == sigmas.shape == (len(stream), 3)
+        rows = zip(stream.range.tolist(), stream.alpha.tolist(), stream.beta.tolist())
+        for i, (d, alpha, beta) in enumerate(rows):
+            position, sigma = _reference_fix(d, alpha, beta, anchor, sigma_model)
+            np.testing.assert_array_equal(positions[i], position)
+            np.testing.assert_array_equal(sigmas[i], sigma)
+
+    @given(case=uwb_fix_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_one_row_call_equals_its_row_of_the_n_row_call(self, case):
+        stream, anchor, sigma_model = case
+        positions, sigmas = uwb_geometric_fixes(stream, anchor, sigma_model)
+        for i in range(len(stream)):
+            one = uwb_geometric_fixes(stream[i : i + 1], anchor, sigma_model)
+            np.testing.assert_array_equal(one[0], positions[i : i + 1])
+            np.testing.assert_array_equal(one[1], sigmas[i : i + 1])
+            m = UwbMeasurement(stream.t[i], stream.range[i], stream.alpha[i], stream.beta[i])
+            est = uwb_geometric_solve(m, anchor, sigma_model)
+            np.testing.assert_array_equal(est.position.as_array(), positions[i])
+            np.testing.assert_array_equal(est.sigma, sigmas[i])
+            local = uwb_local_direction(stream.range[i], stream.alpha[i], stream.beta[i])
+            np.testing.assert_array_equal(
+                local, uwb_local_direction(stream.range, stream.alpha, stream.beta)[i]
+            )
+
+    def test_empty_stream_gives_0_by_3_arrays(self):
+        empty = UwbStream(t=[], range=[], alpha=[], beta=[], nlos=[])
+        positions, sigmas = uwb_geometric_fixes(empty, IDENTITY_ANCHOR)
+        assert positions.shape == sigmas.shape == (0, 3)
+        assert uwb_local_direction(empty.range, empty.alpha, empty.beta).shape == (0, 3)
+
+    def test_local_direction_shape_follows_its_arguments(self):
+        assert uwb_local_direction(5.0, 0.3, -0.2).shape == (3,)
+        assert uwb_local_direction(np.full(4, 5.0), np.zeros(4), np.zeros(4)).shape == (4, 3)
 
 
 class TestBarometricAltitude:
