@@ -103,6 +103,11 @@ def cmd_simulate(config_path, out_dir) -> dict:
     return manifest
 
 
+# the typed keys of the model files, checked by the rule of cli/config.py
+_MODEL_KEYS = {"k": 1, "include_geometric": True, "window": 1, "lambda": 1.0,
+               "ukf": {**cfgmod.DEFAULT_CONFIG["ukf"], "mean": [0.0], "cov": [[0.0]]}}
+
+
 def _read_model(path, from_dict):
     """from_dict(the JSON document at `path`); a document that is not an
     object, lacks a key, or holds a value of the wrong type is a ConfigError
@@ -111,6 +116,9 @@ def _read_model(path, from_dict):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: not a JSON object")
+    for key, default in _MODEL_KEYS.items():
+        if key in doc:
+            cfgmod._check(default, doc[key], f"{path}: {key}")
     try:
         return from_dict(doc)
     except KeyError as err:
@@ -166,6 +174,8 @@ def cmd_train(model, data_dir, out_path, config_path=None):
             cfg=train_cfg,
             L=fu["window"],
         )
+        if train_cfg.epochs and not history:  # train_fusion returned its initial checkpoint
+            raise NumericalFailureError("training diverged at epoch 0: non-finite loss")
         bundle = fusion_to_dict(
             encoders, params, cfgmod.ukf_state(doc), L=fu["window"], lam=fu["lambda"]
         )

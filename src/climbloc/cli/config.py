@@ -15,11 +15,13 @@ its east/north/up `anchor_position`. Likewise `nnet` is the JSON form of
 `TrainConfig()`. The document is the only way to set a seed or an epoch
 count.
 
-Unknown keys, sections of the wrong JSON type, and a count, width, seed or
-switch that is not a JSON integer or boolean are rejected naming their
-dotted path, so typos fail loudly instead of silently running on defaults.
-`config_digest` hashes the merged document; the digest is stamped into the
-run manifest.
+`DEFAULT_CONFIG` is also the schema: `_check` refuses, naming its dotted path,
+a value without the JSON type of its default. An object takes known keys; a
+list, items that pass for its first item (they are not merged with it); an
+int, a JSON integer but not a boolean; a float, any finite number; a bool,
+`true` or `false`; a null (`eval.match_tolerance`), null or a finite number.
+Value rules stay where the value is read. `config_digest` hashes the merged
+document, for the manifest.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 import os
+import sys
 from dataclasses import fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -88,22 +90,35 @@ DEFAULT_CONFIG = {
     },
 }
 
-def _merge(base, override, path=""):
-    """Deep merge override into a copy of base; unknown keys are fatal, and
-    where the default is an object or a list the override must be one too."""
+_KINDS = {dict: "an object", list: "a list", bool: "true or false", int: "an integer"}
+
+
+def _check(default, value, dotted: str) -> None:
+    """Raise a ConfigError naming `dotted` unless `value` follows the type rule for `default`."""
+    kind = _KINDS.get(type(default))
+    if kind:
+        ok = type(value) is type(default)  # JSON values: a bool is not an int
+    else:  # a float, or the null of eval.match_tolerance; NaN, inf and 10**400 fail the bound
+        kind = "a finite number"
+        ok = value is default or (type(value) in (int, float) and abs(value) <= sys.float_info.max)
+    if not ok:
+        raise ConfigError(f"{dotted}: must be {kind}, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            path = f"{dotted}.{key}" if dotted else key
+            if key not in default:
+                raise ConfigError(f"{path}: unknown configuration key")
+            _check(default[key], item, path)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check(default[0], item, f"{dotted}[{i}]")
+
+
+def _merge(base: dict, override: dict) -> dict:
+    """Deep merge a checked override into a copy of base; a non-object value replaces its default."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        dotted = f"{path}{key}"
-        if key not in base:
-            raise ConfigError(f"{dotted}: unknown configuration key")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{dotted}: must be an object, got {value!r}")
-            out[key] = _merge(base[key], value, path=f"{dotted}.")
-        elif isinstance(base[key], list) and not isinstance(value, list):
-            raise ConfigError(f"{dotted}: must be a list, got {value!r}")
-        else:
-            out[key] = value
+        out[key] = _merge(base[key], value) if isinstance(base[key], dict) else value
     return out
 
 
@@ -120,6 +135,7 @@ def load_config(path=None) -> dict:
             raise ConfigError(f"{path}:{err.lineno}: invalid JSON ({err.msg})") from err
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    _check(DEFAULT_CONFIG, user, "")
     return _merge(DEFAULT_CONFIG, user)
 
 
@@ -138,8 +154,6 @@ def _build(section: str, factory, kwargs):
 def _dataclass(cls, doc, section: str):
     """Build `cls` from its config object: a field typed as a dataclass from
     its sub-object, a `tuple[Dataclass, ...]` field from its list."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{section}: must be an object, got {doc!r}")
     hints = get_type_hints(cls)
     kwargs = {}
     for key, value in doc.items():
@@ -169,32 +183,24 @@ def sensor_train_config(doc: dict, which: str) -> TrainConfig:
     return _build(f"fcnn.{which}", lambda **changes: replace(shared, **changes), own)
 
 
-def _integer(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+def _size(dotted: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{dotted}: must be at least 1, got {value!r}")
     return value
 
 
 def fcnn_options(doc: dict, which: str) -> dict:
     fc = doc["fcnn"]
-    out = {
-        "k": _integer("fcnn.k", fc["k"]),
-        "hidden": tuple(_integer(f"fcnn.hidden[{i}]", n) for i, n in enumerate(fc["hidden"])),
-    }
-    if which == "uwb":
-        geometric = fc["uwb"]["include_geometric"]
-        if not isinstance(geometric, bool):
-            raise ConfigError(f"fcnn.uwb.include_geometric: must be true or false, got {geometric!r}")
-        out["include_geometric"] = geometric
-    return out
+    hidden = tuple(_size(f"fcnn.hidden[{i}]", n) for i, n in enumerate(fc["hidden"]))
+    geometric = {"include_geometric": fc["uwb"]["include_geometric"]} if which == "uwb" else {}
+    return {"k": _size("fcnn.k", fc["k"]), "hidden": hidden, **geometric}
 
 
 def fusion_options(doc: dict) -> dict:
     """The fusion architecture: window length, embedding and key widths, encoder hidden width, lambda."""
     fu = doc["fusion"]
-    out = {key: _integer(f"fusion.{key}", fu[key]) for key in ("window", "embed_dim", "key_dim", "hidden")}
-    out["lambda"] = _number("fusion.lambda", fu["lambda"])
-    return out
+    sizes = {key: _size(f"fusion.{key}", fu[key]) for key in ("window", "embed_dim", "key_dim", "hidden")}
+    return {**sizes, "lambda": fu["lambda"]}
 
 
 def fusion_train_config(doc: dict) -> TrainConfig:
@@ -207,26 +213,13 @@ def ukf_state(doc: dict) -> UkfState:
     return _build("ukf", UkfState, doc["ukf"])
 
 
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{key}: must be a finite number, got {value!r}")
-    return float(value)
-
-
 def eval_options(doc: dict) -> dict:
-    ev = doc["eval"]
-    thresholds = [_number("eval.cdf_thresholds", v) for v in ev["cdf_thresholds"]]
-    k1, k2 = _number("eval.k1", ev["k1"]), _number("eval.k2", ev["k2"])
-    tolerance = ev["match_tolerance"]
-    if tolerance is not None:
-        tolerance = _number("eval.match_tolerance", tolerance)
-    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+    ev = dict(doc["eval"])
+    # floats, so report.json writes 1.0 for a threshold or weight given as 1
+    ev["cdf_thresholds"] = [float(v) for v in ev["cdf_thresholds"]]
+    ev["k1"], ev["k2"] = float(ev["k1"]), float(ev["k2"])
+    if any(b < a for a, b in zip(ev["cdf_thresholds"], ev["cdf_thresholds"][1:])):
         raise ConfigError("eval.cdf_thresholds: must be sorted ascending")
-    if k1 < 0 or k2 < 0:
+    if ev["k1"] < 0 or ev["k2"] < 0:
         raise ConfigError("eval.k1/k2: trade-off weights must be >= 0")
-    return {
-        "cdf_thresholds": thresholds,
-        "k1": k1,
-        "k2": k2,
-        "match_tolerance": tolerance,
-    }
+    return ev

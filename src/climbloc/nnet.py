@@ -17,7 +17,6 @@ floats survive a dump/load round trip bit-exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,10 +79,6 @@ class TrainConfig:
     split: float = 0.75
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.learning_rate < 0:
             raise ConfigError("learning rate must be >= 0")
         if self.epochs < 0 or self.batch_size <= 0:

@@ -29,7 +29,7 @@ from climbloc.cli import (
     read_trajectory,
 )
 from climbloc.cli import records
-from climbloc.cli.config import scenario_config, sensor_train_config
+from climbloc.cli.config import DEFAULT_CONFIG, scenario_config, sensor_train_config
 from climbloc.cli.commands import run_algorithm
 from climbloc.cli.records import COLUMNS_DIR, write_scenario, write_trajectory
 from climbloc.errors import ConfigError, MissingInputError
@@ -154,6 +154,50 @@ def pipeline(tmp_path_factory):
     return run_pipeline(tmp_path_factory.mktemp("pipeline"), SHORT_CONFIG)
 
 
+def _leaves(node, steps=()):
+    """(steps, default) for every leaf of a default document; a list's steps
+    go through its first item, index 0."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, (*steps, key))
+    elif isinstance(node, list):
+        yield from _leaves(node[0], (*steps, 0))
+    else:
+        yield steps, node
+
+
+def _nest(steps, value):
+    """The smallest document holding `value` at `steps`."""
+    for step in reversed(steps):
+        value = [value] if isinstance(step, int) else {step: value}
+    return value
+
+
+def _dotted(steps) -> str:
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps).lstrip(".")
+
+
+_NOT_A_SCALAR = st.one_of(st.text(max_size=3), st.lists(st.integers(), max_size=2), st.just({}))
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+
+
+def _refused(default):
+    """JSON values the config rule refuses where the default is `default`."""
+    if isinstance(default, bool):
+        return st.one_of(st.integers(), st.floats(), st.none(), _NOT_A_SCALAR)
+    if isinstance(default, int):
+        return st.one_of(st.booleans(), st.floats(), st.none(), _NOT_A_SCALAR)
+    if default is None:
+        return st.one_of(st.booleans(), _NOT_FINITE, _NOT_A_SCALAR)
+    return st.one_of(st.booleans(), st.none(), _NOT_FINITE, _NOT_A_SCALAR)
+
+
+@st.composite
+def refused_leaf(draw):
+    steps, default = draw(st.sampled_from(list(_leaves(DEFAULT_CONFIG))))
+    return steps, draw(_refused(default))
+
+
 class TestConfig:
     def test_defaults_load_and_validate(self):
         doc = load_config(None)
@@ -228,13 +272,13 @@ class TestConfig:
     @pytest.mark.parametrize(
         "model, override, message",
         [
-            pytest.param("baro", {"nnet": {"batch_size": 2.5}}, "nnet: batch_size must be an integer", id="nnet-batch"),
-            pytest.param("baro", {"nnet": {"seed": 1.5}}, "nnet: seed must be an integer", id="nnet-seed"),
-            pytest.param("uwb", {"nnet": {"epochs": "3"}}, "nnet: epochs must be an integer", id="nnet-epochs"),
-            pytest.param("baro", {"nnet": {"seed": True}}, "nnet: seed must be an integer", id="nnet-seed-bool"),
-            pytest.param("baro", {"fcnn": {"baro": {"epochs": 2.0}}}, "fcnn.baro: epochs must be an integer",
+            pytest.param("baro", {"nnet": {"batch_size": 2.5}}, "nnet.batch_size: must be an integer", id="nnet-batch"),
+            pytest.param("baro", {"nnet": {"seed": 1.5}}, "nnet.seed: must be an integer", id="nnet-seed"),
+            pytest.param("uwb", {"nnet": {"epochs": "3"}}, "nnet.epochs: must be an integer", id="nnet-epochs"),
+            pytest.param("baro", {"nnet": {"seed": True}}, "nnet.seed: must be an integer", id="nnet-seed-bool"),
+            pytest.param("baro", {"fcnn": {"baro": {"epochs": 2.0}}}, "fcnn.baro.epochs: must be an integer",
                          id="fcnn-epochs"),
-            pytest.param("fusion", {"fusion": {"batch_size": 1.5}}, "fusion: batch_size must be an integer",
+            pytest.param("fusion", {"fusion": {"batch_size": 1.5}}, "fusion.batch_size: must be an integer",
                          id="fusion-batch"),
             pytest.param("uwb", {"fcnn": {"k": 2.5}}, "fcnn.k: must be an integer", id="k"),
             pytest.param("baro", {"fcnn": {"k": "a"}}, "fcnn.k: must be an integer", id="k-string"),
@@ -265,9 +309,9 @@ class TestConfig:
             pytest.param({"k1": "a"}, "eval.k1", id="k1"),
             pytest.param({"k2": None}, "eval.k2", id="k2"),
             pytest.param({"match_tolerance": "a"}, "eval.match_tolerance", id="match_tolerance"),
-            pytest.param({"cdf_thresholds": [0.1, "a"]}, "eval.cdf_thresholds", id="cdf_thresholds"),
+            pytest.param({"cdf_thresholds": [0.1, "a"]}, "eval.cdf_thresholds[1]", id="cdf_thresholds"),
             pytest.param({"k1": math.nan}, "eval.k1", id="k1-nan"),
-            pytest.param({"cdf_thresholds": [0.1, math.inf]}, "eval.cdf_thresholds", id="cdf_thresholds-inf"),
+            pytest.param({"cdf_thresholds": [0.1, math.inf]}, "eval.cdf_thresholds[1]", id="cdf_thresholds-inf"),
         ],
     )
     def test_eval_value_that_is_not_a_finite_number_exits_2_naming_it(self, pipeline, tmp_path, override, dotted):
@@ -279,6 +323,55 @@ class TestConfig:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"config error: {dotted}: must be a finite number"), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "stage, override, dotted",
+        [
+            pytest.param("simulate", {"sim": {"seed": 1.5}}, "sim.seed", id="sim-seed"),
+            pytest.param("simulate", {"sim": {"seed": True}}, "sim.seed", id="sim-seed-bool"),
+            pytest.param("simulate", {"sim": {"gps": {"rate_hz": math.inf}}}, "sim.gps.rate_hz", id="gps-rate-inf"),
+            pytest.param("simulate", {"sim": {"dt": "a"}}, "sim.dt", id="dt-string"),
+            pytest.param("simulate", {"sim": {"uwb": {"range_sigma": math.nan}}}, "sim.uwb.range_sigma",
+                         id="range-sigma-nan"),
+            pytest.param("simulate", {"sim": {"gps": {"occlusions": [{"start": 50.0, "end": "b"}]}}},
+                         "sim.gps.occlusions[0].end", id="occlusion-end"),
+            pytest.param("baro", {"nnet": {"axis_weights": [math.nan, 1.0, 2.0]}}, "nnet.axis_weights[0]",
+                         id="axis-weight-nan"),
+            pytest.param("fusion", {"fusion": {"learning_rate": math.nan}}, "fusion.learning_rate",
+                         id="fusion-rate-nan"),
+            pytest.param("fusion", {"ukf": {"q": math.nan}}, "ukf.q", id="ukf-q-nan"),
+            pytest.param("baro", {"fcnn": {"k": 0}}, "fcnn.k", id="k-zero"),
+            pytest.param("uwb", {"fcnn": {"hidden": [0]}}, "fcnn.hidden[0]", id="fcnn-hidden-zero"),
+            pytest.param("fusion", {"fusion": {"window": 0}}, "fusion.window", id="window-zero"),
+            pytest.param("fusion", {"fusion": {"window": -2}}, "fusion.window", id="window-negative"),
+            pytest.param("fusion", {"fusion": {"embed_dim": 0}}, "fusion.embed_dim", id="embed-dim-zero"),
+            pytest.param("fusion", {"fusion": {"key_dim": 0}}, "fusion.key_dim", id="key-dim-zero"),
+            pytest.param("fusion", {"fusion": {"hidden": 0}}, "fusion.hidden", id="fusion-hidden-zero"),
+        ],
+    )
+    def test_refused_value_exits_2_naming_it_and_writes_nothing(self, pipeline, tmp_path, stage, override, dotted):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(override))
+        if stage == "simulate":
+            args = ["simulate", "--out", str(tmp_path / "data")]
+        else:
+            args = ["train", "--model", stage, "--data", pipeline["data"], "--out", str(tmp_path / f"{stage}.json")]
+        proc = run_cli([*args, "--config", str(path)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error: {dotted}: must be"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [p.name for p in tmp_path.rglob("*")] == ["c.json"]
+
+    @given(refused_leaf())
+    def test_value_of_the_wrong_json_type_raises_naming_its_path(self, leaf):
+        steps, value = leaf
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w") as fh:
+                json.dump(_nest(steps, value), fh)
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+        assert str(err.value).startswith(f"{_dotted(steps)}: must be"), str(err.value)
 
     def test_default_digest_is_pinned(self):
         # the manifest stamps this digest: a moved default changes it
@@ -609,6 +702,17 @@ class TestTrain:
         )
         assert rc == 3
 
+    def test_fusion_fit_without_a_finite_epoch_exits_4_and_writes_nothing(self, pipeline, tmp_path, capsys):
+        for name in ("uwb.json", "baro.json"):
+            shutil.copy(os.path.join(pipeline["models"], name), tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**SHORT_CONFIG, "fusion": {"epochs": 3, "learning_rate": 1e300}}))
+        rc = main(["train", "--model", "fusion", "--data", pipeline["data"],
+                   "--out", str(tmp_path / "fusion.json"), "--config", str(path)])
+        assert rc == 4
+        assert "training diverged at epoch 0" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["baro.json", "c.json", "uwb.json"]
+
     def test_reloaded_model_matches_in_memory_inference(self, pipeline):
         from climbloc.cli.config import fcnn_options, sensor_train_config
         from climbloc.models import train_uwb_model
@@ -694,6 +798,31 @@ class TestRun:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"{models / filename}: missing key {key!r}" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "filename, key, value, algo",
+        [
+            ("fusion.json", "window", 10.7, "amfa"),
+            ("fusion.json", "lambda", "a", "amfa"),
+            ("uwb.json", "include_geometric", "no", "uwb-fcnn"),
+            ("baro.json", "k", 2.5, "baro-fcnn"),
+        ],
+    )
+    def test_model_file_value_of_the_wrong_json_type_exits_2_naming_it(
+        self, pipeline, tmp_path, filename, key, value, algo
+    ):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline["models"], models)
+        doc = json.loads((models / filename).read_text())
+        doc[key] = value
+        (models / filename).write_text(json.dumps(doc))
+        out = tmp_path / "out.jsonl"
+        proc = run_cli(["run", "--data", pipeline["data"], "--models", str(models), "--algo", algo,
+                        "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error: {models / filename}: {key}: must be"), proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("algo, window", [("amfa", "L"), ("uwb-fcnn", "k"), ("baro-fcnn", "k")])
