@@ -22,6 +22,8 @@ import numpy as np
 from .. import __version__
 from ..errors import ConfigError, MissingInputError, NumericalFailureError
 from ..fusion import (
+    AXES,
+    MODALITIES,
     amfa_pipeline,
     ekf_pass,
     epoch_times,
@@ -103,22 +105,34 @@ def cmd_simulate(config_path, out_dir) -> dict:
     return manifest
 
 
-# the typed keys of the model files, checked by the rule of cli/config.py
+# the typed keys of the model files, checked by the rule of cli/config.py; of
+# a bundle's attention object only the scalars, since a per-float check of its
+# weight lists would add milliseconds to every amfa run
 _MODEL_KEYS = {"k": 1, "include_geometric": True, "window": 1, "lambda": 1.0,
-               "ukf": {**cfgmod.DEFAULT_CONFIG["ukf"], "mean": [0.0], "cov": [[0.0]]}}
+               "ukf": {**cfgmod.DEFAULT_CONFIG["ukf"], "mean": [0.0], "cov": [[0.0]]},
+               "attention": {"d_k": 1, "beta": dict.fromkeys(AXES, 1.0),
+                             "b_prior": {m: dict.fromkeys(AXES, 1.0) for m in MODALITIES}}}
 
 
 def _read_model(path, from_dict):
     """from_dict(the JSON document at `path`); a document that is not an
-    object, lacks a key, or holds a value of the wrong type is a ConfigError
-    naming the file."""
+    object, lacks a key, holds a value of the wrong type or a window length
+    or key width below 1 is a ConfigError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: not a JSON object")
     for key, default in _MODEL_KEYS.items():
         if key in doc:
-            cfgmod._check(default, doc[key], f"{path}: {key}")
+            value = doc[key]
+            if key == "attention" and isinstance(value, dict):
+                value = {k: v for k, v in value.items() if k in default}
+            cfgmod._check(default, value, f"{path}: {key}")
+    sizes = {"k": doc.get("k"), "window": doc.get("window"),
+             "attention.d_k": doc.get("attention", {}).get("d_k")}
+    for dotted, size in sizes.items():
+        if size is not None:
+            cfgmod._size(f"{path}: {dotted}", size)
     try:
         return from_dict(doc)
     except KeyError as err:

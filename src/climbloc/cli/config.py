@@ -2,8 +2,8 @@
 
 One file configures the whole pipeline, split into sections:
     sim     scenario generation (trajectory, sensor noise, outage windows)
-    nnet    shared training-engine defaults (SGD rate, epochs, split, seed)
-    fcnn    sensor-model architecture plus per-model rate and epoch overrides
+    nnet    training settings both sensor models share (batch, seed, weights, split)
+    fcnn    sensor-model architecture plus each model's rate and epochs
     fusion  attention fusion dimensions and its training run
     ukf     sigma-point filter tuning
     eval    report thresholds and the accuracy/uncertainty trade-off weights
@@ -11,9 +11,9 @@ One file configures the whole pipeline, split into sections:
 The sim defaults live only in the `climbloc.sim` dataclasses: `sim` is the
 JSON form of `ScenarioConfig()` (objects for dataclasses, lists for tuples),
 less the fixed standard atmosphere and anchor boresight; the anchor is set by
-its east/north/up `anchor_position`. Likewise `nnet` is the JSON form of
-`TrainConfig()`. The document is the only way to set a seed or an epoch
-count.
+its east/north/up `anchor_position`. Likewise `nnet` is the JSON form of the
+`TrainConfig()` fields both sensor models share, and `ukf` of `UkfState()`
+less its mean and covariance. A training budget lives in the document alone.
 
 `DEFAULT_CONFIG` is also the schema: `_check` refuses, naming its dotted path,
 a value without the JSON type of its default. An object takes known keys; a
@@ -62,7 +62,7 @@ def _sim_defaults() -> dict:
 
 DEFAULT_CONFIG = {
     "sim": _sim_defaults(),
-    "nnet": _document(TrainConfig()),
+    "nnet": {k: v for k, v in _document(TrainConfig()).items() if k not in ("learning_rate", "epochs")},
     "fcnn": {
         "k": 10,
         "hidden": [64, 64],
@@ -81,7 +81,7 @@ DEFAULT_CONFIG = {
         "seed": 0,
         "split": 0.95,
     },
-    "ukf": {"alpha": 1e-3, "beta": 2.0, "kappa": 0.0, "q": 0.05},
+    "ukf": {f.name: f.default for f in fields(UkfState) if f.name not in ("mean", "cov")},
     "eval": {
         "cdf_thresholds": [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0],
         "k1": 1.0,

@@ -150,9 +150,9 @@ def train_fusion(
     scenario,
     uwb_model,
     baro_model,
+    cfg: TrainConfig,
     encoders: dict | None = None,
     params: AttentionParams | None = None,
-    cfg: TrainConfig = TrainConfig(learning_rate=1e-3, epochs=40),
     L: int = DEFAULT_L,
     frames=None,
 ):

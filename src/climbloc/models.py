@@ -133,7 +133,7 @@ def build_training_set(scenario, which: str, k: int = DEFAULT_K, include_geometr
 
 def train_uwb_model(
     scenario,
-    cfg: TrainConfig = TrainConfig(),
+    cfg: TrainConfig,
     k: int = DEFAULT_K,
     hidden=DEFAULT_HIDDEN,
     include_geometric: bool = True,
@@ -144,7 +144,7 @@ def train_uwb_model(
     return UwbFcnnModel(network=net, k=k, include_geometric=include_geometric), history
 
 
-def train_baro_model(scenario, cfg: TrainConfig = TrainConfig(), k: int = DEFAULT_K, hidden=DEFAULT_HIDDEN):
+def train_baro_model(scenario, cfg: TrainConfig, k: int = DEFAULT_K, hidden=DEFAULT_HIDDEN):
     data = build_training_set(scenario, "baro", k=k)
     net, history = train(net_init([k + 1, *hidden, 2], cfg.seed), data, cfg)
     return BaroFcnnModel(network=net, k=k), history

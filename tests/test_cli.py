@@ -33,7 +33,8 @@ from climbloc.cli.config import DEFAULT_CONFIG, scenario_config, sensor_train_co
 from climbloc.cli.commands import run_algorithm
 from climbloc.cli.records import COLUMNS_DIR, write_scenario, write_trajectory
 from climbloc.errors import ConfigError, MissingInputError
-from climbloc.models import model_from_dict, uwb_fcnn_infer
+from climbloc.fusion import UkfState, train_fusion
+from climbloc.models import model_from_dict, train_baro_model, train_uwb_model, uwb_fcnn_infer
 from climbloc.nnet import TrainConfig
 from climbloc.sim import ScenarioConfig, simulate_scenario
 from climbloc.solvers import uwb_geometric_fixes
@@ -94,7 +95,6 @@ SHORT_CONFIG = {
         },
         "uwb": {"nlos_windows": [{"start": 12.0, "end": 15.0, "range_bias": 1.5}]},
     },
-    "nnet": {"epochs": 5},
     "fcnn": {"uwb": {"epochs": 5}, "baro": {"epochs": 10}},
     "fusion": {"epochs": 3},
 }
@@ -274,7 +274,7 @@ class TestConfig:
         [
             pytest.param("baro", {"nnet": {"batch_size": 2.5}}, "nnet.batch_size: must be an integer", id="nnet-batch"),
             pytest.param("baro", {"nnet": {"seed": 1.5}}, "nnet.seed: must be an integer", id="nnet-seed"),
-            pytest.param("uwb", {"nnet": {"epochs": "3"}}, "nnet.epochs: must be an integer", id="nnet-epochs"),
+            pytest.param("uwb", {"nnet": {"split": "0.5"}}, "nnet.split: must be a finite number", id="nnet-split"),
             pytest.param("baro", {"nnet": {"seed": True}}, "nnet.seed: must be an integer", id="nnet-seed-bool"),
             pytest.param("baro", {"fcnn": {"baro": {"epochs": 2.0}}}, "fcnn.baro.epochs: must be an integer",
                          id="fcnn-epochs"),
@@ -375,8 +375,28 @@ class TestConfig:
 
     def test_default_digest_is_pinned(self):
         # the manifest stamps this digest: a moved default changes it
-        digest = "476dd9e3da99d25dd59d88da9dc5a24f951532790267a80951d89338405719a8"
+        digest = "2e8a3de1dc9bb6b4cb5dd5895604780d6f64211a4c3d2d823fb595fc941da62b"
         assert config_digest(load_config(None)) == digest
+
+    @pytest.mark.parametrize("key", ["epochs", "learning_rate"])
+    def test_nnet_budget_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        # each sensor model's rate and epochs live in fcnn.uwb / fcnn.baro alone
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"nnet": {key: 5}}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+        assert capsys.readouterr().err == f"config error: nnet.{key}: unknown configuration key\n"
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("trainer, args", [
+        (train_uwb_model, (None,)), (train_baro_model, (None,)), (train_fusion, (None, None, None)),
+    ])
+    def test_library_trainer_has_no_default_budget(self, trainer, args):
+        with pytest.raises(TypeError, match="'cfg'"):
+            trainer(*args)
+
+    def test_default_ukf_section_is_the_ukf_state_scalars(self):
+        state = UkfState()
+        assert DEFAULT_CONFIG["ukf"] == {key: getattr(state, key) for key in ("alpha", "beta", "kappa", "q")}
 
     def test_default_document_builds_the_default_scenario(self):
         built, default = scenario_config(load_config(None)), ScenarioConfig()
@@ -807,6 +827,15 @@ class TestRun:
             ("fusion.json", "lambda", "a", "amfa"),
             ("uwb.json", "include_geometric", "no", "uwb-fcnn"),
             ("baro.json", "k", 2.5, "baro-fcnn"),
+            ("fusion.json", "attention.d_k", 16.7, "amfa"),
+            ("fusion.json", "attention.d_k", "16", "amfa"),
+            ("fusion.json", "attention.beta.x", "1.5", "amfa"),
+            ("fusion.json", "attention.beta.x", True, "amfa"),
+            ("fusion.json", "attention.b_prior.uwb.x", None, "amfa"),
+            # sizes below 1
+            ("fusion.json", "window", 0, "amfa"),
+            ("fusion.json", "attention.d_k", 0, "amfa"),
+            ("uwb.json", "k", 0, "uwb-fcnn"),
         ],
     )
     def test_model_file_value_of_the_wrong_json_type_exits_2_naming_it(
@@ -815,7 +844,11 @@ class TestRun:
         models = tmp_path / "models"
         shutil.copytree(pipeline["models"], models)
         doc = json.loads((models / filename).read_text())
-        doc[key] = value
+        *parents, leaf = key.split(".")
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[leaf] = value
         (models / filename).write_text(json.dumps(doc))
         out = tmp_path / "out.jsonl"
         proc = run_cli(["run", "--data", pipeline["data"], "--models", str(models), "--algo", algo,

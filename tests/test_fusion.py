@@ -886,8 +886,8 @@ class TestFusionTraining:
             None,
             None,
             None,
-            encoders,
-            params,
+            encoders=encoders,
+            params=params,
             cfg=TrainConfig(learning_rate=1e300, epochs=10, batch_size=8, seed=1),
             L=4,
             frames=toy_batch(frames),
@@ -912,7 +912,9 @@ class TestFusionTraining:
     def test_equals_the_per_array_reference(self, cfg):
         batch = toy_batch(mixed_frames(seed=3, n=30))
         encoders, params = random_model(5)
-        got_enc, got, history = train_fusion(None, None, None, encoders, params, cfg, L=4, frames=batch)
+        got_enc, got, history = train_fusion(
+            None, None, None, cfg=cfg, encoders=encoders, params=params, L=4, frames=batch
+        )
         want_enc, want, want_history = reference_train_fusion(batch, encoders, params, cfg)
         assert history == want_history
         for m in MODALITIES:
@@ -934,7 +936,9 @@ class TestFusionTraining:
         batch = toy_batch(mixed_frames(seed=3, n=30))
         encoders, params = random_model(5)
         cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=batch_size, seed=2)
-        got_enc, got, history = train_fusion(None, None, None, encoders, params, cfg, L=4, frames=batch)
+        got_enc, got, history = train_fusion(
+            None, None, None, cfg=cfg, encoders=encoders, params=params, L=4, frames=batch
+        )
         want_theta, want_history = concatenated_train_fusion(batch, encoders, params, cfg)
         assert history == want_history and len(history) == 3
         trained = {**vars(got), "enc_w": {m: net.weights for m, net in got_enc.items()}}
