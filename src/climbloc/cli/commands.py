@@ -7,7 +7,8 @@ directory, `train` fits the two sensor models and then the fusion bundle
 deterministic for a given config document, so re-running a manifest
 reproduces its outputs byte for byte.
 
-Exit codes: 0 ok, 2 config error, 3 missing input, 4 numerical failure.
+Exit codes: 0 ok, 2 config error, 3 missing input (or a path that cannot be
+opened as a file), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -115,19 +116,16 @@ _MODEL_KEYS = {"k": 1, "include_geometric": True, "window": 1, "lambda": 1.0,
 
 
 def _read_model(path, from_dict):
-    """from_dict(the JSON document at `path`); a document that is not an
-    object, lacks a key, holds a value of the wrong type or a window length
-    or key width below 1 is a ConfigError naming the file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: not a JSON object")
+    """from_dict(the JSON document at `path`); a document that does not
+    parse, is not an object, lacks a key, holds a value of the wrong type or
+    a window length or key width below 1 is a ConfigError naming the file."""
+    doc = cfgmod.read_document(path)
     for key, default in _MODEL_KEYS.items():
         if key in doc:
             value = doc[key]
             if key == "attention" and isinstance(value, dict):
                 value = {k: v for k, v in value.items() if k in default}
-            cfgmod._check(default, value, f"{path}: {key}")
+            cfgmod._check(default, value, f"{path}: {key}", complete=False)
     sizes = {"k": doc.get("k"), "window": doc.get("window"),
              "attention.d_k": doc.get("attention", {}).get("d_k")}
     for dotted, size in sizes.items():
@@ -366,7 +364,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (MissingInputError, FileNotFoundError) as err:
+    except (MissingInputError, OSError) as err:
         print(f"missing input: {err}", file=sys.stderr)
         return 3
     except NumericalFailureError as err:

@@ -22,6 +22,11 @@ int, a JSON integer but not a boolean; a float, any finite number; a bool,
 `true` or `false`; a null (`eval.match_tolerance`), null or a finite number.
 Value rules stay where the value is read. `config_digest` hashes the merged
 document, for the manifest.
+
+Every JSON document the CLI reads (the config, `anchor.json`, the model
+files, the manifest) is parsed by `read_document` and typed by `_check`: a
+config overlays the defaults, so its keys are optional, while `anchor.json`
+must hold every key of `records.ANCHOR_SCHEMA`.
 """
 
 from __future__ import annotations
@@ -93,8 +98,9 @@ DEFAULT_CONFIG = {
 _KINDS = {dict: "an object", list: "a list", bool: "true or false", int: "an integer"}
 
 
-def _check(default, value, dotted: str) -> None:
-    """Raise a ConfigError naming `dotted` unless `value` follows the type rule for `default`."""
+def _check(default, value, dotted: str, complete: bool) -> None:
+    """Raise a ConfigError naming `dotted` unless `value` follows the type rule
+    for `default`; with `complete`, every key of each default object is required."""
     kind = _KINDS.get(type(default))
     if kind:
         ok = type(value) is type(default)  # JSON values: a bool is not an int
@@ -104,14 +110,16 @@ def _check(default, value, dotted: str) -> None:
     if not ok:
         raise ConfigError(f"{dotted}: must be {kind}, got {value!r}")
     if isinstance(value, dict):
-        for key, item in value.items():
+        for key in [*value, *(key for key in default if complete and key not in value)]:
             path = f"{dotted}.{key}" if dotted else key
             if key not in default:
                 raise ConfigError(f"{path}: unknown configuration key")
-            _check(default[key], item, path)
+            if key not in value:
+                raise ConfigError(f"{path}: missing key")
+            _check(default[key], value[key], path, complete)
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            _check(default[0], item, f"{dotted}[{i}]")
+            _check(default[0], item, f"{dotted}[{i}]", complete)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -122,20 +130,28 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def read_document(path) -> dict:
+    """The JSON object in the file at `path`. An absent file is a
+    MissingInputError; a parse failure, a ConfigError naming the file and
+    line; a top level that is not an object, one naming the file."""
+    if not os.path.exists(path):
+        raise MissingInputError(f"file not found: {path}")
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}:{err.lineno}: invalid JSON ({err.msg})") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    return doc
+
+
 def load_config(path=None) -> dict:
     """Defaults, overlaid with the JSON document at `path` when given."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    if not os.path.exists(path):
-        raise MissingInputError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            user = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}:{err.lineno}: invalid JSON ({err.msg})") from err
-    if not isinstance(user, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    _check(DEFAULT_CONFIG, user, "")
+    user = read_document(path)
+    _check(DEFAULT_CONFIG, user, "", complete=False)
     return _merge(DEFAULT_CONFIG, user)
 
 

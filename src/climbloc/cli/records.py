@@ -1,5 +1,9 @@
 """File formats of the pipeline: JSONL streams, anchor/manifest documents.
 
+`anchor.json` and `manifest.json` are read by `config.read_document`;
+`anchor.json` must follow `ANCHOR_SCHEMA` under `config._check`'s type rule,
+and the types its values build check them (3x3 rotation, latitude range).
+
 Every JSONL line is one self-contained record. All units are SI (seconds,
 meters, radians, pascals); attitudes are unit quaternions (w, x, y, z).
 Floats are written with Python's shortest round-trip repr and read into
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from array import array
 from itertools import islice
@@ -43,9 +46,10 @@ from ..core import (
     UwbStream,
     Vec3Enu,
 )
-from ..errors import MissingInputError
+from ..errors import ConfigError, MissingInputError
 from ..sim import ScenarioData
 from ..solvers import BaroReference
+from .config import _build, _check, _document, read_document
 
 SCENARIO_FILES = {
     "truth": "truth.jsonl",
@@ -72,7 +76,6 @@ _STREAMS = {
     "baro": (BaroStream, {"t": "t", "pressure": "p", "internal_altitude": "h_int"}, None),
 }
 TRAJECTORY_KEYS = ("t", "x", "y", "z", "sx", "sy", "sz")
-_BARO_REFERENCE_KEYS = ("p0", "t0", "lapse_rate", "gravity", "molar_mass", "gas_constant")
 _NUMBER = {float, int}  # JSON numbers; bools are not numbers here
 # rows per write of a stream file: a chunk of 4096 rows raised the peak RSS
 # of `simulate` by 3.7 MB on a 40 s scenario, 256 keeps it at the old level
@@ -259,6 +262,15 @@ def anchor_document(scenario: ScenarioData) -> dict:
     }
 
 
+# the layout anchor_document writes, as a schema for the type rule of
+# cli/config.py: each key must hold a value of its default's JSON type
+ANCHOR_SCHEMA = {
+    "anchor": {"position": [0.0], "orientation": [[0.0]]},
+    "origin": _document(GeodeticPoint(0.0, 0.0, 0.0)),
+    "baro_reference": _document(BaroReference()),
+}
+
+
 def _write_stream(path, table, keys, flag=None, fixed=None) -> str:
     """Write one JSONL record per row of `table` in one pass; returns the
     SHA-256 of the bytes written.
@@ -315,61 +327,21 @@ def write_scenario(directory, scenario: ScenarioData) -> dict:
     return files
 
 
-def _has_shape(value, shape) -> bool:
-    """True when `value` is a finite JSON number, or nested lists of them of this shape."""
-    if not shape:
-        return type(value) in _NUMBER and math.isfinite(value)
-    return isinstance(value, list) and len(value) == shape[0] and all(_has_shape(v, shape[1:]) for v in value)
-
-
-def _anchor_field(doc, path, dotted: str, shape=()):
-    value, parents = doc, []
-    for key in dotted.split("."):
-        if not isinstance(value, dict):
-            raise ValueError(f"{path}: field {'.'.join(parents)!r} must be an object, got {value!r}")
-        if key not in value:
-            raise ValueError(f"{path}: missing field {dotted!r}")
-        value = value[key]
-        parents.append(key)
-    if not _has_shape(value, shape):
-        expected = "a finite number" if not shape else "x".join(map(str, shape)) + " finite numbers"
-        raise ValueError(f"{path}: field {dotted!r} must be {expected}, got {value!r}")
-    return value
-
-
 def _read_anchor(directory):
-    """(anchor pose, origin, baro reference) from anchor.json; a missing or
-    malformed field is a ValueError naming the file and its dotted key."""
+    """(anchor pose, origin, baro reference) from anchor.json; a missing,
+    unknown or refused field is a ConfigError naming the file and its dotted key."""
     path = os.path.join(directory, ANCHOR_FILE)
-    if not os.path.exists(path):
-        raise MissingInputError(f"anchor file not found: {path}")
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: not a JSON document ({err})") from err
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a JSON object")
-
-    def build(dotted, make):
-        try:
-            return make()
-        except ValueError as err:
-            raise ValueError(f"{path}: field {dotted!r}: {err}") from None
-
-    position = _anchor_field(doc, path, "anchor.position", (3,))
-    orientation = _anchor_field(doc, path, "anchor.orientation", (3, 3))
-    origin = [_anchor_field(doc, path, f"origin.{k}") for k in ("lat", "lon", "height")]
-    reference = {k: float(_anchor_field(doc, path, f"baro_reference.{k}")) for k in _BARO_REFERENCE_KEYS}
-    anchor = AnchorPose(
-        position=Vec3Enu.from_array(position),
-        orientation=build("anchor.orientation", lambda: Rotation(orientation)),
-    )
-    return (
-        anchor,
-        build("origin.lat", lambda: GeodeticPoint(*(float(v) for v in origin))),
-        build("baro_reference", lambda: BaroReference(**reference)),
-    )
+    doc = read_document(path)
+    try:
+        _check(ANCHOR_SCHEMA, doc, "", complete=True)
+        origin, reference = ({k: float(v) for k, v in doc[key].items()} for key in ("origin", "baro_reference"))
+        anchor = AnchorPose(
+            position=_build("anchor.position", Vec3Enu.from_array, {"a": doc["anchor"]["position"]}),
+            orientation=_build("anchor.orientation", Rotation, {"matrix": doc["anchor"]["orientation"]}),
+        )
+        return anchor, _build("origin.lat", GeodeticPoint, origin), _build("baro_reference", BaroReference, reference)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def read_scenario(directory) -> ScenarioData:
@@ -390,8 +362,4 @@ def write_manifest(directory, manifest: dict) -> str:
 
 
 def read_manifest(directory) -> dict:
-    path = os.path.join(directory, MANIFEST_FILE)
-    if not os.path.exists(path):
-        raise MissingInputError(f"manifest not found: {path}")
-    with open(path) as fh:
-        return json.load(fh)
+    return read_document(os.path.join(directory, MANIFEST_FILE))

@@ -1,7 +1,9 @@
 """Tests for the file-based pipeline: config, record IO, and the commands."""
 
+import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -154,6 +156,15 @@ def pipeline(tmp_path_factory):
     return run_pipeline(tmp_path_factory.mktemp("pipeline"), SHORT_CONFIG)
 
 
+@pytest.fixture
+def workspace(pipeline, tmp_path):
+    """A copy of the pipeline's config (c.json), scenario (data/) and models (models/)."""
+    shutil.copy(pipeline["config"], tmp_path / "c.json")
+    shutil.copytree(pipeline["data"], tmp_path / "data")
+    shutil.copytree(pipeline["models"], tmp_path / "models")
+    return tmp_path
+
+
 def _leaves(node, steps=()):
     """(steps, default) for every leaf of a default document; a list's steps
     go through its first item, index 0."""
@@ -166,11 +177,22 @@ def _leaves(node, steps=()):
         yield steps, node
 
 
-def _nest(steps, value):
-    """The smallest document holding `value` at `steps`."""
-    for step in reversed(steps):
-        value = [value] if isinstance(step, int) else {step: value}
-    return value
+_REMOVED = object()  # a leaf value meaning: the key that holds the leaf is removed
+
+
+def _nest(schema, steps, value):
+    """A copy of `schema` holding `value` at `steps`, or, for _REMOVED,
+    without the key that ends `steps`; every other leaf keeps its default."""
+    doc = copy.deepcopy(schema)
+    *parents, last = steps
+    node = doc
+    for step in parents:
+        node = node[step]
+    if value is _REMOVED:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
 
 
 def _dotted(steps) -> str:
@@ -193,9 +215,23 @@ def _refused(default):
 
 
 @st.composite
-def refused_leaf(draw):
-    steps, default = draw(st.sampled_from(list(_leaves(DEFAULT_CONFIG))))
+def refused_leaf(draw, schema, required):
+    """(steps, value): a leaf of `schema` and a JSON value the type rule
+    refuses there; where every key is `required`, possibly _REMOVED at the
+    key that holds the leaf (a list's key, for a list item)."""
+    steps, default = draw(st.sampled_from(list(_leaves(schema))))
+    if required and draw(st.booleans()):
+        return tuple(itertools.takewhile(lambda step: isinstance(step, str), steps)), _REMOVED
     return steps, draw(_refused(default))
+
+
+# (schema, file name, reader, every key required, error prefix) of each JSON
+# document the type rule checks; the reader takes the document's path
+_DOCUMENTS = [
+    (DEFAULT_CONFIG, "c.json", load_config, False, lambda path: ""),
+    (records.ANCHOR_SCHEMA, records.ANCHOR_FILE, lambda path: records._read_anchor(os.path.dirname(path)), True,
+     lambda path: f"{path}: "),
+]
 
 
 class TestConfig:
@@ -362,16 +398,19 @@ class TestConfig:
         assert "Traceback" not in proc.stderr
         assert [p.name for p in tmp_path.rglob("*")] == ["c.json"]
 
-    @given(refused_leaf())
-    def test_value_of_the_wrong_json_type_raises_naming_its_path(self, leaf):
-        steps, value = leaf
+    @given(st.data())
+    def test_value_of_the_wrong_json_type_raises_naming_its_path(self, data):
+        # the config document and anchor.json, one property for both schemas
+        schema, filename, read, required, prefix = data.draw(st.sampled_from(_DOCUMENTS))
+        steps, value = data.draw(refused_leaf(schema, required))
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "c.json")
+            path = os.path.join(tmp, filename)
             with open(path, "w") as fh:
-                json.dump(_nest(steps, value), fh)
+                json.dump(_nest(schema, steps, value), fh)
             with pytest.raises(ConfigError) as err:
-                load_config(path)
-        assert str(err.value).startswith(f"{_dotted(steps)}: must be"), str(err.value)
+                read(path)
+        rule = "missing key" if value is _REMOVED else "must be"
+        assert str(err.value).startswith(f"{prefix(path)}{_dotted(steps)}: {rule}"), str(err.value)
 
     def test_default_digest_is_pinned(self):
         # the manifest stamps this digest: a moved default changes it
@@ -598,6 +637,8 @@ class TestRecords:
             pytest.param("origin.lat", lambda d: d["origin"].update(lat=2.0), id="latitude-out-of-range"),
             pytest.param("origin", lambda d: d.update(origin=[0.48, 0.3, 50.0]), id="origin-not-an-object"),
             pytest.param("baro_reference.t0", lambda d: d["baro_reference"].pop("t0"), id="missing-t0"),
+            pytest.param("extra", lambda d: d.update(extra=1), id="unknown-key"),
+            pytest.param("origin.foo", lambda d: d["origin"].update(foo=1.0), id="unknown-nested-key"),
         ],
     )
     def test_bad_anchor_field_exits_2_naming_it(self, pipeline, tmp_path, dotted, edit):
@@ -610,7 +651,7 @@ class TestRecords:
                         "--out", str(tmp_path / "out.jsonl")])
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "anchor.json" in proc.stderr and repr(dotted) in proc.stderr, proc.stderr
+        assert proc.stderr.startswith(f"config error: {data / 'anchor.json'}: {dotted}: "), proc.stderr
 
     def test_trajectory_rejects_mixed_algos(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -857,6 +898,45 @@ class TestRun:
         assert proc.stderr.startswith(f"config error: {models / filename}: {key}: must be"), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    # the files `run --algo amfa --config c.json` reads as JSON documents
+    JSON_INPUTS = ("c.json", "data/anchor.json", "models/uwb.json", "models/baro.json", "models/fusion.json")
+
+    @pytest.mark.parametrize("damage", ["truncated", "list"])
+    @pytest.mark.parametrize("name", JSON_INPUTS)
+    def test_json_input_that_is_not_an_object_exits_2_naming_the_file(self, workspace, name, damage):
+        path = workspace / name
+        text = path.read_text()
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+            with pytest.raises(json.JSONDecodeError) as err:
+                json.loads(text)
+            expected = f"config error: {path}:{err.value.lineno}: invalid JSON ("
+        else:
+            text = json.dumps([json.loads(text)])
+            expected = f"config error: {path}: top level must be a JSON object"
+        path.write_text(text)
+        out = workspace / "out.jsonl"
+        proc = run_cli(["run", "--data", str(workspace / "data"), "--models", str(workspace / "models"),
+                        "--algo", "amfa", "--out", str(out), "--config", str(workspace / "c.json")])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(expected), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", [*JSON_INPUTS[:3], "data/imu.jsonl", "out.jsonl"])
+    def test_directory_where_a_file_is_expected_exits_3_naming_it(self, workspace, name):
+        path = workspace / name
+        if path.exists():
+            path.unlink()
+        path.mkdir()
+        out = workspace / "out.jsonl"
+        proc = run_cli(["run", "--data", str(workspace / "data"), "--models", str(workspace / "models"),
+                        "--algo", "uwb-fcnn", "--out", str(out), "--config", str(workspace / "c.json")])
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(path) in proc.stderr, proc.stderr
+        assert not out.is_file()
 
     @pytest.mark.parametrize("algo, window", [("amfa", "L"), ("uwb-fcnn", "k"), ("baro-fcnn", "k")])
     def test_run_shorter_than_one_window_exits_3_naming_it(self, pipeline, tmp_path, algo, window):
