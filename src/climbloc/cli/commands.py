@@ -34,6 +34,7 @@ from ..fusion import (
     init_encoders,
     train_fusion,
 )
+from ..fusion.serialize import BUNDLE_VERSION
 from ..metrics import (
     REFERENCE_LABEL,
     REFERENCE_MAX_M,
@@ -110,7 +111,7 @@ def cmd_simulate(config_path, out_dir) -> dict:
 # a bundle's attention object only the scalars, since a per-float check of its
 # weight lists would add milliseconds to every amfa run
 _MODEL_KEYS = {"k": 1, "include_geometric": True, "window": 1, "lambda": 1.0,
-               "ukf": {**cfgmod.DEFAULT_CONFIG["ukf"], "mean": [0.0], "cov": [[0.0]]},
+               "ukf": cfgmod.DEFAULT_CONFIG["ukf"],
                "attention": {"d_k": 1, "beta": dict.fromkeys(AXES, 1.0),
                              "b_prior": {m: dict.fromkeys(AXES, 1.0) for m in MODALITIES}}}
 
@@ -118,8 +119,11 @@ _MODEL_KEYS = {"k": 1, "include_geometric": True, "window": 1, "lambda": 1.0,
 def _read_model(path, from_dict):
     """from_dict(the JSON document at `path`); a document that does not
     parse, is not an object, lacks a key, holds a value of the wrong type or
-    a window length or key width below 1 is a ConfigError naming the file."""
+    a window length or key width below 1 is a ConfigError naming the file,
+    as is a fusion bundle of another version than this one writes."""
     doc = cfgmod.read_document(path)
+    if doc.get("kind") == "fusion" and doc.get("version") != BUNDLE_VERSION:
+        raise ConfigError(f"{path}: fusion bundle version {doc.get('version')!r}, not {BUNDLE_VERSION}; retrain it")
     for key, default in _MODEL_KEYS.items():
         if key in doc:
             value = doc[key]
@@ -139,6 +143,13 @@ def _read_model(path, from_dict):
         raise ConfigError(f"{path}: a value has the wrong type ({err})") from None
 
 
+def _refuse_directories(*paths) -> None:
+    """Refuse, before any work, an output file path that is a directory."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise MissingInputError(f"{path}: is a directory, not a file to write")
+
+
 def _load_sensor_model(models_dir, which):
     path = os.path.join(models_dir, MODEL_FILES[which])
     if not os.path.exists(path):
@@ -154,6 +165,7 @@ def cmd_train(model, data_dir, out_path, config_path=None):
     """Fit one stage and write its JSON file plus a loss-history CSV.
 
     The fusion stage reads the sensor models beside `out_path`."""
+    _refuse_directories(out_path, _history_path(out_path))
     doc = cfgmod.load_config(config_path)
     scenario = records.read_scenario(data_dir)
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
@@ -253,6 +265,7 @@ def run_algorithm(scenario, algo, models_dir=None):
 
 
 def cmd_run(data_dir, models_dir, algo, out_path, config_path=None):
+    _refuse_directories(out_path)
     cfgmod.load_config(config_path)  # a bad document exits 2 before any work
     scenario = records.read_scenario(data_dir)
     track = run_algorithm(scenario, algo, models_dir=models_dir)

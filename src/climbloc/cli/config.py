@@ -5,15 +5,15 @@ One file configures the whole pipeline, split into sections:
     nnet    training settings both sensor models share (batch, seed, weights, split)
     fcnn    sensor-model architecture plus each model's rate and epochs
     fusion  attention fusion dimensions and its training run
-    ukf     sigma-point filter tuning
+    ukf     the UKF process noise q
     eval    report thresholds and the accuracy/uncertainty trade-off weights
 
 The sim defaults live only in the `climbloc.sim` dataclasses: `sim` is the
 JSON form of `ScenarioConfig()` (objects for dataclasses, lists for tuples),
 less the fixed standard atmosphere and anchor boresight; the anchor is set by
 its east/north/up `anchor_position`. Likewise `nnet` is the JSON form of the
-`TrainConfig()` fields both sensor models share, and `ukf` of `UkfState()`
-less its mean and covariance. A training budget lives in the document alone.
+`TrainConfig()` fields both sensor models share, and `ukf` holds the UKF's
+one setting, `UkfState().q`. A training budget lives in the document alone.
 
 `DEFAULT_CONFIG` is also the schema: `_check` refuses, naming its dotted path,
 a value without the JSON type of its default. An object takes known keys; a
@@ -86,7 +86,7 @@ DEFAULT_CONFIG = {
         "seed": 0,
         "split": 0.95,
     },
-    "ukf": {f.name: f.default for f in fields(UkfState) if f.name not in ("mean", "cov")},
+    "ukf": {"q": UkfState.q},
     "eval": {
         "cdf_thresholds": [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0],
         "k1": 1.0,
@@ -131,16 +131,19 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def read_document(path) -> dict:
-    """The JSON object in the file at `path`. An absent file is a
+    """The JSON object in the UTF-8 file at `path`. An absent file is a
     MissingInputError; a parse failure, a ConfigError naming the file and
-    line; a top level that is not an object, one naming the file."""
+    line; bytes that are not UTF-8, nesting too deep to parse or a top level
+    that is not an object, one naming the file."""
     if not os.path.exists(path):
         raise MissingInputError(f"file not found: {path}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path}:{err.lineno}: invalid JSON ({err.msg})") from None
+        except (UnicodeDecodeError, RecursionError) as err:  # bytes not UTF-8, nesting too deep
+            raise ConfigError(f"{path}: unreadable JSON ({err})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc

@@ -83,17 +83,20 @@ _ROWS_PER_WRITE = 256
 
 
 def _records(path):
-    """Yield (line number, fields) per non-blank line; errors carry the file and line."""
+    """Yield (line number, fields) per non-blank UTF-8 line; errors carry the file and line."""
     if not os.path.exists(path):
         raise MissingInputError(f"stream file not found: {path}")
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 fields = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}:{lineno}: not a JSON record ({err.msg})") from err
+            except (UnicodeDecodeError, RecursionError) as err:  # bytes not UTF-8, nesting too deep
+                raise ValueError(f"{path}:{lineno}: unreadable JSON record ({err})") from None
             if not isinstance(fields, dict):
                 raise ValueError(f"{path}:{lineno}: not a JSON object")
             yield lineno, fields
@@ -101,7 +104,7 @@ def _records(path):
 
 def _line_of(path, row: int) -> int:
     """Line number of the row-th (0-based) record of a JSONL file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
         return next(islice(lines, row, None))
 

@@ -27,7 +27,7 @@ from .pipeline import (
 )
 from .serialize import fusion_from_dict, fusion_to_dict
 from .train import fusion_loss, fusion_loss_and_grads, train_fusion
-from .ukf import UkfState, merwe_weights, ukf_step
+from .ukf import UkfState, ukf_step
 
 __all__ = [
     "AXES",
@@ -54,7 +54,6 @@ __all__ = [
     "fusion_to_dict",
     "init_attention_params",
     "init_encoders",
-    "merwe_weights",
     "run_fusion",
     "stack_frames",
     "train_fusion",

@@ -1,4 +1,6 @@
-"""One versioned JSON document for the whole fusion parameter bundle."""
+"""One versioned JSON document for the whole fusion parameter bundle. Its `ukf`
+object holds `q` alone (the filter starts from the mean and covariance of
+`UkfState()`); a bundle of another version is refused, not migrated."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from .attention import AXES, MODALITIES, AttentionParams
 from .pipeline import DEFAULT_L
 from .ukf import UkfState
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 
 def fusion_to_dict(
@@ -32,14 +34,7 @@ def fusion_to_dict(
             "w_r": {s: params.w_r[s].tolist() for s in AXES},
             "b_prior": {m: {s: float(params.b_prior[(m, s)]) for s in AXES} for m in MODALITIES},
         },
-        "ukf": {
-            "mean": ukf.mean.tolist(),
-            "cov": ukf.cov.tolist(),
-            "alpha": ukf.alpha,
-            "beta": ukf.beta,
-            "kappa": ukf.kappa,
-            "q": ukf.q,
-        },
+        "ukf": {"q": ukf.q},
     }
 
 
@@ -58,14 +53,6 @@ def fusion_from_dict(doc: dict):
         b_prior={(m, s): float(att["b_prior"][m][s]) for m in MODALITIES for s in AXES},
         d_k=int(att["d_k"]),
     )
-    u = doc["ukf"]
-    ukf = UkfState(
-        mean=np.asarray(u["mean"], dtype=float),
-        cov=np.asarray(u["cov"], dtype=float),
-        alpha=float(u["alpha"]),
-        beta=float(u["beta"]),
-        kappa=float(u["kappa"]),
-        q=float(u["q"]),
-    )
+    ukf = UkfState(q=float(doc["ukf"]["q"]))
     encoders = {m: net_from_dict(doc["encoders"][m]) for m in MODALITIES}
     return encoders, params, ukf, int(doc["window"]), float(doc["lambda"])

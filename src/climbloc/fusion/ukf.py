@@ -1,19 +1,24 @@
 """Constant-velocity UKF consuming fused position observations.
 
-State is [position (3), velocity (3)]. Sigma points use the scaled unscented
-transform (alpha, kappa spread; beta folds in prior distribution knowledge).
-The dynamics and measurement are linear here, so the filter must agree with a
-linear Kalman filter to numerical precision; the sigma-point machinery earns
-its keep only by keeping the update robust when the adaptive measurement
-covariance varies wildly between epochs.
+State is [position (3), velocity (3)]. The dynamics and measurement are
+linear here, so the filter must agree with a linear Kalman filter to
+numerical precision; the sigma-point machinery earns its keep only by
+keeping the update robust when the adaptive measurement covariance varies
+wildly between epochs.
 
-The transform is evaluated in deviation form: the Merwe set is symmetric
-(chi_i = mean +/- spread columns), so its weighted mean IS the transformed
-center and the covariance sums run over the +/- deviations alone. Carrying
-deviations instead of absolute points matters because small alpha makes the
-center weight ~ -1/alpha^2; multiplying that into numbers quantized at the
-trajectory's magnitude would cost ~6 digits, while deviations are quantized
-at the spread's own scale.
+The scaled unscented transform is evaluated in deviation form: the sigma
+points are the mean and the mean +/- each column of chol(alpha^2 (n+kappa) P),
+a symmetric set whose weighted mean IS the transformed center, so the
+covariance sums run over the +/- deviations alone, quantized at the spread's
+own scale (absolute points, quantized at the trajectory's, times the center
+weight ~ -1/alpha^2 would cost ~6 digits). In this form the spread cancels:
+deviations scale with alpha sqrt(n+kappa), their weights with
+1 / (alpha^2 (n+kappa)), and beta enters only the center weight, which
+multiplies a zero deviation. So alpha = 1e-3 and kappa = 0 are constants and
+`q` is the one setting: on the 120 s default scenario, beta at 0 or 100 kept
+the amfa trajectory's bytes, alpha at 0.1 or 1 and kappa at 3 or -5.9 moved
+no position or sigma by over 8e-15 m, and kappa = -7 (n + kappa < 0) only
+failed the factorization, exit 4.
 """
 
 from __future__ import annotations
@@ -26,6 +31,13 @@ import numpy as np
 from ..errors import NumericalFailureError
 
 
+# n + lambda = alpha^2 (n + kappa) for n = 6, formed directly (lambda - n + n
+# would cancel ~6 digits); each +/- point weighs 1 / (2 (n + lambda))
+_ALPHA, _KAPPA = 1e-3, 0.0
+_SPREAD = _ALPHA * _ALPHA * (6 + _KAPPA)
+_WEIGHT = 1.0 / (2.0 * _SPREAD)
+
+
 def _default_cov() -> np.ndarray:
     return np.diag([4.0, 4.0, 4.0, 1.0, 1.0, 1.0])
 
@@ -34,9 +46,6 @@ def _default_cov() -> np.ndarray:
 class UkfState:
     mean: np.ndarray = field(default_factory=lambda: np.zeros(6))
     cov: np.ndarray = field(default_factory=_default_cov)
-    alpha: float = 1e-3
-    beta: float = 2.0
-    kappa: float = 0.0
     q: float = 0.05  # process-noise intensity, m^2/s^3
 
     def __post_init__(self):
@@ -51,30 +60,15 @@ class UkfState:
             raise ValueError("covariance must be symmetric")
         if float(np.min(np.linalg.eigvalsh((cov + cov.T) / 2.0))) < -1e-12 * scale:
             raise ValueError("covariance must be positive semidefinite within tolerance")
-        if self.alpha <= 0 or self.q < 0:
-            raise ValueError("alpha must be > 0 and q >= 0")
+        if self.q < 0:
+            raise ValueError("q must be >= 0")
 
 
-def merwe_weights(n: int, alpha: float, beta: float, kappa: float):
-    """Mean and covariance weights of the 2n+1 scaled sigma points.
-
-    n + lambda is formed directly as alpha^2 (n + kappa), never by the
-    cancelling subtraction lambda = alpha^2 (n + kappa) - n followed by
-    re-adding n; for small alpha that subtraction costs ~6 digits.
-    """
-    d = alpha * alpha * (n + kappa)
-    wm = np.full(2 * n + 1, 1.0 / (2.0 * d))
-    wc = wm.copy()
-    wm[0] = 1.0 - n / d
-    wc[0] = wm[0] + 1.0 - alpha * alpha + beta
-    return wm, wc
-
-
-def _sigma_deviations(cov, alpha, kappa) -> np.ndarray:
-    """Rows 0, 1..n, n+1..2n: the 0 and +/- columns of chol(alpha^2 (n+k) P)."""
-    n = len(cov)
-    spread = _robust_cholesky(alpha * alpha * (n + kappa) * cov)
-    return np.concatenate([np.zeros((1, n)), spread.T, -spread.T])
+def _sigma_deviations(cov) -> np.ndarray:
+    """Rows 0..n-1, n..2n-1: the + and - columns of chol(alpha^2 (n+k) P);
+    the center point's deviation is zero and adds nothing to any sum."""
+    spread = _robust_cholesky(_SPREAD * cov)
+    return np.concatenate([spread.T, -spread.T])
 
 
 def _robust_cholesky(mat) -> np.ndarray:
@@ -95,17 +89,16 @@ def _robust_cholesky(mat) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _step_constants(alpha: float, beta: float, kappa: float, q: float, dt: float):
-    """Read-only covariance weights (a column), transition and process noise of one step."""
-    _, wc = merwe_weights(6, alpha, beta, kappa)
+def _step_constants(q: float, dt: float):
+    """Read-only transition and process noise of one step."""
     f, qn = np.eye(6), np.zeros((6, 6))
     f[0:3, 3:6] = dt * np.eye(3)
     qn[0:3, 0:3] = q * dt**3 / 3.0 * np.eye(3)
     qn[0:3, 3:6] = qn[3:6, 0:3] = q * dt**2 / 2.0 * np.eye(3)
     qn[3:6, 3:6] = q * dt * np.eye(3)
-    for a in (wc, f, qn):
+    for a in (f, qn):
         a.flags.writeable = False
-    return wc[:, None], f, qn
+    return f, qn
 
 
 def ukf_step(state: UkfState, obs, dt: float):
@@ -121,23 +114,23 @@ def ukf_step(state: UkfState, obs, dt: float):
     variance = np.asarray(obs.variance, dtype=float)
     if np.any(variance <= 0):
         raise ValueError("observation variance components must be > 0")
-    wc, f, qn = _step_constants(state.alpha, state.beta, state.kappa, state.q, dt)
+    f, qn = _step_constants(state.q, dt)
 
     # predict: sigma points chi_i = mean + dev_i map to F mean + F dev_i;
     # the symmetric set's weighted mean is exactly the transformed center
-    dev = _sigma_deviations(state.cov, state.alpha, state.kappa)
+    dev = _sigma_deviations(state.cov)
     dev_pred = dev @ f.T
     mean_pred = f @ state.mean
-    cov_pred = dev_pred.T @ (wc * dev_pred) + qn
+    cov_pred = dev_pred.T @ (_WEIGHT * dev_pred) + qn
     cov_pred = (cov_pred + cov_pred.T) / 2.0
 
     # update: fresh sigma points from the predicted density; the position
     # measurement reads the first three state components
-    dev_upd = _sigma_deviations(cov_pred, state.alpha, state.kappa)
+    dev_upd = _sigma_deviations(cov_pred)
     dz = dev_upd[:, 0:3]
-    s = dz.T @ (wc * dz)
+    s = dz.T @ (_WEIGHT * dz)
     s.flat[::4] += variance
-    c = dev_upd.T @ (wc * dz)
+    c = dev_upd.T @ (_WEIGHT * dz)
     gain = c @ np.linalg.inv(s)
     innovation = np.asarray(obs.position, dtype=float) - mean_pred[0:3]
     mean_new = mean_pred + gain @ innovation

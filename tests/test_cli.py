@@ -30,7 +30,7 @@ from climbloc.cli import (
     read_table,
     read_trajectory,
 )
-from climbloc.cli import records
+from climbloc.cli import commands, records
 from climbloc.cli.config import DEFAULT_CONFIG, scenario_config, sensor_train_config
 from climbloc.cli.commands import run_algorithm
 from climbloc.cli.records import COLUMNS_DIR, write_scenario, write_trajectory
@@ -414,16 +414,24 @@ class TestConfig:
 
     def test_default_digest_is_pinned(self):
         # the manifest stamps this digest: a moved default changes it
-        digest = "2e8a3de1dc9bb6b4cb5dd5895604780d6f64211a4c3d2d823fb595fc941da62b"
+        digest = "a912b8067724934094d78e0e56d6f1433287e68c54ab63757c2b74e86bf61dd8"
         assert config_digest(load_config(None)) == digest
 
-    @pytest.mark.parametrize("key", ["epochs", "learning_rate"])
-    def test_nnet_budget_key_exits_2_naming_it(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("dotted", [
         # each sensor model's rate and epochs live in fcnn.uwb / fcnn.baro alone
+        pytest.param("nnet.epochs", id="epochs"),
+        pytest.param("nnet.learning_rate", id="learning_rate"),
+        # the UKF's sigma-point spread is a constant of fusion/ukf.py
+        pytest.param("ukf.alpha", id="ukf-alpha"),
+        pytest.param("ukf.beta", id="ukf-beta"),
+        pytest.param("ukf.kappa", id="ukf-kappa"),
+    ])
+    def test_nnet_budget_key_exits_2_naming_it(self, tmp_path, capsys, dotted):
+        section, key = dotted.split(".")
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"nnet": {key: 5}}))
+        path.write_text(json.dumps({section: {key: 5}}))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
-        assert capsys.readouterr().err == f"config error: nnet.{key}: unknown configuration key\n"
+        assert capsys.readouterr().err == f"config error: {dotted}: unknown configuration key\n"
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("trainer, args", [
@@ -434,8 +442,7 @@ class TestConfig:
             trainer(*args)
 
     def test_default_ukf_section_is_the_ukf_state_scalars(self):
-        state = UkfState()
-        assert DEFAULT_CONFIG["ukf"] == {key: getattr(state, key) for key in ("alpha", "beta", "kappa", "q")}
+        assert DEFAULT_CONFIG["ukf"] == {"q": UkfState().q}
 
     def test_default_document_builds_the_default_scenario(self):
         built, default = scenario_config(load_config(None)), ScenarioConfig()
@@ -937,6 +944,74 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert str(path) in proc.stderr, proc.stderr
         assert not out.is_file()
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_directory_out_exits_3_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        def never(*args, **kwargs):
+            raise AssertionError("work started for a directory --out")
+
+        for module, name in [(records, "read_scenario"), (commands, "run_algorithm"), (commands, "train_uwb_model")]:
+            monkeypatch.setattr(module, name, never)
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "run":
+            args = ["run", "--algo", "uwb-fcnn", "--models", str(tmp_path)]
+        else:
+            args = ["train", "--model", "uwb"]
+        assert main([*args, "--data", str(tmp_path / "data"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"missing input: {out}: is a directory, not a file to write\n"
+
+    def test_fusion_bundle_of_an_older_version_exits_2_naming_the_file(self, workspace):
+        path = workspace / "models" / "fusion.json"
+        doc = json.loads(path.read_text())
+        # the version 1 layout, whose ukf object also held the initial state and the sigma-point spread
+        doc.update(version=1, ukf={"mean": [0.0] * 6, "cov": np.diag([4.0, 4.0, 4.0, 1.0, 1.0, 1.0]).tolist(),
+                                   "alpha": 0.001, "beta": 2.0, "kappa": 0.0, "q": 0.05})
+        path.write_text(json.dumps(doc))
+        out = workspace / "out.jsonl"
+        proc = run_cli(["run", "--data", str(workspace / "data"), "--models", str(workspace / "models"),
+                        "--algo", "amfa", "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error: {path}: fusion bundle version 1, not 2; retrain it"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            *[pytest.param(name, "not-utf8", id=f"{name}-not-utf8")
+              for name in ("c.json", "data/anchor.json", "models/uwb.json", "data/imu.jsonl", "traj.jsonl")],
+            pytest.param("c.json", "deep", id="c.json-deep"),
+            pytest.param("data/uwb.jsonl", "deep", id="data/uwb.jsonl-deep"),
+        ],
+    )
+    def test_unreadable_json_input_exits_2_naming_the_file(self, workspace, pipeline, name, damage):
+        # a byte that is not UTF-8, or nesting too deep for the parser's recursion
+        shutil.copy(pipeline["trajectories"]["amfa"], workspace / "traj.jsonl")
+        path = workspace / name
+        lines = path.read_bytes().split(b"\n")
+        jsonl = name.endswith(".jsonl")
+        row = 4 if jsonl else 0  # a record's line, or a document's first line
+        if damage == "not-utf8":
+            lines[row] = lines[row].replace(b"{", b'{"\xff": 0, ', 1)
+        else:
+            lines[row] = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(b"\n".join(lines))
+        if name == "traj.jsonl":
+            args = ["report", "--est", str(path), "--truth", str(workspace / "data" / "truth.jsonl"),
+                    "--out", str(workspace / "report")]
+        else:
+            args = ["run", "--data", str(workspace / "data"), "--models", str(workspace / "models"), "--algo", "amfa",
+                    "--out", str(workspace / "out.jsonl"), "--config", str(workspace / "c.json")]
+        proc = run_cli(args)
+        assert proc.returncode == 2, proc.stderr
+        if jsonl:
+            expected = f"invalid data: {path}:5: unreadable JSON record ("
+        else:
+            expected = f"config error: {path}: unreadable JSON ("
+        assert proc.stderr.startswith(expected), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (workspace / "out.jsonl").exists()
 
     @pytest.mark.parametrize("algo, window", [("amfa", "L"), ("uwb-fcnn", "k"), ("baro-fcnn", "k")])
     def test_run_shorter_than_one_window_exits_3_naming_it(self, pipeline, tmp_path, algo, window):

@@ -26,7 +26,6 @@ from climbloc.fusion import (
     fusion_to_dict,
     init_attention_params,
     init_encoders,
-    merwe_weights,
     run_fusion,
     train_fusion,
     ukf_step,
@@ -333,18 +332,6 @@ class TestEncode:
 
 
 class TestUkf:
-    def test_mean_weights_sum_to_one(self):
-        # exact identity in real arithmetic; in float64 the achievable
-        # absolute error scales with the weight magnitude (|w0| ~ 1e6 at
-        # alpha = 1e-3), so the tolerance is relative to that scale
-        wm, wc = merwe_weights(6, 1e-3, 2.0, 0.0)
-        assert abs(wm.sum() - 1.0) <= 1e-12 * max(1.0, float(np.abs(wm).max()))
-        assert len(wm) == len(wc) == 13
-
-    def test_mean_weights_sum_exactly_for_moderate_alpha(self):
-        wm, _ = merwe_weights(6, 1.0, 2.0, 3.0)
-        assert wm.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_zero_innovation_keeps_mean_and_contracts(self):
         state = UkfState()
         # measurement placed exactly at the predicted position (zero motion)
@@ -395,6 +382,15 @@ class TestUkf:
     def test_hopeless_covariance_aborts_with_diagnostics(self):
         with pytest.raises(NumericalFailureError, match="eigenvalues"):
             _robust_cholesky(np.diag([1.0, 1.0, -1.0]))
+
+    def test_process_noise_moves_the_fused_track(self):
+        # q is the filter's one setting, so it must reach the track
+        batch = toy_batch(toy_frames())
+        encoders, params = init_encoders(L=4, d_e=8, hidden=16), init_attention_params(d_e=8, d_k=4)
+        (_, calm, _), _ = run_fusion(batch, encoders, params, ukf_state=UkfState(q=0.05))
+        (_, agile, _), _ = run_fusion(batch, encoders, params, ukf_state=UkfState(q=0.5))
+        assert np.all(np.isfinite(calm)) and np.all(np.isfinite(agile))
+        assert np.abs(calm - agile).max() > 1e-3
 
     def test_rejects_bad_inputs(self):
         obs = FusedObservation(t=0.1, position=np.zeros(3), variance=np.ones(3))
