@@ -49,8 +49,6 @@ from ..metrics import (
     write_metrics_csv,
 )
 from ..models import (
-    BaroFcnnModel,
-    UwbFcnnModel,
     baro_fcnn_infer,
     model_from_dict,
     model_to_dict,
@@ -116,27 +114,39 @@ _MODEL_KEYS = {"k": 1, "include_geometric": True, "window": 1, "lambda": 1.0,
                              "b_prior": {m: dict.fromkeys(AXES, 1.0) for m in MODALITIES}}}
 
 
-def _read_model(path, from_dict):
-    """from_dict(the JSON document at `path`); a document that does not
-    parse, is not an object, lacks a key, holds a value of the wrong type or
-    a window length or key width below 1 is a ConfigError naming the file,
-    as is a fusion bundle of another version than this one writes."""
+def _load_model(models_dir, which):
+    """The model `train --model <which>` writes into `models_dir`: a sensor
+    model, or the fusion bundle's (encoders, params, ukf state, L, lambda).
+
+    An absent file is a MissingInputError naming that stage. A document that
+    does not parse or is not an object, is of another kind than the stage
+    writes, is a fusion bundle of another version than this one writes, lacks
+    a key, or holds a value of the wrong type or a size below 1 is a
+    ConfigError naming the file."""
+    path = os.path.join(models_dir, MODEL_FILES[which])
+    if not os.path.exists(path):
+        raise MissingInputError(f"missing {which} model: {path} (run train --model {which} first)")
     doc = cfgmod.read_document(path)
-    if doc.get("kind") == "fusion" and doc.get("version") != BUNDLE_VERSION:
-        raise ConfigError(f"{path}: fusion bundle version {doc.get('version')!r}, not {BUNDLE_VERSION}; retrain it")
-    for key, default in _MODEL_KEYS.items():
-        if key in doc:
-            value = doc[key]
-            if key == "attention" and isinstance(value, dict):
-                value = {k: v for k, v in value.items() if k in default}
-            cfgmod._check(default, value, f"{path}: {key}", complete=False)
-    sizes = {"k": doc.get("k"), "window": doc.get("window"),
-             "attention.d_k": doc.get("attention", {}).get("d_k")}
-    for dotted, size in sizes.items():
-        if size is not None:
-            cfgmod._size(f"{path}: {dotted}", size)
     try:
-        return from_dict(doc)
+        kind = "fusion" if which == "fusion" else f"{which}-fcnn"
+        if doc.get("kind") != kind:
+            raise ConfigError(f"not a {which} model: kind {doc.get('kind')!r}")
+        if which == "fusion" and doc.get("version") != BUNDLE_VERSION:
+            raise ConfigError(f"fusion bundle version {doc.get('version')!r}, not {BUNDLE_VERSION}; retrain it")
+        for key, default in _MODEL_KEYS.items():
+            if key in doc:
+                value = doc[key]
+                if key == "attention" and isinstance(value, dict):
+                    value = {k: v for k, v in value.items() if k in default}
+                cfgmod._check(default, value, key, complete=False)
+        sizes = {"k": doc.get("k"), "window": doc.get("window"),
+                 "attention.d_k": doc.get("attention", {}).get("d_k")}
+        for dotted, size in sizes.items():
+            if size is not None:
+                cfgmod._size(dotted, size)
+        return (fusion_from_dict if which == "fusion" else model_from_dict)(doc)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
     except KeyError as err:
         raise ConfigError(f"{path}: missing key {err.args[0]!r}") from None
     except TypeError as err:
@@ -148,17 +158,6 @@ def _refuse_directories(*paths) -> None:
     for path in paths:
         if os.path.isdir(path):
             raise MissingInputError(f"{path}: is a directory, not a file to write")
-
-
-def _load_sensor_model(models_dir, which):
-    path = os.path.join(models_dir, MODEL_FILES[which])
-    if not os.path.exists(path):
-        raise MissingInputError(f"missing {which} model: {path} (run train --model {which} first)")
-    model = _read_model(path, model_from_dict)
-    expected = {"uwb": UwbFcnnModel, "baro": BaroFcnnModel}[which]
-    if not isinstance(model, expected):
-        raise ConfigError(f"{path}: not a {which} sensor model")
-    return model
 
 
 def cmd_train(model, data_dir, out_path, config_path=None):
@@ -181,8 +180,8 @@ def cmd_train(model, data_dir, out_path, config_path=None):
         fu = cfgmod.fusion_options(doc)
         train_cfg = cfgmod.fusion_train_config(doc)
         models_dir = os.path.dirname(out_path) or "."
-        uwb_model = _load_sensor_model(models_dir, "uwb")
-        baro_model = _load_sensor_model(models_dir, "baro")
+        uwb_model = _load_model(models_dir, "uwb")
+        baro_model = _load_model(models_dir, "baro")
         encoders = init_encoders(
             L=fu["window"], d_e=fu["embed_dim"], hidden=fu["hidden"], seed=train_cfg.seed
         )
@@ -232,7 +231,7 @@ def run_algorithm(scenario, algo, models_dir=None):
         track = _altitude_only(scenario.baro.t, altitudes, np.zeros(len(altitudes)))
         short = "baro: the baro stream has no samples"
     elif algo == "baro-fcnn":
-        model = _load_sensor_model(models_dir, "baro")
+        model = _load_model(models_dir, "baro")
         altitudes, sigmas = baro_fcnn_infer(model, scenario.baro)
         track = _altitude_only(scenario.baro.t[model.k - 1 :], altitudes, sigmas)
         short = f"baro-fcnn: {len(scenario.baro)} baro samples never fill the FCNN window (k = {model.k})"
@@ -240,21 +239,16 @@ def run_algorithm(scenario, algo, models_dir=None):
         track = (scenario.uwb.t, *uwb_geometric_fixes(scenario.uwb, scenario.anchor))
         short = "uwb-geo: the UWB stream has no measurements"
     elif algo == "uwb-fcnn":
-        model = _load_sensor_model(models_dir, "uwb")
+        model = _load_model(models_dir, "uwb")
         track = (scenario.uwb.t[model.k - 1 :], *uwb_fcnn_infer(model, scenario.uwb, scenario.anchor))
         short = f"uwb-fcnn: {len(scenario.uwb)} UWB measurements never fill the FCNN window (k = {model.k})"
     elif algo == "gpsins-ekf":
         epochs = epoch_times(scenario)  # at least one, or MissingInputError
         return (np.asarray(epochs, dtype=float), *ekf_pass(scenario, epochs)[:2])
     elif algo == "amfa":
-        bundle_path = os.path.join(models_dir, MODEL_FILES["fusion"])
-        if not os.path.exists(bundle_path):
-            raise MissingInputError(
-                f"missing fusion bundle: {bundle_path} (run train --model fusion first)"
-            )
-        encoders, params, ukf, L, lam = _read_model(bundle_path, fusion_from_dict)
-        uwb_model = _load_sensor_model(models_dir, "uwb")
-        baro_model = _load_sensor_model(models_dir, "baro")
+        encoders, params, ukf, L, lam = _load_model(models_dir, "fusion")
+        uwb_model = _load_model(models_dir, "uwb")
+        baro_model = _load_model(models_dir, "baro")
         track = amfa_pipeline(scenario, uwb_model, baro_model, encoders, params, ukf, L=L, lam=lam)
         short = f"amfa: no fusion epoch fills the estimate window (L = {L} epochs)"
     else:

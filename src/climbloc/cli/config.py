@@ -13,7 +13,9 @@ JSON form of `ScenarioConfig()` (objects for dataclasses, lists for tuples),
 less the fixed standard atmosphere and anchor boresight; the anchor is set by
 its east/north/up `anchor_position`. Likewise `nnet` is the JSON form of the
 `TrainConfig()` fields both sensor models share, and `ukf` holds the UKF's
-one setting, `UkfState().q`. A training budget lives in the document alone.
+one setting, `UkfState().q`. The architecture defaults of `fcnn` and `fusion`
+are the library's `DEFAULT_*` constants. A training budget lives in the
+document alone.
 
 `DEFAULT_CONFIG` is also the schema: `_check` refuses, naming its dotted path,
 a value without the JSON type of its default. An object takes known keys; a
@@ -41,7 +43,9 @@ from typing import get_args, get_origin, get_type_hints
 
 from ..core import Vec3Enu
 from ..errors import ConfigError, MissingInputError
-from ..fusion import UkfState
+from ..fusion import DEFAULT_L, UkfState
+from ..fusion.attention import DEFAULT_EMBED_DIM, DEFAULT_KEY_DIM, DEFAULT_LAMBDA
+from ..models import DEFAULT_HIDDEN, DEFAULT_K
 from ..nnet import TrainConfig
 from ..sim import ScenarioConfig
 from ..sim.scenario import DEFAULT_ANCHOR_POSITION
@@ -69,17 +73,17 @@ DEFAULT_CONFIG = {
     "sim": _sim_defaults(),
     "nnet": {k: v for k, v in _document(TrainConfig()).items() if k not in ("learning_rate", "epochs")},
     "fcnn": {
-        "k": 10,
-        "hidden": [64, 64],
+        "k": DEFAULT_K,
+        "hidden": list(DEFAULT_HIDDEN),
         "uwb": {"include_geometric": True, "learning_rate": 0.01, "epochs": 600},
         "baro": {"learning_rate": 0.01, "epochs": 300},
     },
     "fusion": {
-        "window": 10,
-        "embed_dim": 32,
-        "key_dim": 16,
+        "window": DEFAULT_L,
+        "embed_dim": DEFAULT_EMBED_DIM,
+        "key_dim": DEFAULT_KEY_DIM,
         "hidden": 64,
-        "lambda": 1.0,
+        "lambda": DEFAULT_LAMBDA,
         "learning_rate": 0.01,
         "epochs": 120,
         "batch_size": 16,

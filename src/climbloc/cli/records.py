@@ -243,25 +243,13 @@ def read_trajectory(path):
 # -- scenario directory -----------------------------------------------------
 
 def anchor_document(scenario: ScenarioData) -> dict:
-    ref = scenario.baro_reference
     return {
         "anchor": {
             "position": [float(v) for v in scenario.anchor.position.as_array()],
             "orientation": [[float(v) for v in row] for row in scenario.anchor.orientation.matrix],
         },
-        "origin": {
-            "lat": float(scenario.origin.lat),
-            "lon": float(scenario.origin.lon),
-            "height": float(scenario.origin.height),
-        },
-        "baro_reference": {
-            "p0": ref.p0,
-            "t0": ref.t0,
-            "lapse_rate": ref.lapse_rate,
-            "gravity": ref.gravity,
-            "molar_mass": ref.molar_mass,
-            "gas_constant": ref.gas_constant,
-        },
+        "origin": {k: float(v) for k, v in _document(scenario.origin).items()},
+        "baro_reference": {k: float(v) for k, v in _document(scenario.baro_reference).items()},
     }
 
 

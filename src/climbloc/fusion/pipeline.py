@@ -47,6 +47,7 @@ from .attention import (
     AXIS_MASK,
     AXIS_MODALITIES,
     MODALITIES,
+    DEFAULT_LAMBDA,
     N_RELIABILITY,
     AttentionParams,
     FusedObservation,
@@ -424,7 +425,7 @@ def run_fusion(
     encoders: dict,
     params: AttentionParams,
     ukf_state: UkfState | None = None,
-    lam: float = 1.0,
+    lam: float = DEFAULT_LAMBDA,
 ):
     """Attend + fuse over the whole batch in one kernel call, then UKF per epoch.
 
@@ -464,7 +465,7 @@ def amfa_pipeline(
     params: AttentionParams,
     ukf_state: UkfState | None = None,
     L: int = DEFAULT_L,
-    lam: float = 1.0,
+    lam: float = DEFAULT_LAMBDA,
 ):
     """Full application phase: frames -> attention fusion -> UKF trajectory.
 

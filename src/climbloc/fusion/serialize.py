@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..nnet import net_from_dict, net_to_dict
-from .attention import AXES, MODALITIES, AttentionParams
+from .attention import AXES, DEFAULT_LAMBDA, MODALITIES, AttentionParams
 from .pipeline import DEFAULT_L
 from .ukf import UkfState
 
@@ -17,7 +17,7 @@ BUNDLE_VERSION = 2
 
 def fusion_to_dict(
     encoders: dict, params: AttentionParams, ukf: UkfState | None = None,
-    L: int = DEFAULT_L, lam: float = 1.0,
+    L: int = DEFAULT_L, lam: float = DEFAULT_LAMBDA,
 ) -> dict:
     ukf = ukf if ukf is not None else UkfState()
     return {

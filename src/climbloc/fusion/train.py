@@ -29,7 +29,6 @@ from ..errors import NumericalFailureError
 from ..nnet import TrainConfig, _backward, _forward_trace, fit_standardization, pack, sgd
 from .attention import (
     AXES,
-    AXIS_MODALITIES,
     MODALITIES,
     AttentionParams,
     attend,
@@ -64,25 +63,19 @@ def fusion_loss(batch, encoders: dict, params: AttentionParams, weights=(1.0, 1.
     return _weighted_error(batch, encode(batch, encoders), params, weights)[0]
 
 
-# θ's order of the trained prior biases: every (modality, axis) pair an axis's
-# softmax may weigh, sorted. The barometer's priors on x and y are masked out of
-# their softmax, so their gradient is always 0 and they keep their values.
-_PRIORS = tuple(sorted((m, s) for s in AXES for m in AXIS_MODALITIES[s]))
-# where each entry of _PRIORS sits in an (axis, modality) array
-_PRIOR_CELLS = tuple(zip(*((AXES.index(s), MODALITIES.index(m)) for m, s in _PRIORS)))
-
-
 def _packed(encoders: dict, params: AttentionParams) -> tuple[np.ndarray, dict]:
     """θ, the trained values in one vector, and its views by group, in θ's order:
     "w_q" (axis, d_k, 3 d_e), "beta" (axis,), "w_r" (axis, N_RELIABILITY),
-    "w_k", "b_prior" (one entry per `_PRIORS` pair), then the encoders'
-    "weights" and "biases", each {modality: one view per layer}."""
+    "w_k", "b_prior" (axis, modality), then the encoders' "weights" and
+    "biases", each {modality: one view per layer}."""
     head = {
         "w_q": np.stack([params.w_q[s] for s in AXES]),
         "beta": [params.beta[s] for s in AXES],
         "w_r": np.stack([params.w_r[s] for s in AXES]),
         "w_k": params.w_k,
-        "b_prior": [params.b_prior[key] for key in _PRIORS],
+        # the whole prior table: the barometer's x and y priors are masked out
+        # of their softmax, so their gradient is exactly 0 and they keep their values
+        "b_prior": [[params.b_prior[(m, s)] for m in MODALITIES] for s in AXES],
     }
     layers = [a for key in ("weights", "biases") for m in MODALITIES for a in getattr(encoders[m], key)]
     theta, views = pack([*head.values(), *layers])
@@ -122,8 +115,7 @@ def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weight
     g["beta"][...] = np.einsum("nsm,nsm->s", d_logit, c["rel"])
     np.multiply(c["beta"][:, None], np.einsum("nsm,nmr->sr", d_logit, batch["reliability"]), out=g["w_r"])
     g["w_k"][...] = np.einsum("nmk,nme->ke", d_keys, c["z"])
-    g_prior = d_logit.sum(axis=0)
-    g["b_prior"][...] = g_prior[_PRIOR_CELLS]
+    g["b_prior"][...] = d_logit.sum(axis=0)
     for j, m in enumerate(MODALITIES):
         rows, trace = traces[m]
         _backward(encoders[m], trace, d_z[rows, j], g["weights"][m], g["biases"][m])
@@ -135,7 +127,7 @@ def fusion_loss_and_grads(batch, encoders: dict, params: AttentionParams, weight
         "beta": dict(zip(AXES, g["beta"].tolist())),
         "w_r": dict(zip(AXES, g["w_r"])),
         "b_prior": {
-            (m, s): float(g_prior[k, j]) for j, m in enumerate(MODALITIES) for k, s in enumerate(AXES)
+            (m, s): float(g["b_prior"][k, j]) for j, m in enumerate(MODALITIES) for k, s in enumerate(AXES)
         },
         "enc_w": g["weights"],
         "enc_b": g["biases"],
@@ -184,7 +176,7 @@ def train_fusion(
         beta={s: group["beta"][k, ...] for k, s in enumerate(AXES)},
         w_r=dict(zip(AXES, group["w_r"])),
         w_k=group["w_k"],
-        b_prior={**params.b_prior, **{key: group["b_prior"][i, ...] for i, key in enumerate(_PRIORS)}},
+        b_prior={(m, s): group["b_prior"][k, j, ...] for j, m in enumerate(MODALITIES) for k, s in enumerate(AXES)},
     )
 
     n_train = cfg.n_train(len(usable))

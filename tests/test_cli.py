@@ -843,12 +843,33 @@ class TestRun:
         rows, _ = read_trajectory(pipeline["trajectories"]["baro"])
         assert np.all(rows[:, 1:3] == 0.0)
 
-    def test_missing_model_is_a_missing_input(self, pipeline, tmp_path):
+    @pytest.mark.parametrize("algo, which", [("uwb-fcnn", "uwb"), ("baro-fcnn", "baro"), ("amfa", "fusion")])
+    def test_missing_model_is_a_missing_input(self, pipeline, tmp_path, capsys, algo, which):
         rc = main(
-            ["run", "--data", pipeline["data"], "--models", str(tmp_path), "--algo", "uwb-fcnn",
+            ["run", "--data", pipeline["data"], "--models", str(tmp_path), "--algo", algo,
              "--out", str(tmp_path / "t.jsonl"), "--config", pipeline["config"]]
         )
         assert rc == 3
+        assert f"(run train --model {which} first)" in capsys.readouterr().err
+        assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "filename, kind, algo",
+        [("uwb.json", "baro-fcnn", "uwb-fcnn"), ("baro.json", "uwb-fcnn", "baro-fcnn"),
+         ("fusion.json", "baro-fcnn", "amfa")],
+    )
+    def test_model_file_of_another_kind_exits_2_naming_it(self, workspace, filename, kind, algo):
+        path = workspace / "models" / filename
+        doc = json.loads(path.read_text())
+        doc["kind"] = kind
+        path.write_text(json.dumps(doc))
+        out = workspace / "out.jsonl"
+        proc = run_cli(["run", "--data", str(workspace / "data"), "--models", str(workspace / "models"),
+                        "--algo", algo, "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        which = filename.removesuffix(".json")
+        assert proc.stderr == f"config error: {path}: not a {which} model: kind {kind!r}\n", proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "filename, key, algo",
