@@ -49,6 +49,8 @@ from ..metrics import (
     write_metrics_csv,
 )
 from ..models import (
+    BaroFcnnModel,
+    UwbFcnnModel,
     baro_fcnn_infer,
     model_from_dict,
     model_to_dict,
@@ -63,6 +65,7 @@ from . import records
 
 ALGORITHMS = ("baro", "baro-fcnn", "uwb-geo", "uwb-fcnn", "gpsins-ekf", "amfa")
 MODEL_FILES = {"uwb": "uwb.json", "baro": "baro.json", "fusion": "fusion.json"}
+_MODEL_KINDS = {"uwb": UwbFcnnModel.kind, "baro": BaroFcnnModel.kind, "fusion": "fusion"}
 
 
 def _write_json(path, doc) -> None:
@@ -108,7 +111,7 @@ def cmd_simulate(config_path, out_dir) -> dict:
 # the typed keys of the model files, checked by the rule of cli/config.py; of
 # a bundle's attention object only the scalars, since a per-float check of its
 # weight lists would add milliseconds to every amfa run
-_MODEL_KEYS = {"k": 1, "include_geometric": True, "window": 1, "lambda": 1.0,
+_MODEL_KEYS = {"k": 1, "window": 1, "lambda": 1.0,
                "ukf": cfgmod.DEFAULT_CONFIG["ukf"],
                "attention": {"d_k": 1, "beta": dict.fromkeys(AXES, 1.0),
                              "b_prior": {m: dict.fromkeys(AXES, 1.0) for m in MODALITIES}}}
@@ -128,8 +131,7 @@ def _load_model(models_dir, which):
         raise MissingInputError(f"missing {which} model: {path} (run train --model {which} first)")
     doc = cfgmod.read_document(path)
     try:
-        kind = "fusion" if which == "fusion" else f"{which}-fcnn"
-        if doc.get("kind") != kind:
+        if doc.get("kind") != _MODEL_KINDS[which]:
             raise ConfigError(f"not a {which} model: kind {doc.get('kind')!r}")
         if which == "fusion" and doc.get("version") != BUNDLE_VERSION:
             raise ConfigError(f"fusion bundle version {doc.get('version')!r}, not {BUNDLE_VERSION}; retrain it")
@@ -172,7 +174,7 @@ def cmd_train(model, data_dir, out_path, config_path=None):
     sensor_trainers = {"uwb": train_uwb_model, "baro": train_baro_model}
     if model in sensor_trainers:
         trained, history = sensor_trainers[model](
-            scenario, cfgmod.sensor_train_config(doc, model), **cfgmod.fcnn_options(doc, model)
+            scenario, cfgmod.sensor_train_config(doc, model), **cfgmod.fcnn_options(doc)
         )
         _write_json(out_path, model_to_dict(trained))
     elif model == "fusion":

@@ -43,8 +43,8 @@ from typing import get_args, get_origin, get_type_hints
 
 from ..core import Vec3Enu
 from ..errors import ConfigError, MissingInputError
-from ..fusion import DEFAULT_L, UkfState
-from ..fusion.attention import DEFAULT_EMBED_DIM, DEFAULT_KEY_DIM, DEFAULT_LAMBDA
+from ..fusion import UkfState
+from ..fusion.attention import DEFAULT_EMBED_DIM, DEFAULT_ENCODER_HIDDEN, DEFAULT_KEY_DIM, DEFAULT_L, DEFAULT_LAMBDA
 from ..models import DEFAULT_HIDDEN, DEFAULT_K
 from ..nnet import TrainConfig
 from ..sim import ScenarioConfig
@@ -75,14 +75,14 @@ DEFAULT_CONFIG = {
     "fcnn": {
         "k": DEFAULT_K,
         "hidden": list(DEFAULT_HIDDEN),
-        "uwb": {"include_geometric": True, "learning_rate": 0.01, "epochs": 600},
+        "uwb": {"learning_rate": 0.01, "epochs": 600},
         "baro": {"learning_rate": 0.01, "epochs": 300},
     },
     "fusion": {
         "window": DEFAULT_L,
         "embed_dim": DEFAULT_EMBED_DIM,
         "key_dim": DEFAULT_KEY_DIM,
-        "hidden": 64,
+        "hidden": DEFAULT_ENCODER_HIDDEN,
         "lambda": DEFAULT_LAMBDA,
         "learning_rate": 0.01,
         "epochs": 120,
@@ -202,8 +202,7 @@ def sensor_train_config(doc: dict, which: str) -> TrainConfig:
     """nnet defaults overlaid with the training keys of fcnn.<which>; an
     invalid value is reported under the section that holds it."""
     shared = _build("nnet", TrainConfig, doc["nnet"])
-    own = {key: value for key, value in doc["fcnn"][which].items() if key != "include_geometric"}
-    return _build(f"fcnn.{which}", lambda **changes: replace(shared, **changes), own)
+    return _build(f"fcnn.{which}", lambda **changes: replace(shared, **changes), doc["fcnn"][which])
 
 
 def _size(dotted: str, value: int) -> int:
@@ -212,11 +211,11 @@ def _size(dotted: str, value: int) -> int:
     return value
 
 
-def fcnn_options(doc: dict, which: str) -> dict:
+def fcnn_options(doc: dict) -> dict:
+    """The sensor-model architecture both FCNNs share: window length k, hidden widths."""
     fc = doc["fcnn"]
     hidden = tuple(_size(f"fcnn.hidden[{i}]", n) for i, n in enumerate(fc["hidden"]))
-    geometric = {"include_geometric": fc["uwb"]["include_geometric"]} if which == "uwb" else {}
-    return {"k": _size("fcnn.k", fc["k"]), "hidden": hidden, **geometric}
+    return {"k": _size("fcnn.k", fc["k"]), "hidden": hidden}
 
 
 def fusion_options(doc: dict) -> dict:

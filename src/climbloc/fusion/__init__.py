@@ -4,6 +4,7 @@ from .attention import (
     AXES,
     AXIS_MODALITIES,
     MODALITIES,
+    DEFAULT_L,
     AttentionParams,
     FusedObservation,
     ReliabilityScores,
@@ -15,7 +16,6 @@ from .attention import (
     init_encoders,
 )
 from .pipeline import (
-    DEFAULT_L,
     FrameBatch,
     FusionFrame,
     amfa_pipeline,

@@ -39,8 +39,10 @@ MODALITY_INDEX = {m: j for j, m in enumerate(MODALITIES)}
 AXIS_MASK = np.array([[m in AXIS_MODALITIES[s] for m in MODALITIES] for s in AXES])
 N_RELIABILITY = 2  # features per modality
 
+DEFAULT_L = 10  # fusion epochs per estimate window
 DEFAULT_EMBED_DIM = 32
 DEFAULT_KEY_DIM = 16
+DEFAULT_ENCODER_HIDDEN = 64  # hidden width of each modality's window encoder
 DEFAULT_LAMBDA = 1.0
 
 
@@ -115,7 +117,7 @@ WINDOW_WIDTHS = {"uwb": 3, "gpsins": 3, "baro": 1}  # values per window entry
 
 
 def init_encoders(
-    L: int = 10, d_e: int = DEFAULT_EMBED_DIM, hidden: int = 64, seed: int = 0
+    L: int = DEFAULT_L, d_e: int = DEFAULT_EMBED_DIM, hidden: int = DEFAULT_ENCODER_HIDDEN, seed: int = 0
 ) -> dict:
     """One fresh single-hidden-layer encoder per modality, seeded per modality."""
     return {

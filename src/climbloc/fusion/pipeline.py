@@ -47,6 +47,7 @@ from .attention import (
     AXIS_MASK,
     AXIS_MODALITIES,
     MODALITIES,
+    DEFAULT_L,
     DEFAULT_LAMBDA,
     N_RELIABILITY,
     AttentionParams,
@@ -59,7 +60,6 @@ from .ukf import UkfState, ukf_step
 
 log = logging.getLogger("climbloc.fusion")
 
-DEFAULT_L = 10
 WARMUP_SIGMA_INFLATION = 3.0
 _EPS = 1e-9
 # IMU rows per preintegrated segment at most, and per preintegrate call (a multiple)

@@ -8,8 +8,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..nnet import net_from_dict, net_to_dict
-from .attention import AXES, DEFAULT_LAMBDA, MODALITIES, AttentionParams
-from .pipeline import DEFAULT_L
+from .attention import AXES, DEFAULT_L, DEFAULT_LAMBDA, MODALITIES, AttentionParams
 from .ukf import UkfState
 
 BUNDLE_VERSION = 2

@@ -29,6 +29,7 @@ from ..errors import NumericalFailureError
 from ..nnet import TrainConfig, _backward, _forward_trace, fit_standardization, pack, sgd
 from .attention import (
     AXES,
+    DEFAULT_L,
     MODALITIES,
     AttentionParams,
     attend,
@@ -37,7 +38,7 @@ from .attention import (
     init_encoders,
     ready_windows,
 )
-from .pipeline import DEFAULT_L, FusionFrame, collect_fusion_frames, stack_frames
+from .pipeline import FusionFrame, collect_fusion_frames, stack_frames
 
 
 def _rows(batch: dict, index) -> dict:

@@ -1,15 +1,17 @@
 """Windowed FCNN sensor models: UWB position regression and barometric altitude.
 
-Both models consume a short history window of raw measurements and emit a
-value head plus an error head. The error head is trained on the signed error
-of the corresponding classical solver but consumed as a magnitude: it becomes
-the per-axis sigma fed to the fusion stage, floored at SIGMA_MIN so no
-modality ever claims zero variance.
+Both models are one design. The input is a window of the last k raw samples,
+then the classical solver's solution at the newest one; the output is a value
+head plus an error head, one entry per solved axis. The error head is trained
+on the solver's signed error but consumed as a magnitude: it becomes the
+per-axis sigma fed to the fusion stage, floored at SIGMA_MIN so no modality
+ever claims zero variance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,64 +27,84 @@ DEFAULT_HIDDEN = (64, 64)
 
 
 @dataclass(frozen=True)
-class UwbFcnnModel:
-    """k-step window of (d, alpha, beta), optionally plus the current geometric fix."""
+class _FcnnModel:
+    """A network over k-sample windows of one sensor stream. A subclass defines
+    `solution(stream, anchor, k)`: its classical solver's (n-k+1, len(axes))
+    solution at the last sample of each full window."""
+
+    kind: ClassVar[str]  # the model file's "kind"
+    raw: ClassVar[tuple[str, ...]]  # the stream columns of one sample, in window order
+    axes: ClassVar[tuple[int, ...]]  # the ENU axes of the solution, and of each output head
 
     network: DenseNetwork
     k: int = DEFAULT_K
-    include_geometric: bool = True
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("window length k must be >= 1")
-        if self.network.layer_sizes[0] != self.input_size(self.k, self.include_geometric):
-            raise ConfigError(
-                f"network input {self.network.layer_sizes[0]} != expected "
-                f"{self.input_size(self.k, self.include_geometric)}"
-            )
-        if self.network.layer_sizes[-1] != 6:
-            raise ConfigError("UWB model must emit 3 position + 3 error outputs")
+        if self.network.layer_sizes[0] != self.input_size(self.k):
+            raise ConfigError(f"network input {self.network.layer_sizes[0]} != expected {self.input_size(self.k)}")
+        if self.network.layer_sizes[-1] != 2 * len(self.axes):
+            raise ConfigError(f"{self.kind} model must emit {len(self.axes)} value + {len(self.axes)} error outputs")
+
+    @classmethod
+    def input_size(cls, k: int) -> int:
+        return len(cls.raw) * k + len(cls.axes)
+
+    @classmethod
+    def windows(cls, stream, anchor: AnchorPose | None, k: int) -> np.ndarray:
+        """One row per full window: its k raw samples, then the solution at the last.
+
+        Row i covers samples i..i+k-1; a stream shorter than k gives 0 rows.
+        """
+        if len(stream) < k:
+            return np.empty((0, cls.input_size(k)))
+        raw = np.column_stack([getattr(stream, column) for column in cls.raw])
+        rows = sliding_window_view(raw, k, axis=0).transpose(0, 2, 1).reshape(-1, len(cls.raw) * k)
+        return np.hstack([rows, cls.solution(stream, anchor, k)])
+
+    def infer(self, stream, anchor: AnchorPose | None):
+        """(values, sigmas), each (n-k+1, len(axes)): one row per full window, in one forward pass."""
+        out = net_forward(self.network, self.windows(stream, anchor, self.k))
+        width = len(self.axes)
+        return out[:, :width], np.maximum(np.abs(out[:, width:]), SIGMA_MIN)
+
+
+class UwbFcnnModel(_FcnnModel):
+    """k-step window of (d, alpha, beta) plus the current geometric fix."""
+
+    kind = "uwb-fcnn"
+    raw = ("range", "alpha", "beta")
+    axes = (0, 1, 2)
 
     @staticmethod
-    def input_size(k: int, include_geometric: bool) -> int:
-        return 3 * k + (3 if include_geometric else 0)
+    def solution(stream, anchor, k):
+        return uwb_geometric_fixes(stream[k - 1 :], anchor)[0]
 
 
-@dataclass(frozen=True)
-class BaroFcnnModel:
+class BaroFcnnModel(_FcnnModel):
     """k-step window of pressures plus the sensor's own current altitude solution."""
 
-    network: DenseNetwork
-    k: int = DEFAULT_K
+    kind = "baro-fcnn"
+    raw = ("pressure",)
+    axes = (2,)
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("window length k must be >= 1")
-        if self.network.layer_sizes[0] != self.k + 1:
-            raise ConfigError(f"network input must be k+1 = {self.k + 1}")
-        if self.network.layer_sizes[-1] != 2:
-            raise ConfigError("baro model must emit (altitude, error) outputs")
+    @staticmethod
+    def solution(stream, anchor, k):
+        return stream.internal_altitude[k - 1 :, None]
 
 
-def uwb_inputs(stream, anchor: AnchorPose, k: int, include_geometric: bool) -> np.ndarray:
-    """One row per full window: k*(d, alpha, beta) [+ the geometric fix of its last measurement].
+_MODELS = {"uwb": UwbFcnnModel, "baro": BaroFcnnModel}  # by the scenario stream each reads
 
-    Row i covers measurements i..i+k-1; a stream shorter than k gives 0 rows.
-    """
-    if len(stream) < k:
-        return np.empty((0, UwbFcnnModel.input_size(k, include_geometric)))
-    raw = np.column_stack([stream.range, stream.alpha, stream.beta])
-    rows = sliding_window_view(raw, k, axis=0).transpose(0, 2, 1).reshape(-1, 3 * k)
-    if include_geometric:
-        rows = np.hstack([rows, uwb_geometric_fixes(stream[k - 1 :], anchor)[0]])
-    return rows
+
+def uwb_inputs(stream, anchor: AnchorPose, k: int) -> np.ndarray:
+    """One row per full window: k*(d, alpha, beta) + the geometric fix of its last measurement."""
+    return UwbFcnnModel.windows(stream, anchor, k)
 
 
 def baro_inputs(stream, k: int) -> np.ndarray:
     """One row per full window: k pressures + the internal altitude of its last sample."""
-    if len(stream) < k:
-        return np.empty((0, k + 1))
-    return np.column_stack([sliding_window_view(stream.pressure, k), stream.internal_altitude[k - 1 :]])
+    return BaroFcnnModel.windows(stream, None, k)
 
 
 def uwb_fcnn_infer(model: UwbFcnnModel, stream, anchor: AnchorPose):
@@ -91,86 +113,56 @@ def uwb_fcnn_infer(model: UwbFcnnModel, stream, anchor: AnchorPose):
     Row i is the estimate at measurement i+k-1 (0 rows when n < k); sigmas
     are floored at SIGMA_MIN.
     """
-    out = net_forward(model.network, uwb_inputs(stream, anchor, model.k, model.include_geometric))
-    return out[:, 0:3], np.maximum(np.abs(out[:, 3:6]), SIGMA_MIN)
+    return model.infer(stream, anchor)
 
 
 def baro_fcnn_infer(model: BaroFcnnModel, stream):
     """(altitudes, sigmas), each (n-k+1,): one row per full window, in one forward pass."""
-    out = net_forward(model.network, baro_inputs(stream, model.k))
-    return out[:, 0], np.maximum(np.abs(out[:, 1]), SIGMA_MIN)
+    altitudes, sigmas = model.infer(stream, None)
+    return altitudes[:, 0], sigmas[:, 0]
 
 
-def build_training_set(scenario, which: str, k: int = DEFAULT_K, include_geometric: bool = True) -> Dataset:
-    """One example per full sliding window; targets pair truth with solver error.
+def build_training_set(scenario, which: str, k: int = DEFAULT_K) -> Dataset:
+    """One example per full sliding window of the `which` stream ('uwb' or 'baro').
 
-    UWB rows: features = k*(d, a, b) [+ current geometric fix], targets =
-    (truth position, truth - geometric fix). Baro rows: features = k pressures
-    + current internal altitude, targets = (truth up, truth up - internal).
+    Features are the model's window; targets are (truth, truth - solution) on
+    the model's axes, with truth taken at the window's last sample.
     """
     if not len(scenario.truth):
         raise MissingInputError("training needs a truth stream")
-    if which == "uwb":
-        stream = scenario.uwb
-        if len(stream) < k:
-            raise ValueError(f"need at least k={k} UWB measurements, got {len(stream)}")
-        inputs = uwb_inputs(stream, scenario.anchor, k, include_geometric)
-        # with the geometric input, the inputs already end with the fixes the targets need
-        fixes = inputs[:, -3:] if include_geometric else uwb_geometric_fixes(stream[k - 1 :], scenario.anchor)[0]
-        p_true = scenario.truth.position_at(stream.t[k - 1 :])
-        targets = np.hstack([p_true, p_true - fixes])
-    elif which == "baro":
-        stream = scenario.baro
-        if len(stream) < k:
-            raise ValueError(f"need at least k={k} baro samples, got {len(stream)}")
-        inputs = baro_inputs(stream, k)
-        up_true = scenario.truth.position_at(stream.t[k - 1 :])[:, 2]
-        targets = np.column_stack([up_true, up_true - inputs[:, -1]])
-    else:
+    if which not in _MODELS:
         raise ConfigError(f"unknown training-set kind {which!r} (expected 'uwb' or 'baro')")
-    return Dataset(inputs=inputs, targets=targets)
+    model, stream = _MODELS[which], getattr(scenario, which)
+    if len(stream) < k:
+        raise ValueError(f"need at least k={k} {which} samples, got {len(stream)}")
+    inputs = model.windows(stream, scenario.anchor, k)
+    truth = scenario.truth.position_at(stream.t[k - 1 :])[:, list(model.axes)]
+    return Dataset(inputs=inputs, targets=np.hstack([truth, truth - inputs[:, -len(model.axes) :]]))
 
 
-def train_uwb_model(
-    scenario,
-    cfg: TrainConfig,
-    k: int = DEFAULT_K,
-    hidden=DEFAULT_HIDDEN,
-    include_geometric: bool = True,
-):
-    data = build_training_set(scenario, "uwb", k=k, include_geometric=include_geometric)
-    sizes = [UwbFcnnModel.input_size(k, include_geometric), *hidden, 6]
-    net, history = train(net_init(sizes, cfg.seed), data, cfg)
-    return UwbFcnnModel(network=net, k=k, include_geometric=include_geometric), history
+def _train(which: str, scenario, cfg: TrainConfig, k: int, hidden):
+    model, data = _MODELS[which], build_training_set(scenario, which, k=k)
+    net, history = train(net_init([model.input_size(k), *hidden, 2 * len(model.axes)], cfg.seed), data, cfg)
+    return model(network=net, k=k), history
+
+
+def train_uwb_model(scenario, cfg: TrainConfig, k: int = DEFAULT_K, hidden=DEFAULT_HIDDEN):
+    return _train("uwb", scenario, cfg, k, hidden)
 
 
 def train_baro_model(scenario, cfg: TrainConfig, k: int = DEFAULT_K, hidden=DEFAULT_HIDDEN):
-    data = build_training_set(scenario, "baro", k=k)
-    net, history = train(net_init([k + 1, *hidden, 2], cfg.seed), data, cfg)
-    return BaroFcnnModel(network=net, k=k), history
+    return _train("baro", scenario, cfg, k, hidden)
 
 
 def model_to_dict(model) -> dict:
-    if isinstance(model, UwbFcnnModel):
-        return {
-            "kind": "uwb-fcnn",
-            "k": model.k,
-            "include_geometric": model.include_geometric,
-            "network": net_to_dict(model.network),
-        }
-    if isinstance(model, BaroFcnnModel):
-        return {"kind": "baro-fcnn", "k": model.k, "network": net_to_dict(model.network)}
-    raise ConfigError(f"not a serializable sensor model: {type(model).__name__}")
+    if not isinstance(model, _FcnnModel):
+        raise ConfigError(f"not a serializable sensor model: {type(model).__name__}")
+    return {"kind": model.kind, "k": model.k, "network": net_to_dict(model.network)}
 
 
 def model_from_dict(doc: dict):
     kind = doc.get("kind")
-    if kind == "uwb-fcnn":
-        return UwbFcnnModel(
-            network=net_from_dict(doc["network"]),
-            k=int(doc["k"]),
-            include_geometric=bool(doc.get("include_geometric", True)),
-        )
-    if kind == "baro-fcnn":
-        return BaroFcnnModel(network=net_from_dict(doc["network"]), k=int(doc["k"]))
-    raise ConfigError(f"unknown model kind {kind!r}")
+    model = next((m for m in _MODELS.values() if m.kind == kind), None)
+    if model is None:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    return model(network=net_from_dict(doc["network"]), k=int(doc["k"]))

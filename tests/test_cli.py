@@ -37,7 +37,7 @@ from climbloc.cli.records import COLUMNS_DIR, write_scenario, write_trajectory
 from climbloc.errors import ConfigError, MissingInputError
 from climbloc.fusion import UkfState, train_fusion
 from climbloc.models import model_from_dict, train_baro_model, train_uwb_model, uwb_fcnn_infer
-from climbloc.nnet import TrainConfig
+from climbloc.nnet import TrainConfig, net_init, net_to_dict
 from climbloc.sim import ScenarioConfig, simulate_scenario
 from climbloc.solvers import uwb_geometric_fixes
 
@@ -319,8 +319,6 @@ class TestConfig:
             pytest.param("uwb", {"fcnn": {"k": 2.5}}, "fcnn.k: must be an integer", id="k"),
             pytest.param("baro", {"fcnn": {"k": "a"}}, "fcnn.k: must be an integer", id="k-string"),
             pytest.param("baro", {"fcnn": {"hidden": [64, 2.7]}}, "fcnn.hidden[1]: must be an integer", id="hidden"),
-            pytest.param("uwb", {"fcnn": {"uwb": {"include_geometric": "no"}}},
-                         "fcnn.uwb.include_geometric: must be true or false", id="include-geometric"),
             pytest.param("fusion", {"fusion": {"window": 2.5}}, "fusion.window: must be an integer", id="window"),
             pytest.param("fusion", {"fusion": {"embed_dim": 32.0}}, "fusion.embed_dim: must be an integer",
                          id="embed-dim"),
@@ -414,7 +412,7 @@ class TestConfig:
 
     def test_default_digest_is_pinned(self):
         # the manifest stamps this digest: a moved default changes it
-        digest = "a912b8067724934094d78e0e56d6f1433287e68c54ab63757c2b74e86bf61dd8"
+        digest = "278f50af68de6f16def72d8a9f16b6bbc989594168d3110b8fc0a9d8e0ee8edc"
         assert config_digest(load_config(None)) == digest
 
     @pytest.mark.parametrize("dotted", [
@@ -432,6 +430,14 @@ class TestConfig:
         path.write_text(json.dumps({section: {key: 5}}))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
         assert capsys.readouterr().err == f"config error: {dotted}: unknown configuration key\n"
+        assert not (tmp_path / "data").exists()
+
+    def test_include_geometric_is_an_unknown_key(self, tmp_path, capsys):
+        # the UWB FCNN always reads the geometric fix; there is no raw-only input to select
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"fcnn": {"uwb": {"include_geometric": True}}}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "data")]) == 2
+        assert capsys.readouterr().err == "config error: fcnn.uwb.include_geometric: unknown configuration key\n"
         assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("trainer, args", [
@@ -788,7 +794,7 @@ class TestTrain:
         doc = load_config(pipeline["config"])
         scenario = read_scenario(pipeline["data"])
         in_memory, _ = train_uwb_model(
-            scenario, sensor_train_config(doc, "uwb"), **fcnn_options(doc, "uwb")
+            scenario, sensor_train_config(doc, "uwb"), **fcnn_options(doc)
         )
         with open(os.path.join(pipeline["models"], "uwb.json")) as fh:
             reloaded = model_from_dict(json.load(fh))
@@ -871,6 +877,21 @@ class TestRun:
         assert proc.stderr == f"config error: {path}: not a {which} model: kind {kind!r}\n", proc.stderr
         assert not out.exists()
 
+    def test_raw_only_uwb_model_exits_2_naming_it(self, workspace, capsys):
+        # a uwb.json trained with "include_geometric": false: its network reads
+        # the k raw samples alone, 3 short of the window with the geometric fix
+        path = workspace / "models" / "uwb.json"
+        doc = json.loads(path.read_text())
+        k, sizes = doc["k"], doc["network"]["layer_sizes"]
+        raw_only = net_to_dict(net_init([3 * k, *sizes[1:]], seed=0))
+        path.write_text(json.dumps({**doc, "include_geometric": False, "network": raw_only}))
+        out = workspace / "out.jsonl"
+        rc = main(["run", "--data", str(workspace / "data"), "--models", str(workspace / "models"),
+                   "--algo", "uwb-fcnn", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {path}: network input {3 * k} != expected {3 * k + 3}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "filename, key, algo",
         [("uwb.json", "network", "uwb-fcnn"), ("fusion.json", "attention", "amfa")],
@@ -894,7 +915,6 @@ class TestRun:
         [
             ("fusion.json", "window", 10.7, "amfa"),
             ("fusion.json", "lambda", "a", "amfa"),
-            ("uwb.json", "include_geometric", "no", "uwb-fcnn"),
             ("baro.json", "k", 2.5, "baro-fcnn"),
             ("fusion.json", "attention.d_k", 16.7, "amfa"),
             ("fusion.json", "attention.d_k", "16", "amfa"),

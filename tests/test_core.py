@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from climbloc.core import (
+    AnchorPose,
     BaroStream,
     GeodeticPoint,
     GpsStream,
@@ -22,7 +23,10 @@ from climbloc.core import (
 )
 from climbloc.models import baro_inputs, uwb_inputs
 from climbloc.sim import ScenarioConfig, TrajectoryProfile, simulate_scenario
+from climbloc.solvers import uwb_geometric_fixes
 from climbloc.solvers.ins import rotation_increments
+
+ANCHOR = AnchorPose(Vec3Enu(0.0, 0.0, 0.0), Rotation.identity())
 
 
 def _streams(n):
@@ -32,24 +36,32 @@ def _streams(n):
     return baro, uwb
 
 
+def _uwb_fix(uwb, i):
+    """The geometric fix of UWB sample i, solved alone."""
+    return uwb_geometric_fixes(uwb[i : i + 1], ANCHOR)[0][0].tolist()
+
+
 class TestSlidingWindow:
-    # A sensor window is a row of the whole-stream window builders: row i
-    # holds samples i..i+k-1, the window a replay holds after sample i+k-1.
+    # A sensor window is a row of the one window builder: row i holds raw
+    # samples i..i+k-1, the window a replay holds after sample i+k-1, then
+    # the classical solution at sample i+k-1 (baro: the internal altitude;
+    # UWB: the geometric fix).
 
     def test_push_below_capacity(self):
         baro, uwb = _streams(1)
         assert baro_inputs(baro, 3).shape == (0, 4)
-        assert uwb_inputs(uwb, None, 3, include_geometric=False).shape == (0, 9)
+        assert uwb_inputs(uwb, ANCHOR, 3).shape == (0, 12)
         baro, uwb = _streams(3)
         assert baro_inputs(baro, 3).shape == (1, 4)
-        assert uwb_inputs(uwb, None, 3, include_geometric=False).shape == (1, 9)
+        assert uwb_inputs(uwb, ANCHOR, 3).shape == (1, 12)
 
     def test_fifo_eviction(self):
         baro, uwb = _streams(4)
         b = baro_inputs(baro, 3)
-        u = uwb_inputs(uwb, None, 3, include_geometric=False)
+        u = uwb_inputs(uwb, ANCHOR, 3)
         assert b[-1].tolist() == baro.pressure[1:].tolist() + [baro.internal_altitude[3]]
-        assert u[-1].tolist() == np.column_stack([uwb.range, uwb.alpha, uwb.beta])[1:].ravel().tolist()
+        raw = np.column_stack([uwb.range, uwb.alpha, uwb.beta])
+        assert u[-1].tolist() == raw[1:].ravel().tolist() + _uwb_fix(uwb, 3)
 
     def test_out_of_order_rejected(self):
         # the windows assume ordered streams; the scenario is where that is checked
@@ -64,14 +76,14 @@ class TestSlidingWindow:
     def test_contents_equal_tail_of_replay(self, n, k):
         baro, uwb = _streams(n)
         b = baro_inputs(baro, k)
-        u = uwb_inputs(uwb, None, k, include_geometric=False)
+        u = uwb_inputs(uwb, ANCHOR, k)
         assert b.shape == (max(n - k + 1, 0), k + 1)
-        assert u.shape == (max(n - k + 1, 0), 3 * k)
+        assert u.shape == (max(n - k + 1, 0), 3 * k + 3)
         for i in range(n - k + 1):
             assert b[i].tolist() == baro.pressure[i : i + k].tolist() + [baro.internal_altitude[i + k - 1]]
             assert u[i].tolist() == [
                 v for j in range(i, i + k) for v in (uwb.range[j], uwb.alpha[j], uwb.beta[j])
-            ]
+            ] + _uwb_fix(uwb, i + k - 1)
 
 
 def _rotation(rotvec) -> Rotation:

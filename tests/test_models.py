@@ -52,7 +52,7 @@ def vertical_quiet_scenario(duration=20.0):
 
 
 def zeroed_uwb_model(k=K):
-    net = net_init([UwbFcnnModel.input_size(k, True), 8, 6], seed=0)
+    net = net_init([UwbFcnnModel.input_size(k), 8, 6], seed=0)
     net.weights[-1] = np.zeros_like(net.weights[-1])
     net.biases[-1] = np.zeros_like(net.biases[-1])
     return UwbFcnnModel(network=net, k=k)
@@ -71,7 +71,7 @@ class TestInference:
         for n in (0, K - 1):
             positions, sigmas = uwb_fcnn_infer(zeroed_uwb_model(), data.uwb[:n], data.anchor)
             assert positions.shape == sigmas.shape == (0, 3)
-            assert uwb_inputs(data.uwb[:n], data.anchor, K, True).shape == (0, 3 * K + 3)
+            assert uwb_inputs(data.uwb[:n], data.anchor, K).shape == (0, 3 * K + 3)
             net = net_init([K + 1, 4, 2], seed=0)
             altitudes, sigma_z = baro_fcnn_infer(BaroFcnnModel(network=net, k=K), data.baro[:n])
             assert altitudes.shape == sigma_z.shape == (0,)
@@ -95,7 +95,7 @@ class TestInference:
         assert len(positions) == len(altitudes) == 30 - K + 1
         for i in range(30 - K + 1):
             window = data.uwb[i : i + K]
-            out = net_forward(uwb_model.network, uwb_inputs(window, data.anchor, K, True)[0])
+            out = net_forward(uwb_model.network, uwb_inputs(window, data.anchor, K)[0])
             np.testing.assert_allclose(positions[i], out[0:3], rtol=1e-13)
             np.testing.assert_allclose(sigmas[i], np.maximum(np.abs(out[3:6]), SIGMA_MIN), rtol=1e-13)
             out = net_forward(baro_model.network, baro_inputs(data.baro[i : i + K], K)[0])
@@ -179,12 +179,8 @@ class TestTrainingSet:
             return uwb_geometric_fixes(*args, **kwargs)
 
         monkeypatch.setattr("climbloc.models.uwb_geometric_fixes", counted)
-        targets = []
-        for include_geometric in (True, False):
-            calls.clear()
-            targets.append(build_training_set(data, "uwb", k=K, include_geometric=include_geometric).targets)
-            assert len(calls) == 1, include_geometric
-        np.testing.assert_array_equal(targets[0], targets[1])
+        build_training_set(data, "uwb", k=K)
+        assert len(calls) == 1
 
     def test_too_few_samples(self):
         data = vertical_quiet_scenario()
@@ -250,7 +246,7 @@ class TestModelSerialization:
         doc = json.loads(json.dumps(model_to_dict(model), sort_keys=True))
         back = model_from_dict(doc)
         assert isinstance(back, UwbFcnnModel)
-        assert back.k == model.k and back.include_geometric == model.include_geometric
+        assert back.k == model.k
         for a, b in zip(uwb_fcnn_infer(model, data.uwb, data.anchor), uwb_fcnn_infer(back, data.uwb, data.anchor)):
             np.testing.assert_array_equal(a, b)
 
