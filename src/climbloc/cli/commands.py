@@ -30,8 +30,6 @@ from ..fusion import (
     epoch_times,
     fusion_from_dict,
     fusion_to_dict,
-    init_attention_params,
-    init_encoders,
     train_fusion,
 )
 from ..fusion.serialize import BUNDLE_VERSION
@@ -144,8 +142,8 @@ def _load_model(models_dir, which):
         sizes = {"k": doc.get("k"), "window": doc.get("window"),
                  "attention.d_k": doc.get("attention", {}).get("d_k")}
         for dotted, size in sizes.items():
-            if size is not None:
-                cfgmod._size(dotted, size)
+            if size is not None and size < 1:
+                raise ConfigError(f"{dotted}: must be at least 1, got {size!r}")
         return (fusion_from_dict if which == "fusion" else model_from_dict)(doc)
     except ConfigError as err:
         raise ConfigError(f"{path}: {err}") from None
@@ -173,38 +171,18 @@ def cmd_train(model, data_dir, out_path, config_path=None):
 
     sensor_trainers = {"uwb": train_uwb_model, "baro": train_baro_model}
     if model in sensor_trainers:
-        trained, history = sensor_trainers[model](
-            scenario, cfgmod.sensor_train_config(doc, model), **cfgmod.fcnn_options(doc)
-        )
+        trained, history = sensor_trainers[model](scenario, cfgmod.sensor_train_config(doc, model))
         _write_json(out_path, model_to_dict(trained))
     elif model == "fusion":
         # staged order: both sensor models must already exist
-        fu = cfgmod.fusion_options(doc)
         train_cfg = cfgmod.fusion_train_config(doc)
         models_dir = os.path.dirname(out_path) or "."
         uwb_model = _load_model(models_dir, "uwb")
         baro_model = _load_model(models_dir, "baro")
-        encoders = init_encoders(
-            L=fu["window"], d_e=fu["embed_dim"], hidden=fu["hidden"], seed=train_cfg.seed
-        )
-        params = init_attention_params(
-            d_e=fu["embed_dim"], d_k=fu["key_dim"], seed=train_cfg.seed
-        )
-        encoders, params, history = train_fusion(
-            scenario,
-            uwb_model,
-            baro_model,
-            encoders=encoders,
-            params=params,
-            cfg=train_cfg,
-            L=fu["window"],
-        )
+        encoders, params, history = train_fusion(scenario, uwb_model, baro_model, train_cfg)
         if train_cfg.epochs and not history:  # train_fusion returned its initial checkpoint
             raise NumericalFailureError("training diverged at epoch 0: non-finite loss")
-        bundle = fusion_to_dict(
-            encoders, params, cfgmod.ukf_state(doc), L=fu["window"], lam=fu["lambda"]
-        )
-        _write_json(out_path, bundle)
+        _write_json(out_path, fusion_to_dict(encoders, params, cfgmod.ukf_state(doc)))
     else:
         raise ConfigError(f"unknown model stage {model!r} (expected uwb, baro, or fusion)")
 

@@ -3,8 +3,8 @@
 One file configures the whole pipeline, split into sections:
     sim     scenario generation (trajectory, sensor noise, outage windows)
     nnet    training settings both sensor models share (batch, seed, weights, split)
-    fcnn    sensor-model architecture plus each model's rate and epochs
-    fusion  attention fusion dimensions and its training run
+    fcnn    each sensor model's learning rate and epochs
+    fusion  the attention fusion's training run
     ukf     the UKF process noise q
     eval    report thresholds and the accuracy/uncertainty trade-off weights
 
@@ -13,9 +13,10 @@ JSON form of `ScenarioConfig()` (objects for dataclasses, lists for tuples),
 less the fixed standard atmosphere and anchor boresight; the anchor is set by
 its east/north/up `anchor_position`. Likewise `nnet` is the JSON form of the
 `TrainConfig()` fields both sensor models share, and `ukf` holds the UKF's
-one setting, `UkfState().q`. The architecture defaults of `fcnn` and `fusion`
-are the library's `DEFAULT_*` constants. A training budget lives in the
-document alone.
+one setting, `UkfState().q`. A training budget lives in the document alone.
+The architecture is not configured: `train` fits the library's defaults (the
+`DEFAULT_*` constants of `climbloc.models` and `climbloc.fusion.attention`),
+and `run` reads whatever architecture each model file records.
 
 `DEFAULT_CONFIG` is also the schema: `_check` refuses, naming its dotted path,
 a value without the JSON type of its default. An object takes known keys; a
@@ -44,8 +45,6 @@ from typing import get_args, get_origin, get_type_hints
 from ..core import Vec3Enu
 from ..errors import ConfigError, MissingInputError
 from ..fusion import UkfState
-from ..fusion.attention import DEFAULT_EMBED_DIM, DEFAULT_ENCODER_HIDDEN, DEFAULT_KEY_DIM, DEFAULT_L, DEFAULT_LAMBDA
-from ..models import DEFAULT_HIDDEN, DEFAULT_K
 from ..nnet import TrainConfig
 from ..sim import ScenarioConfig
 from ..sim.scenario import DEFAULT_ANCHOR_POSITION
@@ -73,17 +72,10 @@ DEFAULT_CONFIG = {
     "sim": _sim_defaults(),
     "nnet": {k: v for k, v in _document(TrainConfig()).items() if k not in ("learning_rate", "epochs")},
     "fcnn": {
-        "k": DEFAULT_K,
-        "hidden": list(DEFAULT_HIDDEN),
         "uwb": {"learning_rate": 0.01, "epochs": 600},
         "baro": {"learning_rate": 0.01, "epochs": 300},
     },
     "fusion": {
-        "window": DEFAULT_L,
-        "embed_dim": DEFAULT_EMBED_DIM,
-        "key_dim": DEFAULT_KEY_DIM,
-        "hidden": DEFAULT_ENCODER_HIDDEN,
-        "lambda": DEFAULT_LAMBDA,
         "learning_rate": 0.01,
         "epochs": 120,
         "batch_size": 16,
@@ -203,26 +195,6 @@ def sensor_train_config(doc: dict, which: str) -> TrainConfig:
     invalid value is reported under the section that holds it."""
     shared = _build("nnet", TrainConfig, doc["nnet"])
     return _build(f"fcnn.{which}", lambda **changes: replace(shared, **changes), doc["fcnn"][which])
-
-
-def _size(dotted: str, value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"{dotted}: must be at least 1, got {value!r}")
-    return value
-
-
-def fcnn_options(doc: dict) -> dict:
-    """The sensor-model architecture both FCNNs share: window length k, hidden widths."""
-    fc = doc["fcnn"]
-    hidden = tuple(_size(f"fcnn.hidden[{i}]", n) for i, n in enumerate(fc["hidden"]))
-    return {"k": _size("fcnn.k", fc["k"]), "hidden": hidden}
-
-
-def fusion_options(doc: dict) -> dict:
-    """The fusion architecture: window length, embedding and key widths, encoder hidden width, lambda."""
-    fu = doc["fusion"]
-    sizes = {key: _size(f"fusion.{key}", fu[key]) for key in ("window", "embed_dim", "key_dim", "hidden")}
-    return {**sizes, "lambda": fu["lambda"]}
 
 
 def fusion_train_config(doc: dict) -> TrainConfig:

@@ -55,11 +55,17 @@ class Vec3Enu:
         e, n, u = (float(v) for v in a)
         return Vec3Enu(e, n, u)
 
-    def __add__(self, other: "Vec3Enu") -> "Vec3Enu":
-        return Vec3Enu(self.east + other.east, self.north + other.north, self.up + other.up)
 
-    def __sub__(self, other: "Vec3Enu") -> "Vec3Enu":
-        return Vec3Enu(self.east - other.east, self.north - other.north, self.up - other.up)
+def rotation_fault(m: np.ndarray) -> str | None:
+    """Why a 3x3 array is not a proper rotation (finite, R^T R = I and det R = +1,
+    both within 1e-9), or None when it is one."""
+    if not np.all(np.isfinite(m)):
+        return "rotation matrix must be finite"
+    if np.max(np.abs(m.T @ m - np.eye(3))) > _ORTHO_TOL:
+        return "matrix is not orthonormal within 1e-9"
+    if abs(np.linalg.det(m) - 1.0) > _ORTHO_TOL:
+        return "matrix determinant is not +1 within 1e-9"
+    return None
 
 
 def nearest_rotation(matrix) -> np.ndarray:
@@ -86,12 +92,9 @@ class Rotation:
         m = np.array(matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("rotation matrix must be finite")
-        if np.max(np.abs(m.T @ m - np.eye(3))) > _ORTHO_TOL:
-            raise ValueError("matrix is not orthonormal within 1e-9")
-        if abs(np.linalg.det(m) - 1.0) > _ORTHO_TOL:
-            raise ValueError("matrix determinant is not +1 within 1e-9")
+        fault = rotation_fault(m)
+        if fault:
+            raise ValueError(fault)
         m.flags.writeable = False
         self._m = m
 

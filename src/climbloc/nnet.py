@@ -226,21 +226,24 @@ def sgd(theta: np.ndarray, n_train: int, cfg: TrainConfig, grad_of, losses) -> l
     `theta -= step * g`, scaling g in place. After each epoch `losses()` gives the
     (train, validation) loss; the first non-finite one restores θ to its value after
     the last finite epoch and stops. Returns one loss pair per finite epoch.
+    numpy's overflow and invalid-value warnings are silenced: that check reports a
+    diverging fit.
     """
     checkpoint = theta.copy()
     rng = np.random.default_rng(cfg.seed)
     history = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, cfg.batch_size):
-            step, g = grad_of(order[start : start + cfg.batch_size])
-            theta -= np.multiply(step, g, out=g)  # scales g in place: no θ-sized temporary
-        train_loss, val_loss = losses()
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            theta[...] = checkpoint
-            break
-        history.append((train_loss, val_loss))
-        checkpoint[...] = theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n_train)
+            for start in range(0, n_train, cfg.batch_size):
+                step, g = grad_of(order[start : start + cfg.batch_size])
+                theta -= np.multiply(step, g, out=g)  # scales g in place: no θ-sized temporary
+            train_loss, val_loss = losses()
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                theta[...] = checkpoint
+                break
+            history.append((train_loss, val_loss))
+            checkpoint[...] = theta
     return history
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.types import _ORTHO_TOL, GRAVITY, ImuSample, Rotation, Vec3Enu, nearest_rotation, skew
+from ..core.types import GRAVITY, ImuSample, Rotation, Vec3Enu, nearest_rotation, rotation_fault, skew
 from ..errors import NumericalFailureError
 
 GRAVITY_ENU = np.array([0.0, 0.0, -GRAVITY])
@@ -258,10 +258,5 @@ class GpsInsEkf:
 
     def check_attitude(self, t: float) -> None:
         """Fail if the attitude has left SO(3) by more than 1e-9; t names the estimate."""
-        r = self.attitude
-        if (
-            not np.all(np.isfinite(r))
-            or np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL
-            or abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL
-        ):
+        if rotation_fault(self.attitude):
             raise NumericalFailureError(f"INS attitude is no longer a rotation at t={t}")

@@ -31,12 +31,26 @@ from climbloc.cli import (
     read_trajectory,
 )
 from climbloc.cli import commands, records
-from climbloc.cli.config import DEFAULT_CONFIG, scenario_config, sensor_train_config
+from climbloc.cli.config import DEFAULT_CONFIG, fusion_train_config, scenario_config, sensor_train_config
 from climbloc.cli.commands import run_algorithm
 from climbloc.cli.records import COLUMNS_DIR, write_scenario, write_trajectory
 from climbloc.errors import ConfigError, MissingInputError
-from climbloc.fusion import UkfState, train_fusion
-from climbloc.models import model_from_dict, train_baro_model, train_uwb_model, uwb_fcnn_infer
+from climbloc.fusion import (
+    UkfState,
+    collect_fusion_frames,
+    fusion_to_dict,
+    init_attention_params,
+    init_encoders,
+    train_fusion,
+)
+from climbloc.models import (
+    DEFAULT_K,
+    model_from_dict,
+    model_to_dict,
+    train_baro_model,
+    train_uwb_model,
+    uwb_fcnn_infer,
+)
 from climbloc.nnet import TrainConfig, net_init, net_to_dict
 from climbloc.sim import ScenarioConfig, simulate_scenario
 from climbloc.solvers import uwb_geometric_fixes
@@ -316,14 +330,6 @@ class TestConfig:
                          id="fcnn-epochs"),
             pytest.param("fusion", {"fusion": {"batch_size": 1.5}}, "fusion.batch_size: must be an integer",
                          id="fusion-batch"),
-            pytest.param("uwb", {"fcnn": {"k": 2.5}}, "fcnn.k: must be an integer", id="k"),
-            pytest.param("baro", {"fcnn": {"k": "a"}}, "fcnn.k: must be an integer", id="k-string"),
-            pytest.param("baro", {"fcnn": {"hidden": [64, 2.7]}}, "fcnn.hidden[1]: must be an integer", id="hidden"),
-            pytest.param("fusion", {"fusion": {"window": 2.5}}, "fusion.window: must be an integer", id="window"),
-            pytest.param("fusion", {"fusion": {"embed_dim": 32.0}}, "fusion.embed_dim: must be an integer",
-                         id="embed-dim"),
-            pytest.param("fusion", {"fusion": {"key_dim": "16"}}, "fusion.key_dim: must be an integer", id="key-dim"),
-            pytest.param("fusion", {"fusion": {"hidden": 6.4}}, "fusion.hidden: must be an integer", id="hidden-fusion"),
         ],
     )
     def test_training_value_of_the_wrong_json_type_exits_2_naming_it(
@@ -374,13 +380,6 @@ class TestConfig:
             pytest.param("fusion", {"fusion": {"learning_rate": math.nan}}, "fusion.learning_rate",
                          id="fusion-rate-nan"),
             pytest.param("fusion", {"ukf": {"q": math.nan}}, "ukf.q", id="ukf-q-nan"),
-            pytest.param("baro", {"fcnn": {"k": 0}}, "fcnn.k", id="k-zero"),
-            pytest.param("uwb", {"fcnn": {"hidden": [0]}}, "fcnn.hidden[0]", id="fcnn-hidden-zero"),
-            pytest.param("fusion", {"fusion": {"window": 0}}, "fusion.window", id="window-zero"),
-            pytest.param("fusion", {"fusion": {"window": -2}}, "fusion.window", id="window-negative"),
-            pytest.param("fusion", {"fusion": {"embed_dim": 0}}, "fusion.embed_dim", id="embed-dim-zero"),
-            pytest.param("fusion", {"fusion": {"key_dim": 0}}, "fusion.key_dim", id="key-dim-zero"),
-            pytest.param("fusion", {"fusion": {"hidden": 0}}, "fusion.hidden", id="fusion-hidden-zero"),
         ],
     )
     def test_refused_value_exits_2_naming_it_and_writes_nothing(self, pipeline, tmp_path, stage, override, dotted):
@@ -412,7 +411,7 @@ class TestConfig:
 
     def test_default_digest_is_pinned(self):
         # the manifest stamps this digest: a moved default changes it
-        digest = "278f50af68de6f16def72d8a9f16b6bbc989594168d3110b8fc0a9d8e0ee8edc"
+        digest = "88c4e44e30f1967d31d3cd470b3c4abe457f8882f6a57c8c30336f792a4fb72e"
         assert config_digest(load_config(None)) == digest
 
     @pytest.mark.parametrize("dotted", [
@@ -423,6 +422,14 @@ class TestConfig:
         pytest.param("ukf.alpha", id="ukf-alpha"),
         pytest.param("ukf.beta", id="ukf-beta"),
         pytest.param("ukf.kappa", id="ukf-kappa"),
+        # the architecture is the library's defaults; a model file records its own
+        pytest.param("fcnn.k", id="fcnn-k"),
+        pytest.param("fcnn.hidden", id="fcnn-hidden"),
+        pytest.param("fusion.window", id="fusion-window"),
+        pytest.param("fusion.embed_dim", id="fusion-embed-dim"),
+        pytest.param("fusion.key_dim", id="fusion-key-dim"),
+        pytest.param("fusion.hidden", id="fusion-hidden"),
+        pytest.param("fusion.lambda", id="fusion-lambda"),
     ])
     def test_nnet_budget_key_exits_2_naming_it(self, tmp_path, capsys, dotted):
         section, key = dotted.split(".")
@@ -776,26 +783,30 @@ class TestTrain:
         )
         assert rc == 3
 
-    def test_fusion_fit_without_a_finite_epoch_exits_4_and_writes_nothing(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("model, override", [
+        pytest.param("fusion", {"fusion": {"epochs": 3, "learning_rate": 1e300}}, id="fusion"),
+        pytest.param("uwb", {"fcnn": {"uwb": {"epochs": 5, "learning_rate": 1e300}}}, id="uwb"),
+        pytest.param("baro", {"fcnn": {"baro": {"epochs": 5, "learning_rate": 1e300}}}, id="baro"),
+    ])
+    def test_fit_without_a_finite_epoch_exits_4_with_one_line_and_writes_nothing(
+        self, pipeline, tmp_path, model, override
+    ):
+        # the overflow numpy meets on the way is reported by the loss check alone
         for name in ("uwb.json", "baro.json"):
             shutil.copy(os.path.join(pipeline["models"], name), tmp_path)
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**SHORT_CONFIG, "fusion": {"epochs": 3, "learning_rate": 1e300}}))
-        rc = main(["train", "--model", "fusion", "--data", pipeline["data"],
-                   "--out", str(tmp_path / "fusion.json"), "--config", str(path)])
-        assert rc == 4
-        assert "training diverged at epoch 0" in capsys.readouterr().err
+        path.write_text(json.dumps({**SHORT_CONFIG, **override}))
+        out = tmp_path / f"{model}-new.json"
+        proc = run_cli(["train", "--model", model, "--data", pipeline["data"], "--out", str(out),
+                        "--config", str(path)])
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "numerical failure: training diverged at epoch 0: non-finite loss\n"
         assert sorted(os.listdir(tmp_path)) == ["baro.json", "c.json", "uwb.json"]
 
     def test_reloaded_model_matches_in_memory_inference(self, pipeline):
-        from climbloc.cli.config import fcnn_options, sensor_train_config
-        from climbloc.models import train_uwb_model
-
         doc = load_config(pipeline["config"])
         scenario = read_scenario(pipeline["data"])
-        in_memory, _ = train_uwb_model(
-            scenario, sensor_train_config(doc, "uwb"), **fcnn_options(doc)
-        )
+        in_memory, _ = train_uwb_model(scenario, sensor_train_config(doc, "uwb"))
         with open(os.path.join(pipeline["models"], "uwb.json")) as fh:
             reloaded = model_from_dict(json.load(fh))
         a = uwb_fcnn_infer(in_memory, scenario.uwb, scenario.anchor)
@@ -832,14 +843,41 @@ class TestRun:
 
     def test_all_six_trajectories_cover_the_same_epochs_after_warmup(self, pipeline):
         doc = load_config(pipeline["config"])
-        k = doc["fcnn"]["k"]
-        warmup_end = k * 1.0 / doc["sim"]["uwb"]["rate_hz"]
+        warmup_end = DEFAULT_K * 1.0 / doc["sim"]["uwb"]["rate_hz"]
         counts = {}
         for algo, path in pipeline["trajectories"].items():
             rows, tag = read_trajectory(path)
             assert tag == algo
             counts[algo] = int(np.sum(rows[:, 0] >= warmup_end - 1e-9))
         assert len(set(counts.values())) == 1, counts
+
+    def test_library_models_of_another_architecture_run_from_their_files(self, pipeline, tmp_path):
+        # train fits the default architecture; run takes whatever the model files record
+        doc = load_config(pipeline["config"])
+        scenario = read_scenario(pipeline["data"])
+        uwb, _ = train_uwb_model(scenario, sensor_train_config(doc, "uwb"), k=5, hidden=(8,))
+        baro, _ = train_baro_model(scenario, sensor_train_config(doc, "baro"), k=5, hidden=(8,))
+        cfg = fusion_train_config(doc)
+        encoders, params, _ = train_fusion(
+            scenario, uwb, baro, cfg, L=4,
+            encoders=init_encoders(L=4, d_e=8, hidden=16, seed=cfg.seed),
+            params=init_attention_params(d_e=8, d_k=4, seed=cfg.seed),
+        )
+        models = tmp_path / "models"
+        models.mkdir()
+        for name, model in (("uwb", model_to_dict(uwb)), ("baro", model_to_dict(baro)),
+                            ("fusion", fusion_to_dict(encoders, params, L=4))):
+            (models / f"{name}.json").write_text(json.dumps(model))
+        frames = collect_fusion_frames(scenario, uwb, baro, L=4)
+        first = {"uwb-fcnn": scenario.uwb.t[4], "baro-fcnn": scenario.baro.t[4],
+                 "amfa": frames.t[np.argmax(frames.fusible)]}
+        for algo, t0 in first.items():
+            out = tmp_path / f"{algo}.jsonl"
+            assert main(["run", "--data", pipeline["data"], "--models", str(models), "--algo", algo,
+                         "--out", str(out)]) == 0, algo
+            rows, _ = read_trajectory(str(out))
+            default_rows, _ = read_trajectory(pipeline["trajectories"][algo])
+            assert rows[0, 0] == t0 < default_rows[0, 0], algo
 
     def test_amfa_sigmas_strictly_positive(self, pipeline):
         rows, _ = read_trajectory(pipeline["trajectories"]["amfa"])
@@ -923,8 +961,10 @@ class TestRun:
             ("fusion.json", "attention.b_prior.uwb.x", None, "amfa"),
             # sizes below 1
             ("fusion.json", "window", 0, "amfa"),
+            ("fusion.json", "window", -2, "amfa"),
             ("fusion.json", "attention.d_k", 0, "amfa"),
             ("uwb.json", "k", 0, "uwb-fcnn"),
+            ("baro.json", "k", 0, "baro-fcnn"),
         ],
     )
     def test_model_file_value_of_the_wrong_json_type_exits_2_naming_it(

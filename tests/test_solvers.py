@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import types
 
@@ -24,7 +25,7 @@ from climbloc.core import (
     geodetic_to_enu,
     skew,
 )
-from climbloc.errors import MissingInputError
+from climbloc.errors import MissingInputError, NumericalFailureError
 from climbloc.fusion import ekf_pass, epoch_times
 from climbloc.fusion.pipeline import _stop_schedule
 from climbloc.sim import (
@@ -433,6 +434,20 @@ class TestGpsInsEkf:
         bad[0, 1] = 0.5  # asymmetric
         with pytest.raises(ValueError):
             InsErrorModel(P=bad)
+
+    @pytest.mark.parametrize("matrix, fault", [
+        pytest.param(np.diag([1.0, 1.0, np.nan]), "rotation matrix must be finite", id="nan"),
+        pytest.param(np.diag([1.0, 1.0, 1.001]), "matrix is not orthonormal within 1e-9", id="scaled"),
+        pytest.param(np.diag([1.0, 1.0, -1.0]), "matrix determinant is not +1 within 1e-9", id="reflection"),
+    ])
+    def test_check_attitude_refuses_what_rotation_refuses(self, matrix, fault):
+        # one SO(3) rule: Rotation names the fault, the filter names the estimate
+        with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+            Rotation(matrix)
+        ekf = self._static_filter()
+        ekf.attitude = matrix
+        with pytest.raises(NumericalFailureError, match=r"^INS attitude is no longer a rotation at t=1\.5$"):
+            ekf.check_attitude(1.5)
 
 
 def _svd_rotation(m: np.ndarray) -> np.ndarray:
