@@ -23,8 +23,6 @@ import numpy as np
 from .. import __version__
 from ..errors import ConfigError, MissingInputError, NumericalFailureError
 from ..fusion import (
-    AXES,
-    MODALITIES,
     amfa_pipeline,
     ekf_pass,
     epoch_times,
@@ -32,7 +30,6 @@ from ..fusion import (
     fusion_to_dict,
     train_fusion,
 )
-from ..fusion.serialize import BUNDLE_VERSION
 from ..metrics import (
     REFERENCE_LABEL,
     REFERENCE_MAX_M,
@@ -47,8 +44,6 @@ from ..metrics import (
     write_metrics_csv,
 )
 from ..models import (
-    BaroFcnnModel,
-    UwbFcnnModel,
     baro_fcnn_infer,
     model_from_dict,
     model_to_dict,
@@ -63,7 +58,6 @@ from . import records
 
 ALGORITHMS = ("baro", "baro-fcnn", "uwb-geo", "uwb-fcnn", "gpsins-ekf", "amfa")
 MODEL_FILES = {"uwb": "uwb.json", "baro": "baro.json", "fusion": "fusion.json"}
-_MODEL_KINDS = {"uwb": UwbFcnnModel.kind, "baro": BaroFcnnModel.kind, "fusion": "fusion"}
 
 
 def _write_json(path, doc) -> None:
@@ -106,51 +100,18 @@ def cmd_simulate(config_path, out_dir) -> dict:
     return manifest
 
 
-# the typed keys of the model files, checked by the rule of cli/config.py; of
-# a bundle's attention object only the scalars, since a per-float check of its
-# weight lists would add milliseconds to every amfa run
-_MODEL_KEYS = {"k": 1, "window": 1, "lambda": 1.0,
-               "ukf": cfgmod.DEFAULT_CONFIG["ukf"],
-               "attention": {"d_k": 1, "beta": dict.fromkeys(AXES, 1.0),
-                             "b_prior": {m: dict.fromkeys(AXES, 1.0) for m in MODALITIES}}}
-
-
 def _load_model(models_dir, which):
-    """The model `train --model <which>` writes into `models_dir`: a sensor
-    model, or the fusion bundle's (encoders, params, ukf state, L, lambda).
-
-    An absent file is a MissingInputError naming that stage. A document that
-    does not parse or is not an object, is of another kind than the stage
-    writes, is a fusion bundle of another version than this one writes, lacks
-    a key, or holds a value of the wrong type or a size below 1 is a
-    ConfigError naming the file."""
+    """The library reader's model from the file `train --model <which>` writes into
+    `models_dir`: an absent file is a MissingInputError naming that stage, and a
+    document that does not parse or that the reader refuses, a ConfigError naming the file."""
     path = os.path.join(models_dir, MODEL_FILES[which])
     if not os.path.exists(path):
         raise MissingInputError(f"missing {which} model: {path} (run train --model {which} first)")
     doc = cfgmod.read_document(path)
     try:
-        if doc.get("kind") != _MODEL_KINDS[which]:
-            raise ConfigError(f"not a {which} model: kind {doc.get('kind')!r}")
-        if which == "fusion" and doc.get("version") != BUNDLE_VERSION:
-            raise ConfigError(f"fusion bundle version {doc.get('version')!r}, not {BUNDLE_VERSION}; retrain it")
-        for key, default in _MODEL_KEYS.items():
-            if key in doc:
-                value = doc[key]
-                if key == "attention" and isinstance(value, dict):
-                    value = {k: v for k, v in value.items() if k in default}
-                cfgmod._check(default, value, key, complete=False)
-        sizes = {"k": doc.get("k"), "window": doc.get("window"),
-                 "attention.d_k": doc.get("attention", {}).get("d_k")}
-        for dotted, size in sizes.items():
-            if size is not None and size < 1:
-                raise ConfigError(f"{dotted}: must be at least 1, got {size!r}")
-        return (fusion_from_dict if which == "fusion" else model_from_dict)(doc)
+        return fusion_from_dict(doc) if which == "fusion" else model_from_dict(doc, which)
     except ConfigError as err:
         raise ConfigError(f"{path}: {err}") from None
-    except KeyError as err:
-        raise ConfigError(f"{path}: missing key {err.args[0]!r}") from None
-    except TypeError as err:
-        raise ConfigError(f"{path}: a value has the wrong type ({err})") from None
 
 
 def _refuse_directories(*paths) -> None:

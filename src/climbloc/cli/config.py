@@ -18,18 +18,18 @@ The architecture is not configured: `train` fits the library's defaults (the
 `DEFAULT_*` constants of `climbloc.models` and `climbloc.fusion.attention`),
 and `run` reads whatever architecture each model file records.
 
-`DEFAULT_CONFIG` is also the schema: `_check` refuses, naming its dotted path,
-a value without the JSON type of its default. An object takes known keys; a
-list, items that pass for its first item (they are not merged with it); an
-int, a JSON integer but not a boolean; a float, any finite number; a bool,
-`true` or `false`; a null (`eval.match_tolerance`), null or a finite number.
-Value rules stay where the value is read. `config_digest` hashes the merged
-document, for the manifest.
+`DEFAULT_CONFIG` is also the schema: `errors.check_json` refuses, naming its
+dotted path, a value without the JSON type of its default. An object takes
+known keys; a list, items that pass for its first item (they are not merged
+with it); an int, a JSON integer but not a boolean; a float, any finite
+number; a bool, `true` or `false`; a null (`eval.match_tolerance`), null or a
+finite number. Value rules stay where the value is read. `config_digest`
+hashes the merged document, for the manifest.
 
 Every JSON document the CLI reads (the config, `anchor.json`, the model
-files, the manifest) is parsed by `read_document` and typed by `_check`: a
-config overlays the defaults, so its keys are optional, while `anchor.json`
-must hold every key of `records.ANCHOR_SCHEMA`.
+files, the manifest) is parsed by `read_document`. The type rule types the
+config, whose keys are optional, `anchor.json` (`records.ANCHOR_SCHEMA`, every
+key required) and, in their library readers, the model files' scalars.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ import copy
 import hashlib
 import json
 import os
-import sys
 from dataclasses import fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 from ..core import Vec3Enu
-from ..errors import ConfigError, MissingInputError
+from ..errors import ConfigError, MissingInputError, check_json
 from ..fusion import UkfState
 from ..nnet import TrainConfig
 from ..sim import ScenarioConfig
@@ -91,32 +90,6 @@ DEFAULT_CONFIG = {
     },
 }
 
-_KINDS = {dict: "an object", list: "a list", bool: "true or false", int: "an integer"}
-
-
-def _check(default, value, dotted: str, complete: bool) -> None:
-    """Raise a ConfigError naming `dotted` unless `value` follows the type rule
-    for `default`; with `complete`, every key of each default object is required."""
-    kind = _KINDS.get(type(default))
-    if kind:
-        ok = type(value) is type(default)  # JSON values: a bool is not an int
-    else:  # a float, or the null of eval.match_tolerance; NaN, inf and 10**400 fail the bound
-        kind = "a finite number"
-        ok = value is default or (type(value) in (int, float) and abs(value) <= sys.float_info.max)
-    if not ok:
-        raise ConfigError(f"{dotted}: must be {kind}, got {value!r}")
-    if isinstance(value, dict):
-        for key in [*value, *(key for key in default if complete and key not in value)]:
-            path = f"{dotted}.{key}" if dotted else key
-            if key not in default:
-                raise ConfigError(f"{path}: unknown configuration key")
-            if key not in value:
-                raise ConfigError(f"{path}: missing key")
-            _check(default[key], value[key], path, complete)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check(default[0], item, f"{dotted}[{i}]", complete)
-
 
 def _merge(base: dict, override: dict) -> dict:
     """Deep merge a checked override into a copy of base; a non-object value replaces its default."""
@@ -150,7 +123,7 @@ def load_config(path=None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     user = read_document(path)
-    _check(DEFAULT_CONFIG, user, "", complete=False)
+    check_json(DEFAULT_CONFIG, user, "", complete=False)
     return _merge(DEFAULT_CONFIG, user)
 
 

@@ -1,8 +1,8 @@
 """File formats of the pipeline: JSONL streams, anchor/manifest documents.
 
 `anchor.json` and `manifest.json` are read by `config.read_document`;
-`anchor.json` must follow `ANCHOR_SCHEMA` under `config._check`'s type rule,
-and the types its values build check them (3x3 rotation, latitude range).
+`anchor.json` must follow `ANCHOR_SCHEMA` under `errors.check_json`, and the
+types its values build check them (3x3 rotation, latitude range).
 
 Every JSONL line is one self-contained record. All units are SI (seconds,
 meters, radians, pascals); attitudes are unit quaternions (w, x, y, z).
@@ -46,10 +46,10 @@ from ..core import (
     UwbStream,
     Vec3Enu,
 )
-from ..errors import ConfigError, MissingInputError
+from ..errors import ConfigError, MissingInputError, check_json
 from ..sim import ScenarioData
 from ..solvers import BaroReference
-from .config import _build, _check, _document, read_document
+from .config import _build, _document, read_document
 
 SCENARIO_FILES = {
     "truth": "truth.jsonl",
@@ -254,7 +254,7 @@ def anchor_document(scenario: ScenarioData) -> dict:
 
 
 # the layout anchor_document writes, as a schema for the type rule of
-# cli/config.py: each key must hold a value of its default's JSON type
+# errors.check_json: each key must hold a value of its default's JSON type
 ANCHOR_SCHEMA = {
     "anchor": {"position": [0.0], "orientation": [[0.0]]},
     "origin": _document(GeodeticPoint(0.0, 0.0, 0.0)),
@@ -324,7 +324,7 @@ def _read_anchor(directory):
     path = os.path.join(directory, ANCHOR_FILE)
     doc = read_document(path)
     try:
-        _check(ANCHOR_SCHEMA, doc, "", complete=True)
+        check_json(ANCHOR_SCHEMA, doc, "", complete=True)
         origin, reference = ({k: float(v) for k, v in doc[key].items()} for key in ("origin", "baro_reference"))
         anchor = AnchorPose(
             position=_build("anchor.position", Vec3Enu.from_array, {"a": doc["anchor"]["position"]}),

@@ -126,6 +126,14 @@ def init_encoders(
     }
 
 
+def encoder_window(encoders: dict) -> int:
+    """The window L of the encoders, whose inputs are L entries of WINDOW_WIDTHS values (ConfigError if none fits)."""
+    windows = {encoders[m].layer_sizes[0] / WINDOW_WIDTHS[m] for m in MODALITIES}
+    if len(windows) > 1:  # a single value is whole: the barometer's entries are 1 wide
+        raise ConfigError(f"encoders: their input widths fit no one window of {WINDOW_WIDTHS} entries")
+    return int(windows.pop())
+
+
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Max-stabilized softmax over the last axis, restricted to the entries `mask` keeps.
 

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core.types import AnchorPose
-from .errors import ConfigError, MissingInputError
+from .errors import ConfigError, MissingInputError, model_document
 from .nnet import Dataset, DenseNetwork, TrainConfig, net_forward, net_from_dict, net_init, net_to_dict, train
 from .solvers.uwb import uwb_geometric_fixes
 
@@ -154,15 +154,21 @@ def train_baro_model(scenario, cfg: TrainConfig, k: int = DEFAULT_K, hidden=DEFA
     return _train("baro", scenario, cfg, k, hidden)
 
 
+MODEL_SCHEMA = {"k": 1}  # the scalars of a model file, for errors.model_document
+
+
 def model_to_dict(model) -> dict:
     if not isinstance(model, _FcnnModel):
         raise ConfigError(f"not a serializable sensor model: {type(model).__name__}")
     return {"kind": model.kind, "k": model.k, "network": net_to_dict(model.network)}
 
 
-def model_from_dict(doc: dict):
+def model_from_dict(doc: dict, stream: str | None = None):
+    """The sensor model a `model_to_dict` document holds: of the kind it names, or
+    the model of `stream` ('uwb' or 'baro'). Another kind is a ConfigError."""
     kind = doc.get("kind")
-    model = next((m for m in _MODELS.values() if m.kind == kind), None)
-    if model is None:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return model(network=net_from_dict(doc["network"]), k=int(doc["k"]))
+    model = _MODELS[stream] if stream else next((m for m in _MODELS.values() if m.kind == kind), None)
+    if model is None or model.kind != kind:
+        raise ConfigError(f"not a {stream} model: kind {kind!r}" if stream else f"unknown model kind {kind!r}")
+    with model_document(doc, MODEL_SCHEMA):
+        return model(network=net_from_dict(doc["network"]), k=doc["k"])

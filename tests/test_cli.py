@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from climbloc.errors import ConfigError, MissingInputError
 from climbloc.fusion import (
     UkfState,
     collect_fusion_frames,
+    fusion_from_dict,
     fusion_to_dict,
     init_attention_params,
     init_encoders,
@@ -87,6 +89,11 @@ def run_cli(args) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(climbloc.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "climbloc", *args], capture_output=True, text=True, env=env)
+
+
+# the library reader of each model file, which refuses what `run` refuses
+LIBRARY_READERS = {"uwb.json": lambda doc: model_from_dict(doc, "uwb"),
+                   "baro.json": lambda doc: model_from_dict(doc, "baro"), "fusion.json": fusion_from_dict}
 
 
 SHORT_CONFIG = {
@@ -865,8 +872,9 @@ class TestRun:
         )
         models = tmp_path / "models"
         models.mkdir()
-        for name, model in (("uwb", model_to_dict(uwb)), ("baro", model_to_dict(baro)),
-                            ("fusion", fusion_to_dict(encoders, params, L=4))):
+        bundle = fusion_to_dict(encoders, params)
+        assert bundle["window"] == 4  # the window the encoders take, not DEFAULT_L
+        for name, model in (("uwb", model_to_dict(uwb)), ("baro", model_to_dict(baro)), ("fusion", bundle)):
             (models / f"{name}.json").write_text(json.dumps(model))
         frames = collect_fusion_frames(scenario, uwb, baro, L=4)
         first = {"uwb-fcnn": scenario.uwb.t[4], "baro-fcnn": scenario.baro.t[4],
@@ -914,6 +922,8 @@ class TestRun:
         which = filename.removesuffix(".json")
         assert proc.stderr == f"config error: {path}: not a {which} model: kind {kind!r}\n", proc.stderr
         assert not out.exists()
+        with pytest.raises(ConfigError, match=f"^not a {which} model: kind {kind!r}$"):
+            LIBRARY_READERS[filename](doc)
 
     def test_raw_only_uwb_model_exits_2_naming_it(self, workspace, capsys):
         # a uwb.json trained with "include_geometric": false: its network reads
@@ -929,6 +939,8 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {path}: network input {3 * k} != expected {3 * k + 3}\n"
         assert not out.exists()
+        with pytest.raises(ConfigError, match=f"^network input {3 * k} != expected {3 * k + 3}$"):
+            model_from_dict(json.loads(path.read_text()))
 
     @pytest.mark.parametrize(
         "filename, key, algo",
@@ -947,6 +959,8 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert f"{models / filename}: missing key {key!r}" in proc.stderr
         assert not out.exists()
+        with pytest.raises(ConfigError, match=f"^missing key {key!r}$"):
+            LIBRARY_READERS[filename](doc)
 
     @pytest.mark.parametrize(
         "filename, key, value, algo",
@@ -959,6 +973,13 @@ class TestRun:
             ("fusion.json", "attention.beta.x", "1.5", "amfa"),
             ("fusion.json", "attention.beta.x", True, "amfa"),
             ("fusion.json", "attention.b_prior.uwb.x", None, "amfa"),
+            # values the library readers once converted with int() or float()
+            ("fusion.json", "window", 4.7, "amfa"),
+            ("fusion.json", "attention.d_k", 4.9, "amfa"),
+            ("fusion.json", "ukf.q", "0.05", "amfa"),
+            ("uwb.json", "k", 10.0, "uwb-fcnn"),
+            # a window the encoders do not take
+            ("fusion.json", "window", 4, "amfa"),
             # sizes below 1
             ("fusion.json", "window", 0, "amfa"),
             ("fusion.json", "window", -2, "amfa"),
@@ -986,6 +1007,8 @@ class TestRun:
         assert proc.stderr.startswith(f"config error: {models / filename}: {key}: must be"), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be"):
+            LIBRARY_READERS[filename](doc)
 
     # the files `run --algo amfa --config c.json` reads as JSON documents
     JSON_INPUTS = ("c.json", "data/anchor.json", "models/uwb.json", "models/baro.json", "models/fusion.json")
@@ -1056,6 +1079,8 @@ class TestRun:
         assert proc.stderr.startswith(f"config error: {path}: fusion bundle version 1, not 2; retrain it"), proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+        with pytest.raises(ConfigError, match="^fusion bundle version 1, not 2; retrain it$"):
+            fusion_from_dict(doc)
 
     @pytest.mark.parametrize(
         "name, damage",

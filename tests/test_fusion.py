@@ -1123,11 +1123,11 @@ class TestSerialization:
         encoders = init_encoders(L=4, d_e=8, hidden=16, seed=3)
         params = init_attention_params(d_e=8, d_k=4, seed=3)
         params.b_prior[("uwb", "y")] = 0.125
-        doc = fusion_to_dict(encoders, params, UkfState(q=0.2), L=4, lam=0.5)
+        doc = fusion_to_dict(encoders, params, UkfState(q=0.2), lam=0.5)
         enc2, params2, ukf2, L, lam = fusion_from_dict(doc)
         assert (L, lam) == (4, 0.5)
         assert ukf2.q == 0.2
-        assert fusion_to_dict(enc2, params2, ukf2, L, lam) == doc
+        assert fusion_to_dict(enc2, params2, ukf2, lam) == doc
 
     def test_rejects_foreign_documents(self):
         from climbloc.errors import ConfigError
