@@ -31,6 +31,7 @@ from ..fusion import (
     train_fusion,
 )
 from ..metrics import (
+    CDF_THRESHOLDS,
     REFERENCE_LABEL,
     REFERENCE_MAX_M,
     REFERENCE_RMSE_M,
@@ -143,7 +144,7 @@ def cmd_train(model, data_dir, out_path, config_path=None):
         encoders, params, history = train_fusion(scenario, uwb_model, baro_model, train_cfg)
         if train_cfg.epochs and not history:  # train_fusion returned its initial checkpoint
             raise NumericalFailureError("training diverged at epoch 0: non-finite loss")
-        _write_json(out_path, fusion_to_dict(encoders, params, cfgmod.ukf_state(doc)))
+        _write_json(out_path, fusion_to_dict(encoders, params))
     else:
         raise ConfigError(f"unknown model stage {model!r} (expected uwb, baro, or fusion)")
 
@@ -213,30 +214,29 @@ def cmd_run(data_dir, models_dir, algo, out_path, config_path=None):
 def cmd_report(est_paths, truth_path, out_dir, config_path=None):
     """Metric/CDF/boxplot CSVs plus a comparison table on stdout, all from
     the report.json rows of `compute_metrics`."""
-    doc = cfgmod.load_config(config_path)
-    ev = cfgmod.eval_options(doc)
+    cfgmod.load_config(config_path)  # a bad document exits 2 before any work
     truth = records.read_stream(truth_path, "truth")
     os.makedirs(out_dir, exist_ok=True)
 
     rows, cdf_columns, summaries = [], [], []
     for path in est_paths:
         est, algo = records.read_trajectory(path)
-        i, j, excluded = match_series(est[:, 0], truth.t, ev["match_tolerance"])
+        i, j, excluded = match_series(est[:, 0], truth.t)
         if not len(i):
             raise NumericalFailureError(f"{path}: no epochs matched the truth timeline")
         errors = est[i, 1:4] - truth.position[j]
-        rows.append(compute_metrics(errors, est[i, 4:7], algo, excluded, ev["k1"], ev["k2"]))
+        rows.append(compute_metrics(errors, est[i, 4:7], algo, excluded))
         magnitudes = np.linalg.norm(errors, axis=1)
-        cdf_columns.append(compute_cdf(magnitudes, ev["cdf_thresholds"]))
+        cdf_columns.append(compute_cdf(magnitudes, CDF_THRESHOLDS))
         summaries.append(boxplot_summary(magnitudes))
 
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
-    write_cdf_csv(os.path.join(out_dir, "cdf.csv"), ev["cdf_thresholds"], rows, cdf_columns)
+    write_cdf_csv(os.path.join(out_dir, "cdf.csv"), CDF_THRESHOLDS, rows, cdf_columns)
     write_boxplot_csv(os.path.join(out_dir, "boxplot.csv"), rows, summaries)
     report = {
         "rows": rows,
-        "cdf_thresholds": ev["cdf_thresholds"],
-        "trade_off": {"k1": ev["k1"], "k2": ev["k2"]},
+        "cdf_thresholds": CDF_THRESHOLDS,
+        "trade_off": {"k1": 1.0, "k2": 1.0},  # the unit weights of each row's composite
         "reference": {
             "label": REFERENCE_LABEL,
             "rmse": REFERENCE_RMSE_M,

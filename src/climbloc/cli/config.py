@@ -2,29 +2,27 @@
 
 One file configures the whole pipeline, split into sections:
     sim     scenario generation (trajectory, sensor noise, outage windows)
-    nnet    training settings both sensor models share (batch, seed, weights, split)
+    nnet    the seed both sensor models' training runs share
     fcnn    each sensor model's learning rate and epochs
-    fusion  the attention fusion's training run
-    ukf     the UKF process noise q
-    eval    report thresholds and the accuracy/uncertainty trade-off weights
+    fusion  the attention fusion's learning rate, epochs and seed
 
 The sim defaults live only in the `climbloc.sim` dataclasses: `sim` is the
 JSON form of `ScenarioConfig()` (objects for dataclasses, lists for tuples),
 less the fixed standard atmosphere and anchor boresight; the anchor is set by
-its east/north/up `anchor_position`. Likewise `nnet` is the JSON form of the
-`TrainConfig()` fields both sensor models share, and `ukf` holds the UKF's
-one setting, `UkfState().q`. A training budget lives in the document alone.
-The architecture is not configured: `train` fits the library's defaults (the
-`DEFAULT_*` constants of `climbloc.models` and `climbloc.fusion.attention`),
-and `run` reads whatever architecture each model file records.
+its east/north/up `anchor_position`. A training budget lives in the document
+alone. The rest of each training recipe (batch size, split, axis weights),
+the UKF's `q`, and the report's CDF thresholds and truth-matching tolerance
+are constants of the code. The architecture is not configured: `train` fits the
+library's defaults (the `DEFAULT_*` constants of `climbloc.models` and
+`climbloc.fusion.attention`), and `run` reads whatever architecture each
+model file records.
 
 `DEFAULT_CONFIG` is also the schema: `errors.check_json` refuses, naming its
 dotted path, a value without the JSON type of its default. An object takes
 known keys; a list, items that pass for its first item (they are not merged
 with it); an int, a JSON integer but not a boolean; a float, any finite
-number; a bool, `true` or `false`; a null (`eval.match_tolerance`), null or a
-finite number. Value rules stay where the value is read. `config_digest`
-hashes the merged document, for the manifest.
+number; a bool, `true` or `false`. Value rules stay where the value is read.
+`config_digest` hashes the merged document, for the manifest.
 
 Every JSON document the CLI reads (the config, `anchor.json`, the model
 files, the manifest) is parsed by `read_document`. The type rule types the
@@ -43,7 +41,6 @@ from typing import get_args, get_origin, get_type_hints
 
 from ..core import Vec3Enu
 from ..errors import ConfigError, MissingInputError, check_json
-from ..fusion import UkfState
 from ..nnet import TrainConfig
 from ..sim import ScenarioConfig
 from ..sim.scenario import DEFAULT_ANCHOR_POSITION
@@ -69,25 +66,12 @@ def _sim_defaults() -> dict:
 
 DEFAULT_CONFIG = {
     "sim": _sim_defaults(),
-    "nnet": {k: v for k, v in _document(TrainConfig()).items() if k not in ("learning_rate", "epochs")},
+    "nnet": {"seed": 0},
     "fcnn": {
         "uwb": {"learning_rate": 0.01, "epochs": 600},
         "baro": {"learning_rate": 0.01, "epochs": 300},
     },
-    "fusion": {
-        "learning_rate": 0.01,
-        "epochs": 120,
-        "batch_size": 16,
-        "seed": 0,
-        "split": 0.95,
-    },
-    "ukf": {"q": UkfState.q},
-    "eval": {
-        "cdf_thresholds": [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0],
-        "k1": 1.0,
-        "k2": 1.0,
-        "match_tolerance": None,
-    },
+    "fusion": {"learning_rate": 0.01, "epochs": 120, "seed": 0},
 }
 
 
@@ -164,29 +148,10 @@ def scenario_config(doc: dict) -> ScenarioConfig:
 
 
 def sensor_train_config(doc: dict, which: str) -> TrainConfig:
-    """nnet defaults overlaid with the training keys of fcnn.<which>; an
-    invalid value is reported under the section that holds it."""
-    shared = _build("nnet", TrainConfig, doc["nnet"])
-    return _build(f"fcnn.{which}", lambda **changes: replace(shared, **changes), doc["fcnn"][which])
+    """The shared seed and fcnn.<which>'s rate and epochs over the
+    `TrainConfig()` recipe; an invalid value is reported under fcnn.<which>."""
+    return _build(f"fcnn.{which}", TrainConfig, {"seed": doc["nnet"]["seed"], **doc["fcnn"][which]})
 
 
 def fusion_train_config(doc: dict) -> TrainConfig:
-    fu = doc["fusion"]
-    keys = ("learning_rate", "epochs", "batch_size", "seed", "split")
-    return _build("fusion", TrainConfig, {k: fu[k] for k in keys})
-
-
-def ukf_state(doc: dict) -> UkfState:
-    return _build("ukf", UkfState, doc["ukf"])
-
-
-def eval_options(doc: dict) -> dict:
-    ev = dict(doc["eval"])
-    # floats, so report.json writes 1.0 for a threshold or weight given as 1
-    ev["cdf_thresholds"] = [float(v) for v in ev["cdf_thresholds"]]
-    ev["k1"], ev["k2"] = float(ev["k1"]), float(ev["k2"])
-    if any(b < a for a, b in zip(ev["cdf_thresholds"], ev["cdf_thresholds"][1:])):
-        raise ConfigError("eval.cdf_thresholds: must be sorted ascending")
-    if ev["k1"] < 0 or ev["k2"] < 0:
-        raise ConfigError("eval.k1/k2: trade-off weights must be >= 0")
-    return ev
+    return _build("fusion", TrainConfig, {**doc["fusion"], "batch_size": 16, "split": 0.95})

@@ -18,8 +18,6 @@ import numpy as np
 from .types import Vec3Enu
 
 WGS84_A = 6378137.0
-WGS84_F = 1.0 / 298.257223563
-WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 
 _LD = np.longdouble
 _A = _LD(WGS84_A)

@@ -29,9 +29,9 @@ def check_json(default, value, dotted: str, complete: bool) -> None:
     kind = _KINDS.get(type(default))
     if kind:
         ok = type(value) is type(default)  # JSON values: a bool is not an int
-    else:  # a float, or the null of eval.match_tolerance; NaN, inf and 10**400 fail the bound
+    else:  # a float; NaN, inf and 10**400 fail the bound
         kind = "a finite number"
-        ok = value is default or (type(value) in (int, float) and abs(value) <= sys.float_info.max)
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
     if not ok:
         raise ConfigError(f"{dotted}: must be {kind}, got {value!r}")
     if isinstance(value, dict):

@@ -29,6 +29,8 @@ REFERENCE_STD_M = 0.43
 REFERENCE_MAX_M = 1.50
 REFERENCE_LABEL = "amfa [hardware reference]"
 
+# error magnitudes (m) at which `report` tabulates each CDF
+CDF_THRESHOLDS = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0)
 METRICS_COLUMNS = ("algorithm", "rmse", "std", "max", "mae_x", "mae_y", "mae_z", "matched_epochs")
 BOXPLOT_COLUMNS = ("algorithm", "min", "q1", "median", "q3", "max", "n_outliers")
 
@@ -80,18 +82,16 @@ def match_series(est_t, truth_t, tolerance=None):
     return est_rows, order[nearest[est_rows]], len(est_t) - len(est_rows)
 
 
-def compute_metrics(errors, sigmas, algorithm: str, excluded: int, k1: float, k2: float) -> dict:
+def compute_metrics(errors, sigmas, algorithm: str, excluded: int) -> dict:
     """One report row from matched errors (n, 3), estimate - truth, and the
     estimate's per-axis sigmas (n, 3) at the same epochs.
 
     RMSE is sqrt(mean squared Euclidean magnitude); STD is the population
     standard deviation of the magnitudes; MAX is their maximum; MAE is the
-    per-axis mean absolute error. `composite` is the weighted accuracy-plus-
-    uncertainty diagnostic k1 * mean error + k2 * mean reported covariance
-    trace; nothing in the pipeline optimizes it.
+    per-axis mean absolute error. `composite` is the accuracy-plus-uncertainty
+    diagnostic mean error + mean reported covariance trace; nothing in the
+    pipeline optimizes it.
     """
-    if k1 < 0 or k2 < 0:
-        raise ValueError(f"weights must be non-negative, got k1={k1}, k2={k2}")
     errors = np.asarray(errors, dtype=float)
     if len(errors) == 0:
         raise NumericalFailureError("no matched epochs: cannot compute metrics")
@@ -106,7 +106,7 @@ def compute_metrics(errors, sigmas, algorithm: str, excluded: int, k1: float, k2
         "mean_error": mean_error,
         "mae": [float(v) for v in np.mean(np.abs(errors), axis=0)],
         "rmse_axes": [float(v) for v in np.sqrt(np.mean(errors**2, axis=0))],
-        "composite": k1 * mean_error + k2 * float(np.mean(np.sum(sigmas * sigmas, axis=1))),
+        "composite": mean_error + float(np.mean(np.sum(sigmas * sigmas, axis=1))),
         "matched_epochs": len(errors),
         "excluded_epochs": int(excluded),
     }

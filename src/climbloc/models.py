@@ -97,16 +97,6 @@ class BaroFcnnModel(_FcnnModel):
 _MODELS = {"uwb": UwbFcnnModel, "baro": BaroFcnnModel}  # by the scenario stream each reads
 
 
-def uwb_inputs(stream, anchor: AnchorPose, k: int) -> np.ndarray:
-    """One row per full window: k*(d, alpha, beta) + the geometric fix of its last measurement."""
-    return UwbFcnnModel.windows(stream, anchor, k)
-
-
-def baro_inputs(stream, k: int) -> np.ndarray:
-    """One row per full window: k pressures + the internal altitude of its last sample."""
-    return BaroFcnnModel.windows(stream, None, k)
-
-
 def uwb_fcnn_infer(model: UwbFcnnModel, stream, anchor: AnchorPose):
     """(positions, sigmas), each (n-k+1, 3): one row per full window, in one forward pass.
 

@@ -21,7 +21,7 @@ from climbloc.core import (
     enu_to_geodetic,
     geodetic_to_enu,
 )
-from climbloc.models import baro_inputs, uwb_inputs
+from climbloc.models import BaroFcnnModel, UwbFcnnModel
 from climbloc.sim import ScenarioConfig, TrajectoryProfile, simulate_scenario
 from climbloc.solvers import uwb_geometric_fixes
 from climbloc.solvers.ins import rotation_increments
@@ -49,16 +49,16 @@ class TestSlidingWindow:
 
     def test_push_below_capacity(self):
         baro, uwb = _streams(1)
-        assert baro_inputs(baro, 3).shape == (0, 4)
-        assert uwb_inputs(uwb, ANCHOR, 3).shape == (0, 12)
+        assert BaroFcnnModel.windows(baro, None, 3).shape == (0, 4)
+        assert UwbFcnnModel.windows(uwb, ANCHOR, 3).shape == (0, 12)
         baro, uwb = _streams(3)
-        assert baro_inputs(baro, 3).shape == (1, 4)
-        assert uwb_inputs(uwb, ANCHOR, 3).shape == (1, 12)
+        assert BaroFcnnModel.windows(baro, None, 3).shape == (1, 4)
+        assert UwbFcnnModel.windows(uwb, ANCHOR, 3).shape == (1, 12)
 
     def test_fifo_eviction(self):
         baro, uwb = _streams(4)
-        b = baro_inputs(baro, 3)
-        u = uwb_inputs(uwb, ANCHOR, 3)
+        b = BaroFcnnModel.windows(baro, None, 3)
+        u = UwbFcnnModel.windows(uwb, ANCHOR, 3)
         assert b[-1].tolist() == baro.pressure[1:].tolist() + [baro.internal_altitude[3]]
         raw = np.column_stack([uwb.range, uwb.alpha, uwb.beta])
         assert u[-1].tolist() == raw[1:].ravel().tolist() + _uwb_fix(uwb, 3)
@@ -75,8 +75,8 @@ class TestSlidingWindow:
     @settings(max_examples=40, deadline=None)
     def test_contents_equal_tail_of_replay(self, n, k):
         baro, uwb = _streams(n)
-        b = baro_inputs(baro, k)
-        u = uwb_inputs(uwb, ANCHOR, k)
+        b = BaroFcnnModel.windows(baro, None, k)
+        u = UwbFcnnModel.windows(uwb, ANCHOR, k)
         assert b.shape == (max(n - k + 1, 0), k + 1)
         assert u.shape == (max(n - k + 1, 0), 3 * k + 3)
         for i in range(n - k + 1):

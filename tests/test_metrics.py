@@ -36,11 +36,11 @@ def pose_arrays(poses):
     return t, xyz, sigma
 
 
-def row_of(errors, sigmas=None, algorithm="", k1=1.0, k2=0.0):
+def row_of(errors, sigmas=None, algorithm=""):
     """The report row of matched errors, with zero sigmas unless given."""
     errors = np.asarray(errors, dtype=float)
     sigmas = np.zeros_like(errors) if sigmas is None else sigmas
-    return compute_metrics(errors, sigmas, algorithm, 0, k1, k2)
+    return compute_metrics(errors, sigmas, algorithm, 0)
 
 
 def matched_errors(est_t, est_xyz, truth_t, truth_xyz, tolerance=None):
@@ -177,7 +177,7 @@ class TestMetrics:
 
     def test_zero_matched_epochs_rejected(self):
         with pytest.raises(NumericalFailureError):
-            compute_metrics(np.zeros((0, 3)), np.zeros((0, 3)), "", 3, 1.0, 0.0)
+            compute_metrics(np.zeros((0, 3)), np.zeros((0, 3)), "", 3)
 
     @given(finite_errors)
     @settings(max_examples=60, deadline=None)
@@ -235,19 +235,15 @@ class TestCompositeObjective:
     SIGMAS = [[3.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
     def test_pure_accuracy_term(self):
-        row = row_of([[3.0, 0, 0], [1.0, 0, 0]], self.SIGMAS, k1=1.0, k2=0.0)
+        row = row_of([[3.0, 0, 0], [1.0, 0, 0]])
         assert row["composite"] == row["mean_error"] == 2.0
 
     def test_pure_covariance_term(self):
-        row = row_of([[3.0, 0, 0], [1.0, 0, 0]], self.SIGMAS, k1=0.0, k2=1.0)
+        row = row_of(np.zeros((2, 3)), self.SIGMAS)
         assert row["composite"] == 5.0
 
     def test_perfect_and_certain_scores_zero(self):
-        assert row_of(np.zeros((4, 3)), k1=1.0, k2=1.0)["composite"] == 0.0
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            row_of(np.zeros((2, 3)), k1=-1.0)
+        assert row_of(np.zeros((4, 3)))["composite"] == 0.0
 
 
 class TestBoxplot:

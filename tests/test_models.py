@@ -13,14 +13,12 @@ from climbloc.models import (
     BaroFcnnModel,
     UwbFcnnModel,
     baro_fcnn_infer,
-    baro_inputs,
     build_training_set,
     model_from_dict,
     model_to_dict,
     train_baro_model,
     train_uwb_model,
     uwb_fcnn_infer,
-    uwb_inputs,
 )
 from climbloc.nnet import TrainConfig, net_forward, net_init
 from climbloc.sim import (
@@ -71,7 +69,7 @@ class TestInference:
         for n in (0, K - 1):
             positions, sigmas = uwb_fcnn_infer(zeroed_uwb_model(), data.uwb[:n], data.anchor)
             assert positions.shape == sigmas.shape == (0, 3)
-            assert uwb_inputs(data.uwb[:n], data.anchor, K).shape == (0, 3 * K + 3)
+            assert UwbFcnnModel.windows(data.uwb[:n], data.anchor, K).shape == (0, 3 * K + 3)
             net = net_init([K + 1, 4, 2], seed=0)
             altitudes, sigma_z = baro_fcnn_infer(BaroFcnnModel(network=net, k=K), data.baro[:n])
             assert altitudes.shape == sigma_z.shape == (0,)
@@ -95,10 +93,10 @@ class TestInference:
         assert len(positions) == len(altitudes) == 30 - K + 1
         for i in range(30 - K + 1):
             window = data.uwb[i : i + K]
-            out = net_forward(uwb_model.network, uwb_inputs(window, data.anchor, K)[0])
+            out = net_forward(uwb_model.network, UwbFcnnModel.windows(window, data.anchor, K)[0])
             np.testing.assert_allclose(positions[i], out[0:3], rtol=1e-13)
             np.testing.assert_allclose(sigmas[i], np.maximum(np.abs(out[3:6]), SIGMA_MIN), rtol=1e-13)
-            out = net_forward(baro_model.network, baro_inputs(data.baro[i : i + K], K)[0])
+            out = net_forward(baro_model.network, BaroFcnnModel.windows(data.baro[i : i + K], None, K)[0])
             assert altitudes[i] == pytest.approx(out[0], rel=1e-13)
             assert sigma_z[i] == pytest.approx(max(abs(out[1]), SIGMA_MIN), rel=1e-13)
 

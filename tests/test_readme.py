@@ -37,6 +37,9 @@ def test_configuration_block_shows_the_defaults():
     assert len(entries) > 20
     for dotted, value, default in entries:
         assert value == default, dotted
+    # every setting outside sim is shown
+    rest = {key: value for key, value in DEFAULT_CONFIG.items() if key != "sim"}
+    assert {dotted for dotted, _, _ in concrete_entries(rest, rest)} <= {dotted for dotted, _, _ in entries}
 
 
 def test_library_example_scores_the_amfa_track(capsys):
